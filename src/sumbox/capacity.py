@@ -119,7 +119,8 @@ def capacity_lp(P: Problem) -> CapacityResult:
     witness = tuple(x[:gamma])
     aux = {pair: x[m_pos[pair]] for pair in pairs}
     result = CapacityResult(value, 1 / value, witness, aux)
-    assert feasible(P, witness), "LP witness fails region membership"
+    if not feasible(P, witness):
+        raise AssertionError("LP witness fails region membership")
     return result
 
 
@@ -130,7 +131,8 @@ def _per_server_result(P: Problem, E, A, b) -> CapacityResult:
     lifted = Problem(P.S, P.W, E, P.stream_names, P.base_field)
     witness = tuple(x[s - 1] for t, s in lifted.cost_index())
     res = CapacityResult(value, 1 / value, witness, {})
-    assert feasible(lifted, witness)
+    if not feasible(lifted, witness):
+        raise AssertionError("LP witness fails region membership")
     return res
 
 
@@ -176,7 +178,8 @@ def maximal_dsc_gain(P: Problem) -> Fraction:
     c_un = capacity_unent(P).capacity
     ratio = capacity_fullent(P).capacity / c_un
     closed = min(Fraction(2), 1 / c_un)
-    assert ratio == closed, f"gain ratio {ratio} != closed form {closed}"
+    if ratio != closed:
+        raise AssertionError(f"gain ratio {ratio} != closed form {closed}")
     return ratio
 
 
@@ -210,7 +213,9 @@ def capacity_symmetric(S: int, alpha: int, beta: int) -> Fraction:
     if not 1 <= alpha <= S or not 1 <= beta <= S:
         raise ProblemError("alpha, beta must lie in 1..S")
     f0, f1, f2 = _sym_forms(S, alpha, beta)
-    assert f0 == f1 == f2, f"closed forms disagree at (S={S}, a={alpha}, b={beta}): {f0}, {f1}, {f2}"
+    if not f0 == f1 == f2:
+        raise AssertionError(
+            f"closed forms disagree at (S={S}, a={alpha}, b={beta}): {f0}, {f1}, {f2}")
     return f0
 
 

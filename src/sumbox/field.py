@@ -199,9 +199,6 @@ class Field:
         """All elements ordered by coefficient tuple, lexicographically low-to-high."""
         return sorted(self.elements(), key=self.coeffs)
 
-    def render(self, a: int) -> str:
-        return f"{self.name}:[{','.join(map(str, self.coeffs(a)))}]"
-
     # -- arithmetic -------------------------------------------------------------
     def add(self, a: int, b: int) -> int:
         if self.r == 1:
@@ -288,9 +285,6 @@ class Field:
             return self._exp[(self.order - 1 - la) % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         self.check(a)
         if e < 0:
@@ -304,13 +298,6 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return out
-
-    def eval_poly(self, coeffs: Sequence[int], x: int) -> int:
-        """Evaluate a polynomial with coefficients in this field (low-to-high) at x."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
 
 
 @lru_cache(maxsize=None)
@@ -349,41 +336,17 @@ def parse_field_name(token: str) -> Field:
 # extensions
 
 
-def _solve_mod_p(mat: list[list[int]], p: int) -> list[list[int]] | None:
-    """Inverse of a square matrix over F_p, or None if singular."""
-    n = len(mat)
-    a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    col = 0
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col] % p, p - 2, p)
-        a[col] = [(v * inv) % p for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] % p:
-                f = a[i][col] % p
-                a[i] = [(vi - f * vc) % p for vi, vc in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
 class Extension:
-    """A degree-z extension F_q of a base field F_d, q = d^z, with embedding.
+    """A degree-z extension F_q of a base field F_d, q = d^z.
 
-    embed: ring homomorphism F_d -> F_q sending the base generator to
-    embed_image (the coefficient-lex smallest root of the base modulus in the
-    big field).  expand: the inverse coordinate map F_q -> F_d^z with respect
-    to the polynomial basis {1, x, ..., x^(z-1)} of F_q over the embedded
-    base, where x is the big field's canonical generator.  expand(embed(a))
-    is (a, 0, ..., 0).
+    The coding field is the canonical F_{p^(r*z)}; nothing maps F_d into it.
+    A sum of F_d streams is carried by packing z base symbols a_0..a_{z-1}
+    into the big-field int sum(a_j * d^j): both encodings are base-p digit
+    strings and addition is digit-wise, so the F_q sum unpacks base d into
+    the z F_d sums.
     """
 
-    __slots__ = ("base", "z", "big", "embed_image", "_embed_pows", "_expand_inv")
+    __slots__ = ("base", "z", "big")
 
     def __init__(self, base: Field, z: int):
         if z < 1:
@@ -391,43 +354,6 @@ class Extension:
         self.base = base
         self.z = z
         self.big = field_construct(base.p, base.r * z)
-        self.embed_image = self._find_root()
-        self._embed_pows = [1]
-        for _ in range(base.r - 1):
-            self._embed_pows.append(self.big.mul(self._embed_pows[-1], self.embed_image))
-        self._expand_inv = self._basis_inverse()
-
-    def _find_root(self) -> int:
-        mod = self.base.modulus
-        big = self.big
-        # lift base-prime coefficients into the big field (prime subfield is shared)
-        for cand in big.elements_lex():
-            if big.eval_poly(mod, cand) == 0:
-                return cand
-        raise FieldError("base modulus has no root in extension")  # pragma: no cover
-
-    def _basis_inverse(self):
-        p = self.base.p
-        big = self.big
-        n = big.r  # = base.r * z
-        x = p if big.r > 1 else None
-        # columns: embed(base elem x_b^i) * x^j, i in [r], j in [z]
-        cols = []
-        xj = 1
-        for _ in range(self.z):
-            for i in range(self.base.r):
-                cols.append(big.mul(self._embed_pows[i], xj))
-            if big.r > 1:
-                xj = big.mul(xj, x)
-        mat = [[0] * n for _ in range(n)]
-        for jcol, v in enumerate(cols):
-            cv = big.coeffs(v)
-            for irow in range(n):
-                mat[irow][jcol] = cv[irow]
-        inv = _solve_mod_p(mat, p)
-        if inv is None:  # pragma: no cover - polynomial basis is always a basis
-            raise FieldError("expansion basis is singular")
-        return inv
 
     def __repr__(self):
         return f"Extension({self.base!r}, z={self.z})"
@@ -441,45 +367,6 @@ class Extension:
 
     def __hash__(self):
         return hash((self.base, self.z))
-
-    def embed(self, a: int) -> int:
-        self.base.check(a)
-        out = 0
-        big = self.big
-        for c, pw in zip(self.base.coeffs(a), self._embed_pows):
-            if c:
-                # c is a prime-field scalar; scalar action = repeated addition,
-                # but c < p so multiply in the big field (prime subfield is {0..p-1})
-                out = big.add(out, big.mul(c, pw))
-        return out
-
-    def expand(self, a: int) -> tuple[int, ...]:
-        """Coordinates of a in F_d^z (base-field elements), additive and F_d-linear."""
-        self.big.check(a)
-        cv = self.big.coeffs(a)
-        p = self.base.p
-        coords = []
-        for row in self._expand_inv:
-            coords.append(sum(ri * ci for ri, ci in zip(row, cv)) % p)
-        # group into z base-field elements of r prime coefficients each
-        r = self.base.r
-        return tuple(
-            self.base.element(coords[j * r : (j + 1) * r]) for j in range(self.z)
-        )
-
-    def compress(self, vec: Sequence[int]) -> int:
-        """Inverse of expand: z base-field elements -> one big-field element."""
-        if len(vec) != self.z:
-            raise FieldError("wrong coordinate count")
-        big = self.big
-        x = self.base.p
-        out = 0
-        xj = 1
-        for j, v in enumerate(vec):
-            out = big.add(out, big.mul(self.embed(v), xj))
-            if big.r > 1 and j + 1 < self.z:
-                xj = big.mul(xj, x)
-        return out
 
 
 @lru_cache(maxsize=None)

@@ -41,15 +41,10 @@ class LpUnbounded(LpError):
     pass
 
 
-def _scale_rows(A, b):
-    """Clear denominators per row; returns integer grids."""
-    Ai, bi = [], []
-    for row, rhs in zip(A, b):
-        fr = [Fraction(v) for v in row] + [Fraction(rhs)]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
-        Ai.append([int(f * mult) for f in fr[:-1]])
-        bi.append(int(fr[-1] * mult))
-    return Ai, bi
+def _clear_denominators(fr: list[Fraction]) -> list[int]:
+    """Scale a rational vector by the lcm of its denominators."""
+    mult = lcm(*(f.denominator for f in fr))
+    return [int(f * mult) for f in fr]
 
 
 def solve_min(c: Sequence, A: Sequence[Sequence], b: Sequence, *, max_pivots: int = _MAX_PIVOTS):
@@ -59,8 +54,10 @@ def solve_min(c: Sequence, A: Sequence[Sequence], b: Sequence, *, max_pivots: in
     """
     n = len(c)
     m = len(A)
-    c_orig = [Fraction(v) for v in c]
-    Ai, bi = _scale_rows(A, b)
+    cf = [Fraction(v) for v in c]
+    rows = [_clear_denominators([Fraction(v) for v in (*row, rhs)]) for row, rhs in zip(A, b)]
+    Ai = [r[:-1] for r in rows]
+    bi = [r[-1] for r in rows]
 
     # normalize rows to nonnegative rhs; >= rows (after negation) get artificials
     art_rows = []
@@ -78,10 +75,8 @@ def solve_min(c: Sequence, A: Sequence[Sequence], b: Sequence, *, max_pivots: in
     rhs_col = width - 1
     # rows 0..m-1 constraints, row m real objective, row m+1 phase-1 objective
     T = np.zeros((m + 2, width), dtype=np.int64)
-    cf = [Fraction(v) for v in c]
-    cmult = lcm(*(f.denominator for f in cf)) if cf else 1
-    for j, f in enumerate(cf):
-        T[m, j] = int(f * cmult)
+    for j, v in enumerate(_clear_denominators(cf)):
+        T[m, j] = v
     basis = [0] * m
     for i in range(m):
         for j, v in enumerate(Ai[i]):
@@ -118,7 +113,8 @@ def solve_min(c: Sequence, A: Sequence[Sequence], b: Sequence, *, max_pivots: in
     def pivot(r: int, s: int):
         nonlocal T, den, pivots
         piv = int(T[r, s])
-        assert piv > 0
+        if piv <= 0:
+            raise AssertionError(f"pivot entry {piv} is not positive")
         promote_if_needed()
         col = T[:, s].copy()
         row = T[r, :].copy()
@@ -228,5 +224,5 @@ def solve_min(c: Sequence, A: Sequence[Sequence], b: Sequence, *, max_pivots: in
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(int(T[i, rhs_col]), den)
-    value = sum((cj * xj for cj, xj in zip(c_orig, x)), Fraction(0))
+    value = sum((cj * xj for cj, xj in zip(cf, x)), Fraction(0))
     return value, x

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import Field, FieldError, parse_field_name
+from .field import Field, parse_field_name
 
 
 class MatrixError(ValueError):
@@ -55,9 +55,6 @@ class Mat:
     def column(cls, field: Field, entries: Sequence[int]) -> "Mat":
         return cls(field, [[v] for v in entries], cols=1)
 
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.data, cols=self.cols)
-
     # -- value semantics ---------------------------------------------------------
     def __eq__(self, other):
         return (
@@ -70,10 +67,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.field.name}, {self.rows}x{self.cols})"
-
-    def __getitem__(self, rc):
-        i, j = rc
-        return self.data[i][j]
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)
@@ -91,17 +84,6 @@ class Mat:
         return Mat(
             f,
             [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MatrixError("dimension mismatch in sub")
-        f = self.field
-        return Mat(
-            f,
-            [[f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
             cols=self.cols,
         )
 
@@ -126,14 +108,6 @@ class Mat:
                 row.append(acc)
             out.append(row)
         return Mat(f, out, cols=other.cols)
-
-    def scale(self, c: int) -> "Mat":
-        f = self.field
-        return Mat(f, [[f.mul(c, v) for v in row] for row in self.data], cols=self.cols)
-
-    def neg(self) -> "Mat":
-        f = self.field
-        return Mat(f, [[f.neg(v) for v in row] for row in self.data], cols=self.cols)
 
     def transpose(self) -> "Mat":
         return Mat(self.field, [list(r) for r in zip(*self.data)] if self.data else [], cols=self.rows)
@@ -221,13 +195,6 @@ class Mat:
                 raise MatrixError(f"column index {j} out of range 1..{self.cols}")
         return Mat(self.field, [[row[j - 1] for j in idx] for row in self.data], cols=len(idx))
 
-    def select_rows(self, idx: Iterable[int]) -> "Mat":
-        idx = list(idx)
-        for i in idx:
-            if not 1 <= i <= self.rows:
-                raise MatrixError(f"row index {i} out of range 1..{self.rows}")
-        return Mat(self.field, [list(self.data[i - 1]) for i in idx], cols=self.cols)
-
     # -- serialization -------------------------------------------------------------
     def to_text(self) -> str:
         """Header "rows cols field", then row-major entries as coefficient lists."""
@@ -279,18 +246,6 @@ def hstack(*mats: Mat) -> Mat:
             raise MatrixError("hstack mismatch")
     data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
     return Mat(f, data, cols=sum(m.cols for m in mats))
-
-
-def vstack(*mats: Mat) -> Mat:
-    if not mats:
-        raise MatrixError("vstack of nothing")
-    f = mats[0].field
-    cols = mats[0].cols
-    for m in mats:
-        if m.field != f or m.cols != cols:
-            raise MatrixError("vstack mismatch")
-    data = [row for m in mats for row in m.data]
-    return Mat(f, data, cols=cols)
 
 
 def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:

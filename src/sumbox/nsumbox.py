@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Field, FieldError
-from .matrix import Mat, MatrixError, block_diag, hstack
+from .field import Field
+from .matrix import Mat, block_diag
 
 HALF_MDS_EXHAUSTIVE_MAX = 12
 
@@ -91,14 +91,6 @@ class NSumBox:
         if self.M.field != self.field:
             raise BoxError("field mismatch")
 
-    @property
-    def left(self) -> Mat:
-        return self.M.select_columns(range(1, self.N + 1))
-
-    @property
-    def right(self) -> Mat:
-        return self.M.select_columns(range(self.N + 1, 2 * self.N + 1))
-
     def to_text(self) -> str:
         return f"box {self.N} {self.field.order}\n" + self.M.to_text()
 
@@ -175,10 +167,3 @@ def build_half_mds_box(N: int, field: Field) -> NSumBox:
     bot = grs_matrix(field, GrsSpec(field.order, N, k_bot, alpha, v))
     M = block_diag(field, [top, bot])
     return NSumBox(N, field, M)
-
-
-def box_eval(box: NSumBox, x: Mat) -> Mat:
-    """y = M x for a 2N-high input column."""
-    if x.rows != 2 * box.N:
-        raise MatrixError(f"input height {x.rows} != 2N = {2*box.N}")
-    return box.M * x

@@ -30,8 +30,8 @@ from math import lcm
 
 from .capacity import capacity_lp, feasible
 from .field import Extension, Field, extend_field, field_construct
-from .matrix import Mat, MatrixError, block_diag
-from .model import Problem, ProblemError, full_clique, parse_problem, render_problem
+from .matrix import Mat, block_diag
+from .model import Problem, full_clique, parse_problem, render_problem
 from .nsumbox import NSumBox, build_half_mds_box, is_valid_box
 
 
@@ -109,7 +109,8 @@ def allocation_from_lp(P: Problem, witness) -> Allocation:
     )
     a = Allocation(entries)
     cap = Fraction(1) / sum(w)
-    assert rate_of_allocation(P, a) == cap, "scaled witness does not achieve capacity"
+    if rate_of_allocation(P, a) != cap:
+        raise AssertionError("scaled witness does not achieve capacity")
     return a
 
 
@@ -282,7 +283,8 @@ def build_scheme(
             z_cur *= 2
             continue
         sch = CodingScheme(P, ch.ext, allocation, ch, R, precoders, D, seed)
-        assert sch.certificate_ok(), "scheme certificate failed"
+        if not sch.certificate_ok():
+            raise AssertionError("scheme certificate failed")
         return sch
     raise RetriesExhausted(f"encoder search failed up to z = {z_cur}: {last_err}")
 
@@ -396,7 +398,8 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
     D = Mat(f, [list(row) for row in _REF_VDEC_ROWS])
     precoders = tuple((D * m).inverse() for m in ch.mbar)
     sch = CodingScheme(P, ext, alloc, ch, 4, precoders, D, seed=0)
-    assert sch.certificate_ok(), "reference scheme certificate failed"
+    if not sch.certificate_ok():
+        raise AssertionError("reference scheme certificate failed")
     return sch
 
 
@@ -454,6 +457,9 @@ def parse_scheme(text: str) -> CodingScheme:
         if line.strip():
             key, _, val = line.strip().partition(" ")
             ext_kv[key] = val
+    for key in ("d", "z", "base_modulus", "big_modulus"):
+        if key not in ext_kv:
+            raise SchemeError(f"EXTENSION section has no '{key}' line")
     p, r = map(int, ext_kv["d"].split())
     z = int(ext_kv["z"])
     if (p, r) != P.base_field:

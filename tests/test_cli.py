@@ -165,3 +165,30 @@ def test_verify_identities_quick(capsys):
 def test_usage_error(capsys):
     code = main(["bogus-subcommand"])
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["d", "z", "base_modulus", "big_modulus"])
+def test_scheme_check_missing_extension_key(tmp_path, capsys, key):
+    out_file = str(tmp_path / "example.scheme")
+    run(capsys, "scheme", "build", prob("example.prob"), "--out", out_file)
+    lines = open(out_file).read().splitlines(keepends=True)
+    start = lines.index("EXTENSION\n")
+    drop = next(i for i in range(start + 1, len(lines))
+                if lines[i].split()[0] == key)
+    bad_file = str(tmp_path / "bad.scheme")
+    open(bad_file, "w").write("".join(lines[:drop] + lines[drop + 1:]))
+    code, _, err = run(capsys, "scheme", "check", bad_file)
+    assert code == 2
+    assert f"no '{key}' line" in err
+
+
+def test_scheme_build_d_flag(capsys):
+    code, power, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^2")
+    assert code == 0
+    code, order, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "4")
+    assert code == 0
+    assert power == order
+    assert "base_modulus 1,1,1\n" in power  # F_4, not the file's F_2
+    code, _, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^x")
+    assert code == 2
+    assert err.startswith("error:")

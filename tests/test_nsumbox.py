@@ -5,7 +5,7 @@ import pytest
 
 from sumbox.field import field_construct
 from sumbox.matrix import Mat, hstack
-from sumbox.nsumbox import (BoxError, GrsSpec, NSumBox, box_eval,
+from sumbox.nsumbox import (BoxError, GrsSpec, NSumBox,
                             build_half_mds_box, grs_dual_multipliers,
                             grs_matrix, is_half_mds, is_valid_box,
                             symplectic_form)
@@ -124,11 +124,11 @@ def test_box_eval_linearity_and_zero():
     rng = random.Random(8)
     box = build_half_mds_box(4, F8)
     zero = Mat.zeros(F8, 8, 1)
-    assert box_eval(box, zero).is_zero()
+    assert (box.M * zero).is_zero()
     for _ in range(10):
         x1 = Mat.random(F8, 8, 1, rng)
         x2 = Mat.random(F8, 8, 1, rng)
-        assert box_eval(box, x1 + x2) == box_eval(box, x1) + box_eval(box, x2)
+        assert box.M * (x1 + x2) == box.M * x1 + box.M * x2
 
 
 def test_box_serialization_roundtrip():

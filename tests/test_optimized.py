@@ -1,0 +1,47 @@
+"""Certificates must still be checked when Python runs with -O (asserts off)."""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    prelude = "import sys\nif not sys.flags.optimize:\n    sys.exit('not optimized')\n"
+    return subprocess.run([sys.executable, "-O", "-c", prelude + textwrap.dedent(code)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_capacity_witness_check_survives_optimize():
+    proc = run_optimized("""
+        import sumbox.capacity as cap
+        from sumbox.scheme import reference_problem
+        cap.feasible = lambda *args: False
+        try:
+            cap.capacity_lp(reference_problem())
+        except AssertionError as exc:
+            print(exc)
+        else:
+            sys.exit("capacity_lp returned an unchecked witness")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert "region membership" in proc.stdout
+
+
+def test_scheme_certificate_check_survives_optimize():
+    proc = run_optimized("""
+        from sumbox.scheme import CodingScheme, build_scheme, reference_problem
+        CodingScheme.certificate_ok = lambda self: False
+        try:
+            build_scheme(reference_problem())
+        except AssertionError as exc:
+            print(exc)
+        else:
+            sys.exit("build_scheme returned an uncertified scheme")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert "certificate failed" in proc.stdout

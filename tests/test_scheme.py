@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -7,12 +8,14 @@ import pytest
 from sumbox.capacity import capacity_lp
 from sumbox.field import field_construct
 from sumbox.matrix import Mat
-from sumbox.model import Problem, full_clique, symmetric_problem
+from sumbox.model import Problem, full_clique, parse_problem, symmetric_problem
 from sumbox.nsumbox import is_half_mds, is_valid_box
 from sumbox.scheme import (Allocation, SchemeError, allocation_from_lp,
                            build_scheme, worked_reference_scheme, parse_scheme,
                            rate_of_allocation, reference_problem,
                            render_scheme, simulate, simulate_batch, true_sum)
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
 
 def random_data(sch, rng):
@@ -139,6 +142,40 @@ def test_simulate_batch_matches_simulate():
         cols = [Mat(sch.ext.big, [[int(data[k, i, b])] for i in range(sch.R)])
                 for k in range(sch.problem.K)]
         assert [row[0] for row in simulate(sch, cols).data] == out[:, b].tolist()
+
+
+@pytest.mark.parametrize("field_line", ["field 2 2", "field 3 2"])
+def test_base_d_packing_carries_stream_sums(field_line):
+    # z F_d symbols a_j pack into the F_q int sum(a_j * d^j); the decoded F_q
+    # sum unpacks base d into the z per-symbol F_d sums of the streams
+    with open(os.path.join(PROBLEMS, "example.prob")) as fh:
+        text = fh.read().replace("field 2\n", field_line + "\n")
+    P = parse_problem(text)
+    sch = build_scheme(P)
+    base, z = sch.ext.base, sch.ext.z
+    d = base.order
+    assert base.r == 2 and z > 1 and d ** z == sch.ext.big.order
+    K, R, B = P.K, sch.R, 100
+    rng = random.Random(17)
+    streams = [[[[rng.randrange(d) for _ in range(z)] for _ in range(B)]
+                for _ in range(R)] for _ in range(K)]
+    packed = np.array([[[sum(a * d ** j for j, a in enumerate(sym)) for sym in row]
+                        for row in stream] for stream in streams], dtype=np.int64)
+    out = simulate_batch(sch, packed)
+    for i in range(R):
+        for b in range(B):
+            x = int(out[i, b])
+            got = []
+            for _ in range(z):
+                x, digit = divmod(x, d)
+                got.append(digit)
+            want = []
+            for j in range(z):
+                acc = 0
+                for k in range(K):
+                    acc = base.add(acc, streams[k][i][b][j])
+                want.append(acc)
+            assert got == want
 
 
 def test_two_sum_reduction_fixture():
