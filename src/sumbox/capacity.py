@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from . import lp
 from .model import Problem, ProblemError, full_clique, singleton_cliques
 
@@ -47,22 +49,21 @@ def feasible(P: Problem, D) -> bool:
         raise ProblemError(f"cost tuple length {len(D)} != gamma {P.gamma}")
     if any(v < 0 for v in D):
         return False
-    # slice per clique
+    # slice per clique; each clique's total is the same for every stream
     per_clique = []
     pos = 0
     for e in P.E:
         servers = sorted(e)
         per_clique.append(dict(zip(servers, D[pos : pos + len(servers)])))
         pos += len(servers)
+    totals = [sum(d.values(), Fraction(0)) for d in per_clique]
     for w in P.W:
         total = Fraction(0)
         for t, e in enumerate(P.E):
-            a = sum(per_clique[t].values(), Fraction(0))
             b = 2 * sum((per_clique[t][s] for s in e & w), Fraction(0))
-            total += min(a, b)
-        if total >= 1:
-            continue
-        return False
+            total += min(totals[t], b)
+        if total < 1:
+            return False
     return True
 
 
@@ -83,51 +84,40 @@ def capacity_lp(P: Problem) -> CapacityResult:
     if nvars > MAX_LP_VARS:
         raise LpSizeError(f"{nvars} LP variables exceed the guard {MAX_LP_VARS}")
     # variable layout: gamma download costs then one m per active (t, k) pair
-    cost_pos = {}
-    pos = 0
-    for t, e in enumerate(P.E):
-        for s in sorted(e):
-            cost_pos[(t, s)] = pos
-            pos += 1
-    m_pos = {pair: gamma + i for i, pair in enumerate(pairs)}
+    cost_pos = {ts: j for j, ts in enumerate(P.cost_index())}
 
-    A, b = [], []
-    for (t, k) in pairs:
+    # rows: m <= sum over E(t) and m <= 2 * sum over E(t) ^ W(k) for each
+    # pair i (rows 2i, 2i+1), then sum_t m_{t,k} >= 1 for each stream k
+    A = np.zeros((2 * len(pairs) + P.K, nvars), dtype=np.int64)
+    for i, (t, k) in enumerate(pairs):
         e, w = P.E[t], P.W[k]
-        row = [0] * nvars
-        row[m_pos[(t, k)]] = 1
-        for s in e:
-            row[cost_pos[(t, s)]] = -1
-        A.append(row)
-        b.append(0)
-        row = [0] * nvars
-        row[m_pos[(t, k)]] = 1
-        for s in e & w:
-            row[cost_pos[(t, s)]] = -2
-        A.append(row)
-        b.append(0)
-    for k in range(P.K):
-        row = [0] * nvars
-        for (t, kk) in pairs:
-            if kk == k:
-                row[m_pos[(t, kk)]] = -1
-        A.append(row)
-        b.append(-1)
+        A[2 * i : 2 * i + 2, gamma + i] = 1
+        A[2 * i, [cost_pos[(t, s)] for s in e]] = -1
+        A[2 * i + 1, [cost_pos[(t, s)] for s in e & w]] = -2
+        A[2 * len(pairs) + k, gamma + i] = -1
+    b = [0] * (2 * len(pairs)) + [-1] * P.K
     c = [1] * gamma + [0] * len(pairs)
 
     value, x = lp.solve_min(c, A, b)
     witness = tuple(x[:gamma])
-    aux = {pair: x[m_pos[pair]] for pair in pairs}
+    aux = {pair: x[gamma + i] for i, pair in enumerate(pairs)}
     result = CapacityResult(value, 1 / value, witness, aux)
     if not feasible(P, witness):
         raise AssertionError("LP witness fails region membership")
     return result
 
 
-def _per_server_result(P: Problem, E, A, b) -> CapacityResult:
-    """Solve a per-server-cost LP (S variables) and lift to the clique layout of E."""
-    c = [1] * P.S
-    value, x = lp.solve_min(c, A, b)
+def _incidence(P: Problem) -> np.ndarray:
+    """K x S 0/1 matrix: entry (k, s-1) is 1 when server s stores stream k."""
+    inc = np.zeros((P.K, P.S), dtype=np.int64)
+    for k, w in enumerate(P.W):
+        inc[k, [s - 1 for s in w]] = 1
+    return inc
+
+
+def _per_server_result(P: Problem, E, A: np.ndarray) -> CapacityResult:
+    """Solve min sum_s D_s s.t. A D <= -1 (S per-server variables); lift to E's layout."""
+    value, x = lp.solve_min([1] * P.S, A, [-1] * len(A))
     lifted = Problem(P.S, P.W, E, P.stream_names, P.base_field)
     witness = tuple(x[s - 1] for t, s in lifted.cost_index())
     res = CapacityResult(value, 1 / value, witness, {})
@@ -141,14 +131,8 @@ def capacity_fullent(P: Problem) -> CapacityResult:
 
     Per-server LP: sum_s D_s >= 1 and 2 * sum_{s in W(k)} D_s >= 1 for all k.
     """
-    S = P.S
-    A = [[-1] * S]
-    b = [-1]
-    for w in P.W:
-        row = [(-2 if s in w else 0) for s in range(1, S + 1)]
-        A.append(row)
-        b.append(-1)
-    return _per_server_result(P, full_clique(S), A, b)
+    A = np.vstack([np.full((1, P.S), -1), -2 * _incidence(P)])
+    return _per_server_result(P, full_clique(P.S), A)
 
 
 def capacity_unent(P: Problem) -> CapacityResult:
@@ -156,12 +140,7 @@ def capacity_unent(P: Problem) -> CapacityResult:
 
     Per-server LP: sum_{s in W(k)} D_s >= 1 for all k.
     """
-    S = P.S
-    A, b = [], []
-    for w in P.W:
-        A.append([(-1 if s in w else 0) for s in range(1, S + 1)])
-        b.append(-1)
-    return _per_server_result(P, singleton_cliques(S), A, b)
+    return _per_server_result(P, singleton_cliques(P.S), -_incidence(P))
 
 
 def dsc_gain(P: Problem) -> Fraction:

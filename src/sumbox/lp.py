@@ -11,6 +11,15 @@ practice, so the tableau lives in an int64 numpy array; if magnitudes ever
 approach overflow it is promoted to an exact big-integer (object dtype)
 array and the run continues unchanged.
 
+Input contract: c, b and the rows of A hold ints, Fractions, or anything
+`Fraction()` accepts (floats are taken at their exact binary value); A may
+also be an integer numpy array of shape (len(b), len(c)).  Each row [A_i | b_i]
+and the row c enter the tableau scaled by the lcm of their denominators: an
+integer ndarray or an all-int row is copied in unchanged, and only a row with
+a non-int entry goes through lcm clearing.  The tableau starts as int64 when
+every cleared entry is at most _INT64_SAFE in magnitude, and as an object
+(big-int) array otherwise.
+
 Pivot rules: Dantzig (most negative reduced cost) by default, with
 deterministic index tie-breaks; after a long run of degenerate pivots the
 solver switches permanently to Bland's rule, which guarantees termination.
@@ -41,65 +50,68 @@ class LpUnbounded(LpError):
     pass
 
 
-def _clear_denominators(fr: list[Fraction]) -> list[int]:
-    """Scale a rational vector by the lcm of its denominators."""
+def _clear_row(vals) -> list:
+    """An all-int row unchanged, else the row scaled by the lcm of its denominators."""
+    if all(type(v) is int for v in vals):
+        return vals
+    fr = [Fraction(v) for v in vals]
     mult = lcm(*(f.denominator for f in fr))
-    return [int(f * mult) for f in fr]
+    return [f.numerator * (mult // f.denominator) for f in fr]
 
 
-def solve_min(c: Sequence, A: Sequence[Sequence], b: Sequence, *, max_pivots: int = _MAX_PIVOTS):
+def _integer_rows(A, b, n: int) -> np.ndarray:
+    """[A | b] as an (m, n+1) integer array, each row cleared of denominators."""
+    m = len(b)
+    A = np.asarray(A).reshape(m, n)
+    b = np.asarray(b).reshape(m, 1)
+    if A.dtype.kind in "bi" and b.dtype.kind in "bi":
+        return np.hstack([A, b])
+    rows = np.hstack([A.astype(object), b.astype(object)]).tolist()
+    return np.array([_clear_row(r) for r in rows], dtype=object).reshape(m, n + 1)
+
+
+def solve_min(c: Sequence, A: Sequence[Sequence] | np.ndarray, b: Sequence, *,
+              max_pivots: int = _MAX_PIVOTS):
     """Exact simplex.  Returns (optimal value, x) as Fractions.
 
     Raises LpInfeasible / LpUnbounded accordingly.
     """
     n = len(c)
-    m = len(A)
+    m = len(b)
     cf = [Fraction(v) for v in c]
-    rows = [_clear_denominators([Fraction(v) for v in (*row, rhs)]) for row, rhs in zip(A, b)]
-    Ai = [r[:-1] for r in rows]
-    bi = [r[-1] for r in rows]
+    Ab = _integer_rows(A, b, n)
+    c_int = _clear_row(list(c))
+    big = (max(map(abs, c_int), default=0) > _INT64_SAFE
+           or Ab.min(initial=0) < -_INT64_SAFE or Ab.max(initial=0) > _INT64_SAFE)
 
-    # normalize rows to nonnegative rhs; >= rows (after negation) get artificials
-    art_rows = []
-    for i in range(m):
-        if bi[i] < 0:
-            Ai[i] = [-v for v in Ai[i]]
-            bi[i] = -bi[i]
-            art_rows.append(i)
+    # rows with a negative rhs are negated into >= rows and get artificials
+    neg = Ab[:, n] < 0
+    art_rows = np.nonzero(neg)[0]
     n_art = len(art_rows)
-    art_col_of_row = {}
-    for a_idx, i in enumerate(art_rows):
-        art_col_of_row[i] = n + m + a_idx
+    art_cols = np.arange(n + m, n + m + n_art)
 
     width = n + m + n_art + 1
     rhs_col = width - 1
     # rows 0..m-1 constraints, row m real objective, row m+1 phase-1 objective
-    T = np.zeros((m + 2, width), dtype=np.int64)
-    for j, v in enumerate(_clear_denominators(cf)):
-        T[m, j] = v
-    basis = [0] * m
-    for i in range(m):
-        for j, v in enumerate(Ai[i]):
-            T[i, j] = v
-        T[i, rhs_col] = bi[i]
-        if i in art_col_of_row:
-            T[i, n + i] = -1          # surplus
-            T[i, art_col_of_row[i]] = 1
-            basis[i] = art_col_of_row[i]
-        else:
-            T[i, n + i] = 1           # slack
-            basis[i] = n + i
+    T = np.zeros((m + 2, width), dtype=object if big else np.int64)
+    T[:m, :n] = Ab[:, :n]
+    T[:m, rhs_col] = Ab[:, n]
+    T[art_rows] = -T[art_rows]
+    T[m, :n] = c_int
+    rows = np.arange(m)
+    T[rows, n + rows] = np.where(neg, -1, 1)  # surplus on >= rows, slack otherwise
+    T[art_rows, art_cols] = 1
+    basis = n + rows
+    basis[art_rows] = art_cols
+    basis = basis.tolist()
     # phase-1 objective: sum of artificials, reduced against the artificial basis
-    for i in art_rows:
-        T[m + 1, :] -= T[i, :]
-    for i in art_rows:
-        T[m + 1, art_col_of_row[i]] += 1
+    T[m + 1] = -T[art_rows].sum(axis=0)
+    T[m + 1, art_cols] = 0
 
     den = 1
     enterable = np.ones(width, dtype=bool)
     enterable[rhs_col] = False
-    for i in art_rows:
-        enterable[art_col_of_row[i]] = False  # artificials never (re-)enter
+    enterable[art_cols] = False  # artificials never (re-)enter
 
     bland = False
     degen_run = 0
@@ -193,7 +205,7 @@ def solve_min(c: Sequence, A: Sequence[Sequence], b: Sequence, *, max_pivots: in
         if int(T[m + 1, rhs_col]) != 0:
             raise LpInfeasible("no feasible point")
         # drive any degenerate artificials out of the basis
-        art_set = set(art_col_of_row.values())
+        art_set = set(art_cols.tolist())
         drop_rows = []
         for i in range(m):
             if basis[i] in art_set:
@@ -214,8 +226,6 @@ def solve_min(c: Sequence, A: Sequence[Sequence], b: Sequence, *, max_pivots: in
             T = np.vstack([T[keep, :], T[m:, :]])
             basis = [basis[i] for i in keep]
             m = len(keep)
-        for j in art_set:
-            enterable[j] = False
 
     # ---- phase 2 ----
     run_phase(m, enterable, m)

@@ -409,10 +409,10 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
 
 def render_scheme(sch: CodingScheme) -> str:
     out = ["PROBLEM", render_problem(sch.problem).rstrip("\n")]
-    p, r = sch.problem.base_field
+    base = sch.ext.base  # the data field the scheme was built on
     out += [
         "EXTENSION",
-        f"d {p} {r}",
+        f"d {base.p} {base.r}",
         f"z {sch.ext.z}",
         "base_modulus " + ",".join(map(str, sch.ext.base.modulus)),
         "big_modulus " + ",".join(map(str, sch.ext.big.modulus)),
@@ -462,8 +462,6 @@ def parse_scheme(text: str) -> CodingScheme:
             raise SchemeError(f"EXTENSION section has no '{key}' line")
     p, r = map(int, ext_kv["d"].split())
     z = int(ext_kv["z"])
-    if (p, r) != P.base_field:
-        raise SchemeError("EXTENSION field disagrees with PROBLEM field")
     ext = extend_field(field_construct(p, r), z)
     if tuple(map(int, ext_kv["base_modulus"].split(","))) != ext.base.modulus:
         raise SchemeError("base modulus mismatch")

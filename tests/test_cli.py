@@ -192,3 +192,14 @@ def test_scheme_build_d_flag(capsys):
     code, _, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^x")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_scheme_built_on_d_field_checks(tmp_path, capsys):
+    out_file = str(tmp_path / "d4.scheme")
+    code, _, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^2",
+                     "--out", out_file)
+    assert code == 0
+    assert "d 2 2\n" in open(out_file).read()  # the data field used, not the file's F_2
+    code, out, _ = run(capsys, "scheme", "check", out_file)
+    assert code == 0
+    assert "certificate: OK" in out

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumbox.lp import LpInfeasible, LpUnbounded, solve_min
@@ -95,3 +96,33 @@ def test_random_lps_certified():
         assert sum(ci * xi for ci, xi in zip(c, x)) == val
         for row, bi in zip(A, b):
             assert sum(ai * xi for ai, xi in zip(row, x)) <= bi
+
+
+@pytest.mark.parametrize("A, b, value", [
+    ([[-(1 << 70)]], [-1], F(1, 1 << 70)),   # cleared entry beyond int64
+    ([[F(-1, 1 << 70)]], [-1], F(1 << 70)),  # lcm clearing beyond int64
+])
+def test_entries_beyond_int64_start_on_big_ints(A, b, value):
+    val, x = solve_min([1], A, b)
+    assert val == value
+    assert x == [value]
+
+
+# An LP with <= rows, >= rows (artificials) and a fractional optimum: the
+# dual point (1, 0, 1, 0) on the >= rows also attains 2.
+FORMS_C = [2, 3, 2]
+FORMS_A = [[-2, -1, 0], [-1, -3, -1], [1, 1, 1], [0, -1, -2]]
+FORMS_B = [-1, -1, 5, -1]
+
+
+@pytest.mark.parametrize("form", [
+    lambda A, b: (A, b),                                              # int lists
+    lambda A, b: (np.array(A, dtype=np.int64), b),                    # int64 ndarray
+    lambda A, b: ([[F(v) for v in r] for r in A], [F(v) for v in b]),  # denominator 1
+    lambda A, b: ([[F(v, 3) for v in r] for r in A], [F(v, 3) for v in b]),  # rows / 3
+], ids=["ints", "int64", "fractions", "thirds"])
+def test_input_forms_give_identical_results(form):
+    val, x = solve_min(FORMS_C, *form(FORMS_A, FORMS_B))
+    assert (val, x) == solve_min(FORMS_C, FORMS_A, FORMS_B)
+    assert val == 2
+    assert x == [F(1, 2), F(0), F(1, 2)]
