@@ -15,16 +15,19 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
                        capacity_symmetric, capacity_unent, dsc_gain)
 from .field import Field, FieldError, field_construct, parse_field_name
-from .matrix import Mat, MatrixError
+from .matrix import MatrixError
 from .model import Problem, ProblemError, beta_cliques, parse_problem
 from .nsumbox import BoxError
-from .oracle import (GuardExceeded, check_identities, check_lp_oracle,
-                     exhaustive_decode_check, tap_lines)
+from .oracle import (DECODE_BATCH, GuardExceeded, check_identities,
+                     check_lp_oracle, exhaustive_decode_check, tap_lines)
 from .scheme import (DEFAULT_SEED, Allocation, SchemeError, build_scheme,
-                     parse_scheme, render_scheme, simulate, true_sum)
+                     parse_scheme, render_scheme, simulate_batch)
+from .vecops import VecOps
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -157,12 +160,15 @@ def cmd_scheme_simulate(args) -> int:
               f"decoded {rep.main_value}, expected {rep.oracle_value}")
         return EXIT_MISMATCH
     rng = random.Random(args.seed)
+    K, R = sch.problem.K, sch.R
+    ops = VecOps(sch.ext.big)
     fails = 0
-    for _ in range(args.trials):
-        data = [Mat(sch.ext.big, [[rng.randrange(q)] for _ in range(sch.R)])
-                for _ in range(sch.problem.K)]
-        if simulate(sch, data) != true_sum(sch, data):
-            fails += 1
+    for lo in range(0, args.trials, DECODE_BATCH):
+        n = min(DECODE_BATCH, args.trials - lo)
+        # the draws of one trial at a time, in order: trial, stream, row
+        data = np.array([rng.randrange(q) for _ in range(n * K * R)], dtype=np.int64)
+        data = data.reshape(n, K, R).transpose(1, 2, 0)
+        fails += int((simulate_batch(sch, data) != ops.sum(data)).any(axis=0).sum())
     print(f"{args.trials - fails}/{args.trials} pass (seed {args.seed})")
     return EXIT_MISMATCH if fails else EXIT_OK
 

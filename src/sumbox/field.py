@@ -10,8 +10,11 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import isqrt
 from typing import Iterable, Sequence
+
+import numpy as np
 
 MAX_ORDER = 1 << 20
 
@@ -125,7 +128,7 @@ class Field:
     additive and multiplicative identities and (for r > 1) `p` encodes x.
     """
 
-    __slots__ = ("p", "r", "order", "modulus", "_exp", "_log", "_pmul")
+    __slots__ = ("p", "r", "order", "modulus", "_exp", "_log", "_arrays")
 
     def __init__(self, p: int, r: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -147,7 +150,7 @@ class Field:
         self.modulus = modulus
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._pmul = None
+        self._arrays: tuple[np.ndarray, ...] | None = None
 
     # -- identity / comparison ------------------------------------------------
     def __eq__(self, other):
@@ -239,38 +242,50 @@ class Field:
         red = _poly_mod(prod, self.modulus, self.p)
         return self.element(red)
 
-    def _ensure_tables(self):
-        if self._exp is not None or self.order > (1 << 16):
-            return
-        q = self.order
-        # find a primitive element by walking its powers
-        for g in range(1 if q == 2 else 2, q):
-            exp = [1]
-            x = 1
-            ok = True
-            for _ in range(q - 2):
-                x = self._mul_direct(x, g)
-                if x == 1:
-                    ok = False
-                    break
-                exp.append(x)
-            if ok and self._mul_direct(x, g) == 1:
-                log = [0] * q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._exp = exp + exp  # doubled to skip a mod in mul
-                self._log = log
-                return
-        raise FieldError("no primitive element found")  # pragma: no cover
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """numpy (exp, log, digits) tables of this field, built once and kept here.
+
+        log[a] is the discrete log of a != 0 to the smallest primitive element
+        and log[0] = 2(q-1); exp holds two periods of the powers and zeros up
+        to index 4(q-1), so exp[log a + log b] = a*b for every a and b, 0
+        included.  digits[a] lists a's base-p digits (odd p only)."""
+        if self._arrays is not None:
+            return self._arrays
+        p, r, q = self.p, self.r, self.order
+        n = q - 1
+        a = np.arange(q, dtype=np.int64)
+        digits = None if p == 2 else (a[:, None] // p ** np.arange(r) % p).astype(
+            np.min_scalar_type(p - 1))
+        # the smallest g of order n; a -> g*a is F_p-linear, so its map over
+        # all of F_q takes r numpy steps (the image of digit i is g * x^i),
+        # and walking that map from 1 lists the powers of g
+        divisors = [d for f in range(1, isqrt(n) + 1) if n % f == 0 for d in (f, n // f)]
+        g = next(g for g in range(1 if n == 1 else 2, q)
+                 if all(self.pow(g, n // f) != 1 for f in divisors if is_prime(f)))
+        gx = [self._mul_direct(g, p ** i) for i in range(r)]
+        if p == 2:
+            step = reduce(np.bitwise_xor, (((a >> i) & 1) * v for i, v in enumerate(gx)))
+        else:
+            gx = np.array([self.coeffs(v) for v in gx], dtype=np.int32)
+            step = ((digits @ gx) % p) @ (p ** np.arange(r, dtype=np.int64))
+        nxt = step.tolist()
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(nxt[powers[-1]])
+        exp_list = powers + powers + [0] * (2 * n + 1)
+        log = np.full(q, 2 * n, dtype=np.intp)
+        log[powers] = np.arange(n)
+        # Python lists for scalar mul and inv, in the same layout
+        self._exp, self._log = exp_list, log.tolist()
+        exp = np.array(exp_list, dtype=np.uint16 if q <= 1 << 16 else np.uint32)
+        self._arrays = (exp, log, digits)
+        return self._arrays
 
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        self._ensure_tables()
         if self._exp is None:
-            return self._mul_direct(a, b)
+            self.arrays()
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
@@ -279,13 +294,12 @@ class Field:
             raise FieldError("division by zero")
         if self.r == 1:
             return pow(a, self.p - 2, self.p)
-        self._ensure_tables()
-        if self._exp is not None:
-            la = self._log[a]
-            return self._exp[(self.order - 1 - la) % (self.order - 1)]
-        return self.pow(a, self.order - 2)
+        if self._exp is None:
+            self.arrays()
+        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
 
     def pow(self, a: int, e: int) -> int:
+        """a^e by squaring; it uses no tables, so building them can call it."""
         self.check(a)
         if e < 0:
             a = self.inv(a)
@@ -294,8 +308,8 @@ class Field:
         base = a
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = self._mul_direct(out, base)
+            base = self._mul_direct(base, base)
             e >>= 1
         return out
 

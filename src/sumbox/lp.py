@@ -21,8 +21,10 @@ every cleared entry is at most _INT64_SAFE in magnitude, and as an object
 (big-int) array otherwise.
 
 Pivot rules: Dantzig (most negative reduced cost) by default, with
-deterministic index tie-breaks; after a long run of degenerate pivots the
-solver switches permanently to Bland's rule, which guarantees termination.
+deterministic index tie-breaks.  More than _DEGENERATE_RUN degenerate pivots
+in a row switch to Bland's rule, which holds until the objective strictly
+improves or phase 2 starts; each Bland stretch terminates and a strict
+improvement never revisits a basis, so the hybrid terminates.
 """
 
 from __future__ import annotations

@@ -51,10 +51,6 @@ class Mat:
         q = field.order
         return cls(field, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def column(cls, field: Field, entries: Sequence[int]) -> "Mat":
-        return cls(field, [[v] for v in entries], cols=1)
-
     # -- value semantics ---------------------------------------------------------
     def __eq__(self, other):
         return (

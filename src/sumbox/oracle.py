@@ -28,10 +28,11 @@ from .model import (Problem, beta_cliques, concat_problems, full_clique,
                     merged_map, singleton_cliques, symmetric_problem,
                     triangle_substitute)
 from .scheme import CodingScheme, simulate_batch
+from .vecops import VecOps
 
 VERTEX_ENUM_GUARD = 14          # max gamma + K*T
 DECODE_GUARD = 1 << 24          # max q^(K*R) realizations
-_BATCH = 1 << 13
+DECODE_BATCH = 1 << 13  # realizations per simulate_batch call
 
 
 class GuardExceeded(ValueError):
@@ -187,23 +188,15 @@ def exhaustive_decode_check(sch: CodingScheme) -> OracleReport:
     total = q ** (K * R)
     if total > DECODE_GUARD:
         raise GuardExceeded(f"q^(K*R) = {total} exceeds guard {DECODE_GUARD}")
-    from .vecops import VecOps
-
     ops = VecOps(sch.ext.big)
     name = f"exhaustive decode ({total} realizations, q={q}, K={K}, R={R})"
-    for lo in range(0, total, _BATCH):
-        hi = min(lo + _BATCH, total)
+    for lo in range(0, total, DECODE_BATCH):
+        hi = min(lo + DECODE_BATCH, total)
+        # realization idx has data[k, i] = base-q digit k*R + i of idx
         idx = np.arange(lo, hi, dtype=np.int64)
-        data = np.zeros((K, R, hi - lo), dtype=np.int64)
-        rem = idx
-        for k in range(K):
-            for i in range(R):
-                data[k, i] = rem % q
-                rem = rem // q
+        data = (idx // q ** np.arange(K * R, dtype=np.int64)[:, None] % q).reshape(K, R, hi - lo)
         got = simulate_batch(sch, data)
-        want = data[0]
-        for k in range(1, K):
-            want = ops.add(want, data[k])
+        want = ops.sum(data)
         if not np.array_equal(got, want):
             bad = int(np.nonzero((got != want).any(axis=0))[0][0])
             witness = data[:, :, bad].tolist()

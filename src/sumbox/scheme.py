@@ -26,13 +26,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+
+import numpy as np
 
 from .capacity import capacity_lp, feasible
 from .field import Extension, Field, extend_field, field_construct
 from .matrix import Mat, block_diag
 from .model import Problem, full_clique, parse_problem, render_problem
 from .nsumbox import NSumBox, build_half_mds_box, is_valid_box
+from .vecops import VecOps
 
 
 class SchemeError(ValueError):
@@ -299,63 +303,46 @@ def simulate(sch: CodingScheme, data) -> Mat:
     `data` is an R x K matrix (one column per stream) or a list of K
     R x 1 columns over F_q.  Returns the R x 1 decoded column, which equals
     the entrywise sum of the stream columns by the scheme certificate.
+    This is simulate_batch on a batch of one.
     """
-    f = sch.ext.big
-    if isinstance(data, Mat):
-        cols = [data.select_columns([k + 1]) for k in range(data.cols)]
-    else:
-        cols = list(data)
-    if len(cols) != sch.problem.K or any(c.rows != sch.R or c.cols != 1 for c in cols):
-        raise SchemeError(f"data must be {sch.R} x {sch.problem.K}")
-    ch = sch.channel
-    # per-clique box inputs, filled by stream precoders through slot ownership
-    xs = {t: [0] * (2 * box.N) for t, box in ch.boxes}
-    for k, c in enumerate(cols):
-        v = sch.precoders[k] * c
-        for i, (t, slot) in enumerate(ch.colmap[k]):
-            xs[t][slot] = f.add(xs[t][slot], v.data[i][0])
-    ys = []
-    for t, box in ch.boxes:
-        ys.extend((box.M * Mat.column(f, xs[t])).data)
-    y = Mat(f, ys, cols=1)
-    return sch.decoder * y
+    return Mat(sch.ext.big, simulate_batch(sch, _data_block(sch, data)).tolist(), cols=1)
 
 
-def simulate_batch(sch: CodingScheme, data) -> "np.ndarray":
+def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     """Vectorized simulate over many data realizations at once.
 
     `data` has shape (K, R, B) with int-encoded F_q entries; returns the
     (R, B) decoded block, one column per realization.
     """
-    import numpy as np
-
-    from .vecops import VecOps
-
     ops = VecOps(sch.ext.big)
     K, R, B = data.shape
     if K != sch.problem.K or R != sch.R:
         raise SchemeError(f"batch shape {data.shape} does not match (K={sch.problem.K}, R={sch.R})")
     ch = sch.channel
-    xs = {t: np.zeros((2 * box.N, B), dtype=np.int64) for t, box in ch.boxes}
+    # all box inputs in one array, clique after clique
+    sizes = [2 * box.N for _, box in ch.boxes]
+    start = dict(zip((t for t, _ in ch.boxes), accumulate([0] + sizes)))
+    x = np.zeros((sum(sizes), B), dtype=ops.dtype)
     for k in range(K):
-        v = ops.matmul(sch.precoders[k], data[k])
-        for i, (t, slot) in enumerate(ch.colmap[k]):
-            xs[t][slot] = ops.add(xs[t][slot], v[i])
-    ys = [ops.matmul(box.M, xs[t]) for t, box in ch.boxes]
-    y = np.concatenate(ys, axis=0) if ys else np.zeros((0, B), dtype=np.int64)
-    return ops.matmul(sch.decoder, y)
+        rows = [start[t] + slot for t, slot in ch.colmap[k]]  # distinct within a stream
+        x[rows] = ops.add(x[rows], ops.matmul(sch.precoders[k], data[k]))
+    ys = [ops.matmul(box.M, x[start[t]:start[t] + 2 * box.N]) for t, box in ch.boxes]
+    return ops.matmul(sch.decoder, np.concatenate(ys))  # an allocation has a box
 
 
 def true_sum(sch: CodingScheme, data) -> Mat:
-    f = sch.ext.big
-    if isinstance(data, Mat):
-        cols = [data.select_columns([k + 1]) for k in range(data.cols)]
-    else:
-        cols = list(data)
-    acc = Mat.zeros(f, sch.R, 1)
-    for c in cols:
-        acc = acc + c
-    return acc
+    """The R x 1 entrywise sum of the stream columns, as simulate takes them."""
+    return Mat(sch.ext.big, VecOps(sch.ext.big).sum(_data_block(sch, data)).tolist(), cols=1)
+
+
+def _data_block(sch: CodingScheme, data) -> np.ndarray:
+    """An R x K matrix or K R x 1 columns over F_q as a (K, R, 1) int array."""
+    f, K, R = sch.ext.big, sch.problem.K, sch.R
+    cols = list(data) if not isinstance(data, Mat) else [
+        data.select_columns([k + 1]) for k in range(data.cols)]
+    if len(cols) != K or any((c.rows, c.cols, c.field) != (R, 1, f) for c in cols):
+        raise SchemeError(f"data must be {R} x {K} over {f.name}")
+    return np.array([c.data for c in cols], dtype=np.int64).reshape(K, R, 1)
 
 
 # ---------------------------------------------------------------------------

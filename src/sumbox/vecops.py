@@ -1,9 +1,10 @@
 """Vectorized finite-field arithmetic on numpy int arrays.
 
-Used for mass simulation (random and exhaustive decode checks), where the
-per-element Python arithmetic in `field` would dominate.  Elements keep the
-same int encoding; multiplication goes through discrete-log tables, addition
-is XOR in characteristic 2 and digit-wise otherwise.
+Used for simulation, single-shot and batched, where the per-element Python
+arithmetic in `field` would dominate.  Elements keep the same int encoding.
+Over F_{p^r}, r > 1, a product is one lookup exp[log a + log b] in the
+zero-padded tables of `Field.arrays`, and addition is XOR in characteristic 2
+and digit-wise otherwise; a prime field multiplies and adds mod p.
 """
 
 from __future__ import annotations
@@ -13,65 +14,66 @@ import numpy as np
 from .field import Field, FieldError
 from .matrix import Mat
 
-VEC_MAX_ORDER = 1 << 16
+# Most elements in one block of products (matrix columns x rows x batch columns)
+# that matmul forms at a time; a larger batch is taken in slices of the batch axis.
+CHUNK_ELEMS = 1 << 16
 
 
 class VecOps:
     def __init__(self, field: Field):
-        if field.order > VEC_MAX_ORDER:
-            raise FieldError(f"field order {field.order} too large for table-based batch ops")
         self.field = field
-        self.q = field.order
         self.p = field.p
         self.r = field.r
-        field._ensure_tables()
-        if field.r > 1 or field.order > 2:
-            self._exp = np.array(field._exp, dtype=np.int64) if field.r > 1 else None
-            self._log = np.array(field._log, dtype=np.int64) if field.r > 1 else None
+        if self.r > 1:
+            self._exp, self._log, self._digits = field.arrays()
+            self._powers = self.p ** np.arange(self.r, dtype=np.int64)
+            self.dtype = self._exp.dtype  # of what matmul returns
         else:
-            self._exp = self._log = None
-        if self.p != 2 and self.r > 1:
-            digits = np.zeros((self.q, self.r), dtype=np.int64)
-            a = np.arange(self.q)
-            for i in range(self.r):
-                digits[:, i] = a % self.p
-                a = a // self.p
-            self._digits = digits
-            self._powers = self.p ** np.arange(self.r)
-        else:
-            self._digits = self._powers = None
+            self.dtype = np.min_scalar_type((self.p - 1) ** 2)  # also holds a product
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.r == 1:
             return (a + b) % self.p
-        return ((self._digits[a] + self._digits[b]) % self.p) @ self._powers
+        return (np.add(self._digits[a], self._digits[b], dtype=np.int64) % self.p) @ self._powers
 
-    def mul_scalar(self, c: int, a: np.ndarray) -> np.ndarray:
-        if c == 0:
-            return np.zeros_like(a)
-        if c == 1:
-            return a.copy()
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        """Field sum of `a` over its first axis."""
+        if len(a) == 1:
+            return a[0]
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=0)
         if self.r == 1:
-            return (c * a) % self.p
-        out = self._exp[self._log[c] + self._log[np.maximum(a, 1)]]
-        return np.where(a == 0, 0, out)
+            return a.sum(axis=0) % self.p
+        return (self._digits[a].sum(axis=0, dtype=np.int64) % self.p) @ self._powers
+
+    def mul_scalar(self, c, a: np.ndarray) -> np.ndarray:
+        """Elementwise product; `c` is an element or an array broadcasting against `a`."""
+        if self.r > 1:
+            return self._exp.take(self._log.take(c) + self._log.take(a))
+        c, a = np.asarray(c, self.dtype), np.asarray(a, self.dtype)
+        return c & a if self.p == 2 else (c * a) % self.p
 
     def matmul(self, m: Mat, X: np.ndarray) -> np.ndarray:
-        """m (rows x cols) applied to X of shape (cols, B) -> (rows, B)."""
+        """m (rows x cols) applied to X of shape (cols, B) -> (rows, B) of dtype.
+
+        Products come in blocks of at most CHUNK_ELEMS (matrix columns, rows,
+        batch columns), summed over matrix columns: one block for a small
+        batch, one per matrix column and batch slice for a large one."""
         if m.field != self.field:
             raise FieldError("field mismatch in batch matmul")
         if X.shape[0] != m.cols:
             raise FieldError(f"batch shape {X.shape} does not match {m.cols} columns")
-        B = X.shape[1]
-        out = np.zeros((m.rows, B), dtype=np.int64)
-        for i, row in enumerate(m.data):
-            acc = None
-            for j, c in enumerate(row):
-                if c:
-                    term = self.mul_scalar(c, X[j])
-                    acc = term if acc is None else self.add(acc, term)
-            if acc is not None:
-                out[i] = acc
+        rows, B = m.rows, X.shape[1]
+        At = np.array(m.data, dtype=np.int64).reshape(rows, m.cols).T[:, :, None]
+        width = max(1, min(B, CHUNK_ELEMS // max(1, rows)))
+        depth = max(1, CHUNK_ELEMS // (max(1, rows) * width))
+        out = np.empty((rows, B), dtype=self.dtype)
+        for lo in range(0, B, width):
+            Xs = X[:, None, lo:lo + width]
+            acc = self.sum(self.mul_scalar(At[:depth], Xs[:depth]))
+            for j in range(depth, m.cols, depth):
+                acc = self.add(acc, self.sum(self.mul_scalar(At[j:j + depth], Xs[j:j + depth])))
+            out[:, lo:lo + width] = acc
         return out

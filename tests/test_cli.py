@@ -104,6 +104,18 @@ def test_scheme_build_check_simulate(tmp_path, capsys):
     assert "50/50 pass" in out
 
 
+def test_scheme_simulate_past_order_2_16(tmp_path, capsys):
+    # q = 2^17: the field tables and the simulation kernel cover every order
+    out_file = str(tmp_path / "z17.scheme")
+    code, out, _ = run(capsys, "scheme", "build", prob("example.prob"),
+                       "--z", "17", "--out", out_file)
+    assert code == 0
+    assert "q = 131072" in out
+    code, out, _ = run(capsys, "scheme", "simulate", out_file, "--trials", "5")
+    assert code == 0
+    assert out == "5/5 pass (seed 20240)\n"
+
+
 def test_scheme_build_deterministic(tmp_path, capsys):
     a = str(tmp_path / "a.scheme")
     b = str(tmp_path / "b.scheme")

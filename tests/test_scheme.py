@@ -24,6 +24,22 @@ def random_data(sch, rng):
             for _ in range(sch.problem.K)]
 
 
+def mat_simulate(sch, cols):
+    """One channel use in per-element Mat arithmetic: D * stack(box.M * x_t),
+    with each box input x_t scattered from the precoded streams P_k * data_k."""
+    f = sch.ext.big
+    ch = sch.channel
+    xs = {t: [0] * (2 * box.N) for t, box in ch.boxes}
+    for k, c in enumerate(cols):
+        v = sch.precoders[k] * c
+        for i, (t, slot) in enumerate(ch.colmap[k]):
+            xs[t][slot] = f.add(xs[t][slot], v.data[i][0])
+    ys = []
+    for t, box in ch.boxes:
+        ys.extend((box.M * Mat(f, [[v] for v in xs[t]], cols=1)).data)
+    return sch.decoder * Mat(f, ys, cols=1)
+
+
 def test_allocation_from_lp_reference():
     P = reference_problem()
     res = capacity_lp(P)
@@ -130,18 +146,38 @@ def test_build_scheme_odd_characteristic():
 
 
 def test_simulate_batch_matches_simulate():
-    sch = build_scheme(reference_problem())
-    q = sch.ext.big.order
-    rng = random.Random(31)
-    B = 40
-    data = np.array([[[rng.randrange(q) for _ in range(B)]
-                      for _ in range(sch.R)] for _ in range(sch.problem.K)],
-                    dtype=np.int64)
-    out = simulate_batch(sch, data)
-    for b in range(B):
-        cols = [Mat(sch.ext.big, [[int(data[k, i, b])] for i in range(sch.R)])
-                for k in range(sch.problem.K)]
-        assert [row[0] for row in simulate(sch, cols).data] == out[:, b].tolist()
+    for d_field in (None, field_construct(3)):
+        sch = build_scheme(reference_problem(), d_field=d_field)
+        f = sch.ext.big
+        rng = random.Random(31)
+        B = 40
+        data = np.array([[[rng.randrange(f.order) for _ in range(B)]
+                          for _ in range(sch.R)] for _ in range(sch.problem.K)],
+                        dtype=np.int64)
+        out = simulate_batch(sch, data)
+        for b in range(B):
+            cols = [Mat(f, [[int(data[k, i, b])] for i in range(sch.R)])
+                    for k in range(sch.problem.K)]
+            want = mat_simulate(sch, cols)
+            assert [row[0] for row in want.data] == out[:, b].tolist()
+            assert simulate(sch, cols) == want
+
+
+def test_simulate_rejects_bad_shapes():
+    sch = worked_reference_scheme()
+    f = sch.ext.big
+    good = random_data(sch, random.Random(2))
+    bad_inputs = (good[:-1], [Mat(f, [[1], [0], [1]])] + good[1:],
+                  [Mat(field_construct(3), [[1], [0], [1], [1]])] + good[1:],
+                  Mat.zeros(f, sch.R, sch.problem.K + 1))
+    for bad in bad_inputs:
+        for fn in (simulate, true_sum):
+            with pytest.raises(SchemeError):
+                fn(sch, bad)
+    # the R x K matrix form carries the same columns
+    as_matrix = Mat(f, [[c.data[i][0] for c in good] for i in range(sch.R)])
+    assert simulate(sch, as_matrix) == simulate(sch, good) == mat_simulate(sch, good)
+    assert true_sum(sch, as_matrix) == true_sum(sch, good)
 
 
 @pytest.mark.parametrize("field_line", ["field 2 2", "field 3 2"])

@@ -1,0 +1,67 @@
+import random
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from sumbox import vecops
+from sumbox.field import field_construct
+from sumbox.matrix import Mat
+from sumbox.vecops import VecOps
+
+# F_2, F_3, F_4, F_9, F_2^11 and F_2^17 (past the old 2^16 table bound)
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 11), (2, 17)]
+
+# matmul's block size, shrunk so that batches on both sides of a chunk
+# boundary stay small enough for the per-element Mat reference
+SMALL_CHUNK = 12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(["1", "chunk-1", "chunk", "chunk+1"]), st.integers(0, 2**32))
+def test_matmul_matches_mat_product(pr, rows, cols, batch, seed):
+    f = field_construct(*pr)
+    rng = random.Random(seed)
+    chunk = SMALL_CHUNK // max(1, rows)  # batch columns per block
+    B = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[batch]
+    m = Mat(f, [[rng.randrange(f.order) for _ in range(cols)] for _ in range(rows)], cols=cols)
+    X = np.array([rng.randrange(f.order) for _ in range(cols * B)],
+                 dtype=np.int64).reshape(cols, B)
+    with mock.patch.object(vecops, "CHUNK_ELEMS", SMALL_CHUNK):
+        got = VecOps(f).matmul(m, X)
+    want = m * Mat(f, X.tolist(), cols=B)
+    assert got.shape == (rows, B)
+    for b in range(B):
+        assert got[:, b].tolist() == [row[b] for row in want.data]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 2**32))
+def test_sum_and_add_match_field(pr, n, seed):
+    f = field_construct(*pr)
+    rng = random.Random(seed)
+    a = np.array([[rng.randrange(f.order) for _ in range(3)] for _ in range(n)], dtype=np.int64)
+    ops = VecOps(f)
+    want = []
+    for j in range(3):
+        acc = 0
+        for i in range(n):
+            acc = f.add(acc, int(a[i, j]))
+        want.append(acc)
+    assert ops.sum(a).tolist() == want
+    assert ops.add(a[0], a[-1]).tolist() == [f.add(int(x), int(y)) for x, y in zip(a[0], a[-1])]
+
+
+def test_tables_cover_every_order():
+    # the largest field: every nonzero element is a power of the generator,
+    # and the zero-padded tables multiply by 0 without a mask
+    f = field_construct(2, 20)
+    exp, log, _ = f.arrays()
+    n = f.order - 1
+    assert np.array_equal(np.sort(exp[:n]), np.arange(1, f.order))
+    assert log[0] == 2 * n and not exp[2 * n:].any()
+    rng = random.Random(5)
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(200)] + [(0, 7), (9, 0)]
+    a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    assert VecOps(f).mul_scalar(a, b).tolist() == [f._mul_direct(x, y) for x, y in pairs]
