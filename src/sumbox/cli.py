@@ -186,6 +186,13 @@ def cmd_scheme_check(args) -> int:
 def cmd_verify(args) -> int:
     from .capacity import beta_star
 
+    if args.cases < 0:
+        raise ValueError(f"--cases must be non-negative, got {args.cases}")
+    if args.max_s < 0:
+        raise ValueError(f"--max-s must be non-negative, got {args.max_s}")
+    if args.suite == "identities" and 0 < args.max_s < 3:
+        raise ValueError(f"--max-s must be 0 (default 5) or at least 3 for identities "
+                         f"(the triangle suite needs 3 servers), got {args.max_s}")
     if args.suite == "identities":
         reports = check_identities(args.seed, args.cases, args.max_s or 5)
     elif args.suite == "oracle-lp":

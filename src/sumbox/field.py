@@ -198,9 +198,17 @@ class Field:
     def elements(self) -> range:
         return range(self.order)
 
-    def elements_lex(self):
-        """All elements ordered by coefficient tuple, lexicographically low-to-high."""
-        return sorted(self.elements(), key=self.coeffs)
+    def elements_lex(self, n: int) -> list[int]:
+        """The first n elements ordered by coefficient tuple, lexicographically
+        low-to-high: the i-th is i with its r base-p digits reversed."""
+        out = []
+        for i in range(n):
+            a = 0
+            for _ in range(self.r):
+                i, d = divmod(i, self.p)
+                a = a * self.p + d
+            out.append(a)
+        return out
 
     # -- arithmetic -------------------------------------------------------------
     def add(self, a: int, b: int) -> int:

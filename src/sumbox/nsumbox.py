@@ -158,7 +158,7 @@ def build_half_mds_box(N: int, field: Field) -> NSumBox:
         raise BoxError("N must be >= 1")
     if field.order < N:
         raise BoxError(f"field order {field.order} < N = {N}")
-    alpha = tuple(field.elements_lex()[:N])
+    alpha = tuple(field.elements_lex(N))
     u = (1,) * N
     v = grs_dual_multipliers(field, alpha, u)
     k_top = (N + 1) // 2

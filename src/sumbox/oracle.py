@@ -2,8 +2,11 @@
 
 * lp_vertex_enum re-derives the optimal download cost by enumerating every
   basic solution of the linearized feasibility system (subsets of tight
-  constraints of size = variable count), with exact rational arithmetic —
-  no simplex involved.
+  constraints of size = variable count) — no simplex involved.  The subsets
+  are solved a block at a time by fraction-free (Bareiss) Gauss-Jordan
+  elimination in integers: int64 when a Hadamard bound shows nothing can
+  overflow, Python big ints otherwise, and Fractions only for the candidate
+  optima, so the result is exact.
 * exhaustive_decode_check replays a coding scheme against every possible
   data realization.
 * check_identities runs the capacity identity families on seeded random
@@ -17,7 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
+from math import prod
 from typing import Any
 
 import numpy as np
@@ -33,6 +37,8 @@ from .vecops import VecOps
 VERTEX_ENUM_GUARD = 14          # max gamma + K*T
 DECODE_GUARD = 1 << 24          # max q^(K*R) realizations
 DECODE_BATCH = 1 << 13  # realizations per simulate_batch call
+VERTEX_CHUNK_ELEMS = 1 << 15   # matrix entries per block of row subsets
+_HADAMARD_SQ_MAX = 1 << 62     # int64 elimination while H^2 stays below this
 
 
 class GuardExceeded(ValueError):
@@ -104,77 +110,90 @@ def _linearized_rows(P: Problem):
     return rows, nvars, gamma
 
 
+def _vertex_dtype(Gh: list[list[int]], n: int):
+    """int64 when no intermediate of the elimination can leave it, else object.
+
+    Every entry the elimination forms is a minor of [G | h] of size at most
+    n + 1, so at most H, the product of the n + 1 largest row norms
+    (Hadamard).  A Bareiss cross term is a difference of two products of
+    minors (at most 2 H^2), and a feasibility entry g . N or D * h is at most
+    |[g | h]|_1 * H; both must stay below 2^63.
+    """
+    h2 = prod(sorted((sum(v * v for v in row) for row in Gh), reverse=True)[:n + 1])
+    l1 = max(sum(map(abs, row)) for row in Gh)
+    if h2 < _HADAMARD_SQ_MAX and h2 * l1 * l1 < _HADAMARD_SQ_MAX ** 2:
+        return np.int64
+    return object
+
+
+def _bareiss_solve(M: np.ndarray):
+    """Fraction-free Gauss-Jordan on a (B, n, n+1) block of systems [A | b].
+
+    Returns (D, N) for the nonsingular systems only: D = det of the
+    row-permuted A, N = D * x with A x = b (the Cramer numerators).  After
+    step k every entry is a (k+1)-minor of [A | b], so each division by the
+    previous pivot is exact.  A system with no pivot in some column is
+    singular and leaves the block at that step.
+    """
+    n = M.shape[1]
+    prev = np.ones(len(M), dtype=M.dtype)
+    for k in range(n):
+        nz = M[:, k:, k] != 0
+        has = nz.any(axis=1)
+        if not has.all():
+            M, prev, nz = M[has], prev[has], nz[has]
+            if not len(M):
+                break
+        piv = k + nz.argmax(axis=1)
+        swap = np.nonzero(piv != k)[0]
+        if len(swap):
+            rows = M[swap, k].copy()
+            M[swap, k] = M[swap, piv[swap]]
+            M[swap, piv[swap]] = rows
+        p = M[:, k, k].copy()
+        pivot_row = M[:, k, k + 1:].copy()
+        M[:, :, k + 1:] = ((p[:, None, None] * M[:, :, k + 1:]
+                            - M[:, :, k, None] * pivot_row[:, None, :])
+                           // prev[:, None, None])
+        M[:, k, k + 1:] = pivot_row
+        prev = p
+    return prev, M[:, :, n]
+
+
 def lp_vertex_enum(P: Problem) -> Fraction:
-    """Minimum total download cost by exhaustive basic-solution enumeration."""
+    """Minimum total download cost by exhaustive basic-solution enumeration.
+
+    Visits every nvars-subset of the rows of `_linearized_rows` whose system
+    is nonsingular, solves it as the tight set, and keeps the least
+    objective over the solutions that satisfy every row.  The subsets come
+    in lexicographic blocks of at most VERTEX_CHUNK_ELEMS matrix entries,
+    each solved by `_bareiss_solve`; the feasibility test and the objective
+    are exact integer and Fraction arithmetic on (D, N).
+    """
     if P.gamma + P.K * P.T > VERTEX_ENUM_GUARD:
         raise GuardExceeded(
             f"gamma + K*T = {P.gamma + P.K * P.T} exceeds guard {VERTEX_ENUM_GUARD}")
     rows, nvars, gamma = _linearized_rows(P)
-    nrows = len(rows)
-    best: Fraction | None = None
-
-    # DFS over row subsets with an incremental exact echelon; a row that is
-    # dependent on the chosen prefix prunes the whole branch below it.
-    echelon: list[list[Fraction]] = []   # reduced rows, each with rhs appended
-    pivcols: list[int] = []
-
-    def reduce(vec):
-        vec = vec[:]
-        for prow, pcol in zip(echelon, pivcols):
-            f = vec[pcol]
-            if f:
-                for j in range(nvars + 1):
-                    vec[j] -= f * prow[j]
-        for j in range(nvars):
-            if vec[j]:
-                inv = Fraction(1) / vec[j]
-                return [v * inv for v in vec], j
-        return None, None
-
-    def solve_point():
-        # back-substitution over the echelon rows
-        x = [Fraction(0)] * nvars
-        for prow, pcol in reversed(list(zip(echelon, pivcols))):
-            acc = prow[nvars]
-            for j in range(nvars):
-                if j != pcol and prow[j]:
-                    acc -= prow[j] * x[j]
-            x[pcol] = acc
-        return x
-
-    def feasible_point(x) -> bool:
-        for g, h in rows:
-            tot = sum(gi * xi for gi, xi in zip(g, x) if gi)
-            if tot < h:
-                return False
-        return True
-
-    def dfs(start: int):
-        nonlocal best
-        if len(echelon) == nvars:
-            x = solve_point()
-            if feasible_point(x):
-                val = sum(x[:gamma], Fraction(0))
-                if best is None or val < best:
-                    best = val
-            return
-        if nrows - start < nvars - len(echelon):
-            return
-        for i in range(start, nrows):
-            g, h = rows[i]
-            red, pcol = reduce([Fraction(v) for v in g] + [Fraction(h)])
-            if red is None:
-                continue
-            echelon.append(red)
-            pivcols.append(pcol)
-            dfs(i + 1)
-            echelon.pop()
-            pivcols.pop()
-
-    dfs(0)
-    if best is None:
+    Gh = [g + [h] for g, h in rows]
+    A = np.array(Gh, dtype=_vertex_dtype(Gh, nvars))
+    G, h = A[:, :nvars], A[:, nvars]
+    lows: list[Fraction] = []   # the least feasible value of each block
+    subsets = combinations(range(len(rows)), nvars)
+    block = max(1, VERTEX_CHUNK_ELEMS // (nvars * (nvars + 1)))
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(subsets, block)), dtype=np.intp)
+        if not len(idx):
+            break
+        D, N = _bareiss_solve(A[idx.reshape(-1, nvars)])
+        sign = np.where(D < 0, -1, 1).astype(A.dtype)
+        D, N = D * sign, N * sign[:, None]
+        ok = (N @ G.T >= D[:, None] * h).all(axis=1)
+        values = set(zip(N[ok, :gamma].sum(axis=1).tolist(), D[ok].tolist()))
+        if values:
+            lows.append(min(Fraction(num, den) for num, den in values))
+    if not lows:
         raise ValueError("no feasible vertex found")
-    return best
+    return min(lows)
 
 
 # ---------------------------------------------------------------------------

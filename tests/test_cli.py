@@ -174,6 +174,22 @@ def test_verify_identities_quick(capsys):
     assert "strict gap" in out
 
 
+@pytest.mark.parametrize("max_s", ["1", "2", "-1"])
+def test_verify_identities_rejects_small_max_s(capsys, max_s):
+    code, out, err = run(capsys, "verify", "identities", "--max-s", max_s)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-s")
+
+
+@pytest.mark.parametrize("suite", ["identities", "oracle-lp", "beta-star"])
+def test_verify_rejects_negative_cases(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--cases", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --cases")
+
+
 def test_usage_error(capsys):
     code = main(["bogus-subcommand"])
     assert code == 2

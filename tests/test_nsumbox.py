@@ -144,3 +144,12 @@ def test_half_mds_size_guard():
         is_half_mds(m)
     ok, _ = is_half_mds(m, sample_rng=random.Random(0))
     assert not ok
+
+
+@pytest.mark.parametrize("p, r", [(2, 11), (3, 4), (2, 17)])
+def test_elements_lex_is_the_sorted_order(p, r):
+    f = field_construct(p, r)
+    want = sorted(f.elements(), key=f.coeffs)
+    assert f.elements_lex(f.order) == want
+    assert f.elements_lex(5) == want[:5]
+

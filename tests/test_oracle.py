@@ -2,17 +2,158 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumbox.capacity import capacity_lp
 from sumbox.matrix import Mat
 from sumbox.model import Problem, full_clique
-from sumbox.oracle import (GuardExceeded, OracleReport, check_identities,
-                           check_lp_oracle, exhaustive_decode_check,
-                           lp_vertex_enum, named_instances,
-                           random_small_problem, tap_lines)
+from sumbox import oracle
+from sumbox.oracle import (GuardExceeded, OracleReport, _linearized_rows,
+                           _vertex_dtype, check_identities, check_lp_oracle,
+                           exhaustive_decode_check, lp_vertex_enum,
+                           named_instances, random_small_problem, tap_lines)
 from sumbox.scheme import (build_scheme, worked_reference_scheme,
                            reference_problem)
+
+
+def dfs_vertex_enum(P):
+    """Reference for lp_vertex_enum: a depth-first search over row subsets
+    with an incremental Fraction echelon, pruning a branch at the first
+    dependent row."""
+    rows, nvars, gamma = _linearized_rows(P)
+    nrows = len(rows)
+    best: Fraction | None = None
+
+    # DFS over row subsets with an incremental exact echelon; a row that is
+    # dependent on the chosen prefix prunes the whole branch below it.
+    echelon: list[list[Fraction]] = []   # reduced rows, each with rhs appended
+    pivcols: list[int] = []
+
+    def reduce(vec):
+        vec = vec[:]
+        for prow, pcol in zip(echelon, pivcols):
+            f = vec[pcol]
+            if f:
+                for j in range(nvars + 1):
+                    vec[j] -= f * prow[j]
+        for j in range(nvars):
+            if vec[j]:
+                inv = Fraction(1) / vec[j]
+                return [v * inv for v in vec], j
+        return None, None
+
+    def solve_point():
+        # back-substitution over the echelon rows
+        x = [Fraction(0)] * nvars
+        for prow, pcol in reversed(list(zip(echelon, pivcols))):
+            acc = prow[nvars]
+            for j in range(nvars):
+                if j != pcol and prow[j]:
+                    acc -= prow[j] * x[j]
+            x[pcol] = acc
+        return x
+
+    def feasible_point(x) -> bool:
+        for g, h in rows:
+            tot = sum(gi * xi for gi, xi in zip(g, x) if gi)
+            if tot < h:
+                return False
+        return True
+
+    def dfs(start: int):
+        nonlocal best
+        if len(echelon) == nvars:
+            x = solve_point()
+            if feasible_point(x):
+                val = sum(x[:gamma], Fraction(0))
+                if best is None or val < best:
+                    best = val
+            return
+        if nrows - start < nvars - len(echelon):
+            return
+        for i in range(start, nrows):
+            g, h = rows[i]
+            red, pcol = reduce([Fraction(v) for v in g] + [Fraction(h)])
+            if red is None:
+                continue
+            echelon.append(red)
+            pivcols.append(pcol)
+            dfs(i + 1)
+            echelon.pop()
+            pivcols.pop()
+
+    dfs(0)
+    if best is None:
+        raise ValueError("no feasible vertex found")
+    return best
+
+
+# (variables, rows) classes of the benchmark's verify workload, plus the
+# larger classes random_small_problem reaches that it leaves out
+SIZE_CLASSES = {(2, 5), (3, 6), (3, 9), (4, 7), (4, 9), (4, 10), (5, 8),
+                (5, 10), (5, 11), (5, 13), (6, 11), (6, 12),
+                (6, 14), (6, 16), (7, 15)}
+
+
+def one_per_class(seed=0, max_draws=50_000):
+    rng = random.Random(seed)
+    found = {}
+    for _ in range(max_draws):
+        P = random_small_problem(rng)
+        rows, nvars, _ = _linearized_rows(P)
+        key = (nvars, len(rows))
+        if key in SIZE_CLASSES and key not in found:
+            found[key] = P
+            if len(found) == len(SIZE_CLASSES):
+                return found
+    raise AssertionError(f"classes not reached: {SIZE_CLASSES - set(found)}")
+
+
+fs = frozenset
+# Duplicate cliques repeat rows of the region, so many row subsets are
+# singular.  Each instance comes with its optimum.
+DUPLICATE_CLIQUES = [
+    (Problem(1, (fs({1}),), full_clique(1) * 3), 1),
+    (Problem(2, (fs({1, 2}),), full_clique(2) * 2), 1),
+    (Problem(2, (fs({2}), fs({1})), (fs({1}), fs({2}), fs({1}))), 2),
+    (Problem(3, (fs({3}), fs({2})), (fs({2}), fs({1, 3}), fs({2}))), 2),
+]
+# a fractional optimum: (6, 15)
+THREE_HALVES = Problem(4, (fs({3}), fs({1, 4}), fs({1, 2})), (fs({2, 3, 4}),))
+
+
+def test_vertex_enum_matches_dfs_on_every_size_class():
+    for key, P in sorted(one_per_class().items()):
+        assert lp_vertex_enum(P) == dfs_vertex_enum(P), key
+
+
+def test_vertex_enum_matches_dfs_on_hand_built_instances():
+    for P, want in DUPLICATE_CLIQUES + [(THREE_HALVES, Fraction(3, 2))]:
+        got = lp_vertex_enum(P)
+        assert type(got) is Fraction
+        assert got == dfs_vertex_enum(P) == want
+
+
+def test_vertex_enum_object_path(monkeypatch):
+    cases = [P for P, _ in DUPLICATE_CLIQUES] + [THREE_HALVES]
+    cases += [one_per_class()[key] for key in ((5, 13), (6, 12))]
+    want = [lp_vertex_enum(P) for P in cases]
+    rows, nvars, _ = _linearized_rows(THREE_HALVES)
+    Gh = [g + [h] for g, h in rows]
+    assert _vertex_dtype(Gh, nvars) is np.int64
+    monkeypatch.setattr(oracle, "_HADAMARD_SQ_MAX", 1)
+    assert _vertex_dtype(Gh, nvars) is object
+    assert [lp_vertex_enum(P) for P in cases] == want
+
+
+def test_vertex_enum_across_chunks(monkeypatch):
+    cases = [P for P, _ in DUPLICATE_CLIQUES[:2]] + [THREE_HALVES]
+    want = [lp_vertex_enum(P) for P in cases]
+    # 42 entries per subset (6 variables): blocks of 1, 2 and 5 subsets
+    for elems in (1, 100, 250):
+        monkeypatch.setattr(oracle, "VERTEX_CHUNK_ELEMS", elems)
+        assert [lp_vertex_enum(P) for P in cases] == want
 
 
 def test_vertex_enum_reference():
