@@ -19,7 +19,7 @@ import numpy as np
 
 from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
                        capacity_symmetric, capacity_unent, dsc_gain)
-from .field import Field, FieldError, field_construct, parse_field_name
+from .field import Field, FieldError, FieldOrderError, field_construct, parse_field_name
 from .matrix import MatrixError
 from .model import Problem, ProblemError, beta_cliques, parse_problem
 from .nsumbox import BoxError
@@ -27,7 +27,7 @@ from .oracle import (DECODE_BATCH, GuardExceeded, check_identities,
                      check_lp_oracle, exhaustive_decode_check, tap_lines)
 from .scheme import (DEFAULT_SEED, Allocation, SchemeError, build_scheme,
                      parse_scheme, render_scheme, simulate_batch)
-from .vecops import VecOps
+from .vecops import field_ops
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -161,7 +161,7 @@ def cmd_scheme_simulate(args) -> int:
         return EXIT_MISMATCH
     rng = random.Random(args.seed)
     K, R = sch.problem.K, sch.R
-    ops = VecOps(sch.ext.big)
+    ops = field_ops(sch.ext.big)
     fails = 0
     for lo in range(0, args.trials, DECODE_BATCH):
         n = min(DECODE_BATCH, args.trials - lo)
@@ -186,22 +186,30 @@ def cmd_scheme_check(args) -> int:
 def cmd_verify(args) -> int:
     from .capacity import beta_star
 
-    if args.cases < 0:
-        raise ValueError(f"--cases must be non-negative, got {args.cases}")
-    if args.max_s < 0:
-        raise ValueError(f"--max-s must be non-negative, got {args.max_s}")
-    if args.suite == "identities" and 0 < args.max_s < 3:
+    used = {"identities": ("seed", "cases", "max_s"), "oracle-lp": ("seed", "cases"),
+            "beta-star": ("max_s",)}[args.suite]
+    for opt in ("seed", "cases", "max_s"):
+        if getattr(args, opt) is not None and opt not in used:
+            raise ValueError(f"--{opt.replace('_', '-')} does not apply to verify {args.suite}")
+    seed = args.seed or 0
+    cases = 100 if args.cases is None else args.cases
+    max_s = args.max_s or 0  # 0: the suite's default
+    if cases < 0:
+        raise ValueError(f"--cases must be non-negative, got {cases}")
+    if max_s < 0:
+        raise ValueError(f"--max-s must be non-negative, got {max_s}")
+    if args.suite == "identities" and 0 < max_s < 3:
         raise ValueError(f"--max-s must be 0 (default 5) or at least 3 for identities "
-                         f"(the triangle suite needs 3 servers), got {args.max_s}")
+                         f"(the triangle suite needs 3 servers), got {max_s}")
     if args.suite == "identities":
-        reports = check_identities(args.seed, args.cases, args.max_s or 5)
+        reports = check_identities(seed, cases, max_s or 5)
     elif args.suite == "oracle-lp":
-        reports = check_lp_oracle(args.seed, args.cases)
+        reports = check_lp_oracle(seed, cases)
     else:  # beta-star
         from .oracle import OracleReport
 
         reports = []
-        max_s = args.max_s or 10
+        max_s = max_s or 10
         for S in range(1, max_s + 1):
             for alpha in range(1, S + 1):
                 c_full = capacity_symmetric(S, alpha, S)
@@ -270,9 +278,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run a verification suite (TAP output)")
     p_v.add_argument("suite", choices=["identities", "beta-star", "oracle-lp"])
-    p_v.add_argument("--seed", type=int, default=0)
-    p_v.add_argument("--cases", type=int, default=100)
-    p_v.add_argument("--max-s", type=int, default=0)
+    p_v.add_argument("--seed", type=int, help="default 0 (identities, oracle-lp)")
+    p_v.add_argument("--cases", type=int, help="default 100 (identities, oracle-lp)")
+    p_v.add_argument("--max-s", type=int,
+                     help="largest S; 0 or default: 5 (identities), 10 (beta-star)")
     p_v.add_argument("--format", choices=["text", "records"], default="text")
     p_v.set_defaults(func=cmd_verify)
 
@@ -287,7 +296,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (GuardExceeded, LpSizeError) as exc:
+    except (GuardExceeded, LpSizeError, FieldOrderError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ProblemError, FieldError, MatrixError, BoxError, SchemeError,

@@ -11,6 +11,7 @@ bit-reproducible.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import product
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -21,6 +22,10 @@ MAX_ORDER = 1 << 20
 
 class FieldError(ValueError):
     pass
+
+
+class FieldOrderError(FieldError):
+    """A field order above MAX_ORDER: a resource guard, not a malformed input."""
 
 
 def is_prime(n: int) -> bool:
@@ -82,42 +87,16 @@ def _is_irreducible(m: Sequence[int], p: int) -> bool:
         return True
     if m[0] == 0:  # divisible by x
         return False
-    for d in range(1, deg // 2 + 1):
-        # monic divisor candidates: coeffs c_0..c_{d-1} free, leading 1
-        for code in range(p ** d):
-            cand = []
-            c = code
-            for _ in range(d):
-                cand.append(c % p)
-                c //= p
-            cand.append(1)
-            if not _poly_mod(m, cand, p):
-                return False
-    return True
+    return all(_poly_mod(m, low + (1,), p)
+               for d in range(1, deg // 2 + 1) for low in product(range(p), repeat=d))
 
 
 def _lex_smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest (low-to-high coeffs) monic irreducible of degree r."""
     if r == 1:
         return (0, 1)  # x
-    # enumerate low coefficient tuples (c_0, ..., c_{r-1}) in lex order
-    def rec(prefix: list[int]):
-        if len(prefix) == r:
-            cand = prefix + [1]
-            if _is_irreducible(cand, p):
-                return tuple(cand)
-            return None
-        for c in range(p):
-            got = rec(prefix + [c])
-            if got is not None:
-                return got
-        return None
-
-    # lex order on tuples = nested loops most-significant-first on c_0
-    found = rec([])
-    if found is None:  # pragma: no cover - irreducibles always exist
-        raise FieldError(f"no irreducible of degree {r} over F_{p}")
-    return found
+    # product() lists (c_0, ..., c_{r-1}) in lex order, c_0 most significant
+    return next(low + (1,) for low in product(range(p), repeat=r) if _is_irreducible(low + (1,), p))
 
 
 class Field:
@@ -128,16 +107,16 @@ class Field:
     additive and multiplicative identities and (for r > 1) `p` encodes x.
     """
 
-    __slots__ = ("p", "r", "order", "modulus", "_exp", "_log", "_arrays")
+    __slots__ = ("p", "r", "order", "modulus", "_arrays")
 
     def __init__(self, p: int, r: int = 1, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
         if r < 1:
             raise FieldError(f"extension degree r = {r} must be >= 1")
+        if p > MAX_ORDER or p ** min(r, MAX_ORDER.bit_length()) > MAX_ORDER:  # before is_prime(p)
+            raise FieldOrderError(f"field order {p}^{r} exceeds bound {MAX_ORDER}")
+        if not is_prime(p):
+            raise FieldError(f"p = {p} is not prime")
         order = p ** r
-        if order > MAX_ORDER:
-            raise FieldError(f"field order {order} exceeds bound {MAX_ORDER}")
         self.p = p
         self.r = r
         self.order = order
@@ -148,8 +127,6 @@ class Field:
             if len(modulus) != r + 1 or modulus[-1] != 1 or not _is_irreducible(modulus, p):
                 raise FieldError(f"invalid modulus {modulus} for F_{p}^{r}")
         self.modulus = modulus
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
         self._arrays: tuple[np.ndarray, ...] | None = None
 
     # -- identity / comparison ------------------------------------------------
@@ -180,20 +157,13 @@ class Field:
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Length-r coefficient vector of a, low-to-high."""
         self.check(a)
-        out = []
-        for _ in range(self.r):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(a // self.p ** i % self.p for i in range(self.r))
 
     def element(self, coeffs: Iterable[int]) -> int:
         cs = list(coeffs)
         if len(cs) > self.r:
             raise FieldError(f"too many coefficients for {self.name}")
-        a = 0
-        for c in reversed(cs):
-            a = a * self.p + (int(c) % self.p)
-        return a
+        return sum(int(c) % self.p * self.p ** i for i, c in enumerate(cs))
 
     def elements(self) -> range:
         return range(self.order)
@@ -216,27 +186,12 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out = 0
-        mul = 1
-        for _ in range(self.r):
-            out += ((a + b) % self.p) * mul
-            a //= self.p
-            b //= self.p
-            mul *= self.p
-        return out
+        return self.element(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
         if self.r == 1:
             return (-a) % self.p
-        if self.p == 2:
-            return a
-        out = 0
-        mul = 1
-        for _ in range(self.r):
-            out += (-a % self.p) * mul
-            a //= self.p
-            mul *= self.p
-        return out
+        return a if self.p == 2 else self.element(-c for c in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -265,8 +220,7 @@ class Field:
         digits = None if p == 2 else (a[:, None] // p ** np.arange(r) % p).astype(
             np.min_scalar_type(p - 1))
         # the smallest g of order n; a -> g*a is F_p-linear, so its map over
-        # all of F_q takes r numpy steps (the image of digit i is g * x^i),
-        # and walking that map from 1 lists the powers of g
+        # all of F_q takes r numpy steps (the image of digit i is g * x^i)
         divisors = [d for f in range(1, isqrt(n) + 1) if n % f == 0 for d in (f, n // f)]
         g = next(g for g in range(1 if n == 1 else 2, q)
                  if all(self.pow(g, n // f) != 1 for f in divisors if is_prime(f)))
@@ -276,25 +230,25 @@ class Field:
         else:
             gx = np.array([self.coeffs(v) for v in gx], dtype=np.int32)
             step = ((digits @ gx) % p) @ (p ** np.arange(r, dtype=np.int64))
-        nxt = step.tolist()
-        powers = [1]
-        for _ in range(n - 1):
-            powers.append(nxt[powers[-1]])
-        exp_list = powers + powers + [0] * (2 * n + 1)
+        # the powers of g, doubling: with step = the map a -> g^k a, the next
+        # k powers are step[powers of the first k], and step squares to g^2k
+        powers = np.ones(1, dtype=np.int64)
+        while len(powers) < n:
+            powers = np.concatenate([powers, step[powers]])
+            step = step[step]
+        powers = powers[:n]
+        exp = np.zeros(4 * n + 1, dtype=np.uint16 if q <= 1 << 16 else np.uint32)
+        exp[:n] = exp[n:2 * n] = powers
         log = np.full(q, 2 * n, dtype=np.intp)
         log[powers] = np.arange(n)
-        # Python lists for scalar mul and inv, in the same layout
-        self._exp, self._log = exp_list, log.tolist()
-        exp = np.array(exp_list, dtype=np.uint16 if q <= 1 << 16 else np.uint32)
         self._arrays = (exp, log, digits)
         return self._arrays
 
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a * b) % self.p
-        if self._exp is None:
-            self.arrays()
-        return self._exp[self._log[a] + self._log[b]]
+        exp, log, _ = self.arrays()
+        return int(exp[log[a] + log[b]])
 
     def inv(self, a: int) -> int:
         self.check(a)
@@ -302,9 +256,9 @@ class Field:
             raise FieldError("division by zero")
         if self.r == 1:
             return pow(a, self.p - 2, self.p)
-        if self._exp is None:
-            self.arrays()
-        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
+        exp, log, _ = self.arrays()
+        n = self.order - 1
+        return int(exp[(n - log[a]) % n])
 
     def pow(self, a: int, e: int) -> int:
         """a^e by squaring; it uses no tables, so building them can call it."""
@@ -338,6 +292,8 @@ def parse_field_name(token: str) -> Field:
         raise FieldError(f"bad field token {token!r}") from None
     if order < 2:
         raise FieldError(f"bad field order {order}")
+    if order > MAX_ORDER:
+        raise FieldOrderError(f"field order {order} exceeds bound {MAX_ORDER}")
     # factor the prime power
     p = None
     for f in range(2, order + 1):

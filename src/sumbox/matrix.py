@@ -1,15 +1,20 @@
 """Dense linear algebra over finite fields.
 
-Matrices are immutable-by-convention value objects: a Field plus a row-major
-grid of int-encoded elements.  Column indices at public boundaries are
-1-based (select_columns); internal storage is 0-based.
+Matrices are immutable value objects: a Field plus a read-only 2-D int64
+numpy array of int-encoded elements, operated on by the whole-array kernels
+of `vecops`.  Column indices at public boundaries are 1-based
+(select_columns); internal storage is 0-based.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
-from .field import Field, parse_field_name
+import numpy as np
+
+from .field import Field, FieldError, parse_field_name
+from .vecops import field_ops
 
 
 class MatrixError(ValueError):
@@ -17,34 +22,63 @@ class MatrixError(ValueError):
 
 
 class Mat:
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "array")
 
-    def __init__(self, field: Field, data: Sequence[Sequence[int]], cols: int | None = None):
-        self.field = field
-        rows = [list(r) for r in data]
-        if rows:
-            width = len(rows[0])
+    def __init__(self, field: Field, data: Sequence[Sequence[int]] | np.ndarray,
+                 cols: int | None = None):
+        """A matrix from a list of rows of ints, or from a 2-D integer array."""
+        if isinstance(data, np.ndarray):
+            if data.ndim != 2 or data.dtype.kind not in "iu":
+                raise MatrixError(f"need a 2-D integer array, got {data.ndim}-D {data.dtype}")
+            if data.size and not (data.min() >= 0 and data.max() < field.order):
+                raise FieldError(f"array entries are not all elements of {field.name}")
+            array = data.astype(np.int64)
+        else:
+            rows = [list(r) for r in data]
+            width = len(rows[0]) if rows else cols or 0
             if any(len(r) != width for r in rows):
                 raise MatrixError("ragged rows")
-        else:
-            width = cols or 0
-        if cols is not None and rows and width != cols:
+            for r in rows:
+                for v in r:
+                    field.check(v)
+            array = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+        if cols is not None and array.shape[1] != cols and array.shape[0]:
             raise MatrixError("cols mismatch")
-        for r in rows:
-            for v in r:
-                field.check(v)
-        self.rows = len(rows)
-        self.cols = width
-        self.data = rows
+        self._set(field, array)
+
+    def _set(self, field: Field, array: np.ndarray):
+        array.flags.writeable = False
+        self.field = field
+        self.array = array
+
+    @classmethod
+    def _of(cls, field: Field, array: np.ndarray) -> "Mat":
+        """Wrap a 2-D array already known to hold elements of field."""
+        m = object.__new__(cls)
+        m._set(field, array.astype(np.int64, copy=False))
+        return m
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def data(self) -> list[list[int]]:
+        """The entries as a fresh list of rows of Python ints."""
+        return self.array.tolist()
 
     # -- constructors ----------------------------------------------------------
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, [[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def random(cls, field: Field, rows: int, cols: int, rng) -> "Mat":
@@ -53,19 +87,14 @@ class Mat:
 
     # -- value semantics ---------------------------------------------------------
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return (isinstance(other, Mat) and self.field == other.field
+                and np.array_equal(self.array, other.array))
 
     def __repr__(self):
         return f"Mat({self.field.name}, {self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
+        return not self.array.any()
 
     # -- arithmetic ---------------------------------------------------------------
     def _check_same_field(self, other: "Mat"):
@@ -74,107 +103,72 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self.array.shape != other.array.shape:
             raise MatrixError("dimension mismatch in add")
-        f = self.field
-        return Mat(
-            f,
-            [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
+        return Mat._of(self.field, field_ops(self.field).add(self.array, other.array))
 
     def __mul__(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
         if self.cols != other.rows:
-            raise MatrixError(
-                f"dimension mismatch in mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        f = self.field
-        if self.cols == 0 or other.cols == 0:
-            return Mat.zeros(f, self.rows, other.cols)
-        bt = list(zip(*other.data))
-        out = []
-        for ra in self.data:
-            row = []
-            for cb in bt:
-                acc = 0
-                for a, b in zip(ra, cb):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Mat(f, out, cols=other.cols)
+            raise MatrixError(f"dimension mismatch in mul: "
+                              f"{self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        return Mat._of(self.field, field_ops(self.field).matmul(self.array, other.array))
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, [list(r) for r in zip(*self.data)] if self.data else [], cols=self.rows)
+        return Mat._of(self.field, self.array.T)
 
     # -- elimination core ------------------------------------------------------
-    def _echelon(self, reduced: bool = False):
-        """Row echelon form.  Returns (grid, pivot column list, det_sign_tracker).
+    def _rref(self):
+        """Reduced row echelon form: (array, pivot columns, det if square and full rank).
 
         Pivot choice: first nonzero entry scanning rows top-down within each
-        column, columns left to right (fixed for reproducibility).
+        column, columns left to right; the form itself is unique.
         """
-        f = self.field
-        a = [row[:] for row in self.data]
-        m, n = self.rows, self.cols
-        pivots = []
-        det = 1  # product of pivots * swap signs, meaningful for square full-rank
-        prow = 0
-        for col in range(n):
-            piv = None
-            for i in range(prow, m):
-                if a[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if piv != prow:
-                a[prow], a[piv] = a[piv], a[prow]
-                det = f.neg(det)
-            pv = a[prow][col]
-            det = f.mul(det, pv)
-            inv = f.inv(pv)
-            a[prow] = [f.mul(inv, v) for v in a[prow]]
-            rng = range(m) if reduced else range(prow + 1, m)
-            for i in rng:
-                if i != prow and a[i][col]:
-                    c = a[i][col]
-                    a[i] = [f.sub(vi, f.mul(c, vp)) for vi, vp in zip(a[i], a[prow])]
-            pivots.append(col)
-            prow += 1
-            if prow == m:
+        f, ops = self.field, field_ops(self.field)
+        a = self.array.copy()
+        pivots, det = [], 1
+        for col in range(a.shape[1]):
+            prow = len(pivots)
+            if prow == a.shape[0]:
                 break
+            below = a[prow:, col].nonzero()[0]
+            if not below.size:
+                continue
+            piv = prow + int(below[0])
+            pv = int(a[piv, col])
+            row = ops.mul_scalar(f.inv(pv), a[piv])
+            # clear the column in every row, the pivot row too, then put the
+            # scaled pivot row at prow and the old row prow (zero there) at piv
+            a[...] = ops.sub(a, ops.mul_scalar(a[:, col, None], row))
+            if piv != prow:
+                a[piv] = a[prow]
+                det = f.neg(det)
+            a[prow] = row
+            det = f.mul(det, pv)
+            pivots.append(col)
         return a, pivots, det
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self._rref()[1])
 
     def det(self) -> int:
         if self.rows != self.cols:
             raise MatrixError("det of non-square matrix")
-        _, pivots, det = self._echelon()
-        if len(pivots) < self.rows:
-            return 0
-        return det
+        _, pivots, det = self._rref()
+        return det if len(pivots) == self.rows else 0
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise MatrixError("inverse of non-square matrix")
-        aug = hstack(self, Mat.identity(self.field, self.rows))
-        grid, pivots, _ = aug._echelon(reduced=True)
-        if len(pivots) < self.rows or any(p >= self.rows for p in pivots):
-            raise MatrixError("singular matrix")
-        return Mat(self.field, [row[self.rows:] for row in grid], cols=self.rows)
+        return self.left_inverse()
 
     def left_inverse(self) -> "Mat":
         """U with U * self = I_cols; requires full column rank."""
-        aug = hstack(self, Mat.identity(self.field, self.rows))
-        grid, pivots, _ = aug._echelon(reduced=True)
-        lead = [p for p in pivots if p < self.cols]
-        if len(lead) < self.cols:
+        n = self.cols
+        a, pivots, _ = hstack(self, Mat.identity(self.field, self.rows))._rref()
+        if sum(p < n for p in pivots) < n:
             raise MatrixError("rank deficient: no left inverse")
-        return Mat(self.field, [row[self.cols:] for row in grid[: self.cols]], cols=self.rows)
+        return Mat._of(self.field, a[:n, n:])
 
     def right_inverse(self) -> "Mat":
         """V with self * V = I_rows; requires full row rank."""
@@ -189,17 +183,17 @@ class Mat:
         for j in idx:
             if not 1 <= j <= self.cols:
                 raise MatrixError(f"column index {j} out of range 1..{self.cols}")
-        return Mat(self.field, [[row[j - 1] for j in idx] for row in self.data], cols=len(idx))
+        return Mat._of(self.field, self.array[:, np.array(idx, dtype=np.intp) - 1])
 
     # -- serialization -------------------------------------------------------------
     def to_text(self) -> str:
         """Header "rows cols field", then row-major entries as coefficient lists."""
-        lines = [f"{self.rows} {self.cols} {self.field.name}"]
-        for row in self.data:
-            lines.append(" ".join(
-                "[" + ",".join(map(str, self.field.coeffs(v))) + "]" for v in row
-            ))
-        return "\n".join(lines)
+        f = self.field
+        digits = self.array[:, :, None] // f.p ** np.arange(f.r, dtype=np.int64) % f.p
+        entry = "[" + ",".join(["{}"] * f.r) + "]"
+        row = " ".join([entry] * self.cols)
+        return "\n".join([f"{self.rows} {self.cols} {f.name}"] + [row] * self.rows).format(
+            *digits.ravel().tolist())
 
     @classmethod
     def from_text(cls, text: str, field: Field | None = None) -> "Mat":
@@ -210,29 +204,41 @@ class Mat:
         if len(head) != 3:
             raise MatrixError(f"bad matrix header {lines[0]!r}")
         rows, cols = int(head[0]), int(head[1])
+        if rows < 0 or cols < 0:
+            raise MatrixError(f"bad matrix header {lines[0]!r}")
         f = field if field is not None else parse_field_name(head[2])
         if f.name != head[2]:
             raise MatrixError(f"field mismatch: header {head[2]}, expected {f.name}")
-        data = []
-        for ln in lines[1 : 1 + rows]:
-            row = []
-            for tok in ln.split():
-                if not (tok.startswith("[") and tok.endswith("]")):
-                    raise MatrixError(f"bad entry {tok!r}")
-                cs = [int(c) for c in tok[1:-1].split(",")] if tok != "[]" else []
-                row.append(f.element(cs))
-            if len(row) != cols:
-                raise MatrixError("row width mismatch")
-            data.append(row)
-        if len(data) != rows:
+        body = lines[1:1 + rows] if cols else []
+        if len(body) != rows and cols:
             raise MatrixError("row count mismatch")
-        return cls(f, data, cols=cols)
+        if any(ln.count("[") != cols for ln in body):
+            raise MatrixError("row width mismatch")
+        return cls._of(f, _parse_entries(body, f).reshape(rows, cols))
+
+
+def _parse_entries(body: list[str], f: Field) -> np.ndarray:
+    """The elements of space- or tab-separated "[c_0,...,c_{r-1}]" entries, each
+    coefficient a decimal number below p, low-to-high."""
+    entry = r"\[[0-9]{1,7}(?:,[0-9]{1,7}){%d}\]" % (f.r - 1)
+    for i, ln in enumerate(body):
+        if not re.fullmatch(rf"{entry}(?:[ \t]+{entry})*", ln):
+            tok = next((t for t in ln.split() if not re.fullmatch(entry, t)), ln)
+            raise MatrixError(f"bad entry {tok!r} in row {i + 1}")
+    text = "\n".join(body)
+    coeffs = np.fromstring(text.translate(_UNBRACKET), dtype=np.int64, sep=" ").reshape(-1, f.r)
+    bad = np.flatnonzero((coeffs >= f.p).any(axis=1))
+    if bad.size:
+        raise MatrixError(f"bad entry {text.split()[bad[0]]!r}: a coefficient is not below {f.p}")
+    return coeffs @ f.p ** np.arange(f.r, dtype=np.int64)
+
+
+_UNBRACKET = str.maketrans("[],", "   ")
 
 
 # -- block assembly ------------------------------------------------------------
 
 def hstack(*mats: Mat) -> Mat:
-    mats = [m for m in mats]
     if not mats:
         raise MatrixError("hstack of nothing")
     f = mats[0].field
@@ -240,21 +246,17 @@ def hstack(*mats: Mat) -> Mat:
     for m in mats:
         if m.field != f or m.rows != rows:
             raise MatrixError("hstack mismatch")
-    data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
-    return Mat(f, data, cols=sum(m.cols for m in mats))
+    return Mat._of(f, np.hstack([m.array for m in mats]))
 
 
 def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:
     """Block-diagonal assembly; zero-width or zero-height blocks still occupy space."""
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
+    out = np.zeros((sum(m.rows for m in mats), sum(m.cols for m in mats)), dtype=np.int64)
     r0 = c0 = 0
     for m in mats:
         if m.field != field:
             raise MatrixError("block_diag field mismatch")
-        for i, row in enumerate(m.data):
-            out[r0 + i][c0 : c0 + m.cols] = row
+        out[r0:r0 + m.rows, c0:c0 + m.cols] = m.array
         r0 += m.rows
         c0 += m.cols
-    return Mat(field, out, cols=cols)
+    return Mat._of(field, out)

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .field import Field
 from .matrix import Mat, block_diag
+from .vecops import field_ops
 
 HALF_MDS_EXHAUSTIVE_MAX = 12
 
@@ -43,13 +46,13 @@ def grs_matrix(field: Field, g: GrsSpec) -> Mat:
     """k x n generator with entry (i, j) = u_j * alpha_j^(i-1)."""
     if field.order != g.q:
         raise BoxError("field order mismatch")
-    rows = []
-    powers = list(g.u)
-    for _ in range(g.k):
-        rows.append(list(powers))
-        powers = [field.mul(p, a) for p, a in zip(powers, g.alpha)]
-    out = Mat(field, rows, cols=g.n)
-    return out
+    ops = field_ops(field)
+    out = np.empty((g.k, g.n), dtype=np.int64)
+    powers, alpha = np.array(g.u, dtype=np.int64), np.array(g.alpha, dtype=np.int64)
+    for i in range(g.k):
+        out[i] = powers
+        powers = ops.mul_scalar(powers, alpha)
+    return Mat(field, out)
 
 
 def grs_dual_multipliers(field: Field, alpha, u) -> tuple[int, ...]:
@@ -72,11 +75,11 @@ def grs_dual_multipliers(field: Field, alpha, u) -> tuple[int, ...]:
 
 def symplectic_form(field: Field, N: int) -> Mat:
     """J = [[0, -I_N], [I_N, 0]], shape 2N x 2N."""
-    J = Mat.zeros(field, 2 * N, 2 * N)
-    for i in range(N):
-        J.data[i][N + i] = field.neg(1)
-        J.data[N + i][i] = 1
-    return J
+    J = np.zeros((2 * N, 2 * N), dtype=np.int64)
+    i = np.arange(N)
+    J[i, N + i] = field.neg(1)
+    J[N + i, i] = 1
+    return Mat(field, J)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .model import (Problem, beta_cliques, concat_problems, full_clique,
                     merged_map, singleton_cliques, symmetric_problem,
                     triangle_substitute)
 from .scheme import CodingScheme, simulate_batch
-from .vecops import VecOps
+from .vecops import field_ops
 
 VERTEX_ENUM_GUARD = 14          # max gamma + K*T
 DECODE_GUARD = 1 << 24          # max q^(K*R) realizations
@@ -207,7 +207,7 @@ def exhaustive_decode_check(sch: CodingScheme) -> OracleReport:
     total = q ** (K * R)
     if total > DECODE_GUARD:
         raise GuardExceeded(f"q^(K*R) = {total} exceeds guard {DECODE_GUARD}")
-    ops = VecOps(sch.ext.big)
+    ops = field_ops(sch.ext.big)
     name = f"exhaustive decode ({total} realizations, q={q}, K={K}, R={R})"
     for lo in range(0, total, DECODE_BATCH):
         hi = min(lo + DECODE_BATCH, total)

@@ -33,10 +33,10 @@ import numpy as np
 
 from .capacity import capacity_lp, feasible
 from .field import Extension, Field, extend_field, field_construct
-from .matrix import Mat, block_diag
+from .matrix import Mat, MatrixError, block_diag
 from .model import Problem, full_clique, parse_problem, render_problem
 from .nsumbox import NSumBox, build_half_mds_box, is_valid_box
-from .vecops import VecOps
+from .vecops import field_ops
 
 
 class SchemeError(ValueError):
@@ -208,10 +208,10 @@ def find_encoders(ch: BigChannel, R: int, seed: int, max_retries: int = 64):
         return tuple(Mat.zeros(f, m.cols, 0) for m in ch.mbar), D
     for _ in range(max_retries):
         D = Mat.random(f, R, n, rng)
-        prods = [D * m for m in ch.mbar]
-        if all(g.rank() == R for g in prods):
-            precoders = tuple(g.right_inverse() for g in prods)
-            return precoders, D
+        try:  # every D . Mbar_k has full row rank R exactly when it has a right inverse
+            return tuple((D * m).right_inverse() for m in ch.mbar), D
+        except MatrixError:
+            continue
     raise RetriesExhausted(
         f"no full-rank decoder in {max_retries} draws over F_{f.order}")
 
@@ -305,7 +305,7 @@ def simulate(sch: CodingScheme, data) -> Mat:
     the entrywise sum of the stream columns by the scheme certificate.
     This is simulate_batch on a batch of one.
     """
-    return Mat(sch.ext.big, simulate_batch(sch, _data_block(sch, data)).tolist(), cols=1)
+    return Mat(sch.ext.big, simulate_batch(sch, _data_block(sch, data)))
 
 
 def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
@@ -314,7 +314,7 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     `data` has shape (K, R, B) with int-encoded F_q entries; returns the
     (R, B) decoded block, one column per realization.
     """
-    ops = VecOps(sch.ext.big)
+    ops = field_ops(sch.ext.big)
     K, R, B = data.shape
     if K != sch.problem.K or R != sch.R:
         raise SchemeError(f"batch shape {data.shape} does not match (K={sch.problem.K}, R={sch.R})")
@@ -325,14 +325,14 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     x = np.zeros((sum(sizes), B), dtype=ops.dtype)
     for k in range(K):
         rows = [start[t] + slot for t, slot in ch.colmap[k]]  # distinct within a stream
-        x[rows] = ops.add(x[rows], ops.matmul(sch.precoders[k], data[k]))
-    ys = [ops.matmul(box.M, x[start[t]:start[t] + 2 * box.N]) for t, box in ch.boxes]
-    return ops.matmul(sch.decoder, np.concatenate(ys))  # an allocation has a box
+        x[rows] = ops.add(x[rows], ops.matmul(sch.precoders[k].array, data[k]))
+    ys = [ops.matmul(box.M.array, x[start[t]:start[t] + 2 * box.N]) for t, box in ch.boxes]
+    return ops.matmul(sch.decoder.array, np.concatenate(ys))  # an allocation has a box
 
 
 def true_sum(sch: CodingScheme, data) -> Mat:
     """The R x 1 entrywise sum of the stream columns, as simulate takes them."""
-    return Mat(sch.ext.big, VecOps(sch.ext.big).sum(_data_block(sch, data)).tolist(), cols=1)
+    return Mat(sch.ext.big, field_ops(sch.ext.big).sum(_data_block(sch, data)))
 
 
 def _data_block(sch: CodingScheme, data) -> np.ndarray:
@@ -342,7 +342,7 @@ def _data_block(sch: CodingScheme, data) -> np.ndarray:
         data.select_columns([k + 1]) for k in range(data.cols)]
     if len(cols) != K or any((c.rows, c.cols, c.field) != (R, 1, f) for c in cols):
         raise SchemeError(f"data must be {R} x {K} over {f.name}")
-    return np.array([c.data for c in cols], dtype=np.int64).reshape(K, R, 1)
+    return np.stack([c.array for c in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +467,7 @@ def parse_scheme(text: str) -> CodingScheme:
         box = NSumBox.from_text(blk)
         if box.field != ext.big:
             # re-key the matrix onto the canonical field object
-            box = NSumBox(box.N, ext.big, Mat(ext.big, box.M.data))
+            box = NSumBox(box.N, ext.big, Mat(ext.big, box.M.array))
         if not is_valid_box(box.M):
             raise SchemeError(f"serialized box for clique {lbl} is not a valid box")
         boxes.append((int(lbl) - 1, box))
@@ -477,9 +477,14 @@ def parse_scheme(text: str) -> CodingScheme:
         raise SchemeError("ENCODERS stream labels mismatch")
     precoders = tuple(Mat.from_text(blk, ext.big) for _, blk in enc_blocks)
     D = Mat.from_text("\n".join(sections["DECODER"]), ext.big)
+    if D.cols != ch.n:
+        raise SchemeError(f"DECODER has {D.cols} columns, expected sum of N_t = {ch.n}")
+    for name, cmap, pk in zip(P.stream_names, ch.colmap, precoders):
+        if (pk.rows, pk.cols) != (len(cmap), D.rows):
+            raise SchemeError(f"ENCODERS stream {name} is {pk.rows}x{pk.cols}, expected "
+                              f"{len(cmap)}x{D.rows} (its box columns x decoder rows)")
     seed = int("\n".join(sections["SEED"]).strip())
-    sch = CodingScheme(P, ext, alloc, ch, D.rows, precoders, D, seed)
-    return sch
+    return CodingScheme(P, ext, alloc, ch, D.rows, precoders, D, seed)
 
 
 def _parse_labeled_blocks(text: str, label: str) -> list[tuple[str, str]]:

@@ -1,18 +1,20 @@
 """Vectorized finite-field arithmetic on numpy int arrays.
 
-Used for simulation, single-shot and batched, where the per-element Python
-arithmetic in `field` would dominate.  Elements keep the same int encoding.
-Over F_{p^r}, r > 1, a product is one lookup exp[log a + log b] in the
-zero-padded tables of `Field.arrays`, and addition is XOR in characteristic 2
-and digit-wise otherwise; a prime field multiplies and adds mod p.
+The one F_q array core: `Mat` multiplies, eliminates and serialises on these
+kernels, and simulation runs its batches on them.  Elements keep the int
+encoding of `field`.  Over F_{p^r}, r > 1, a product is one lookup
+exp[log a + log b] in the zero-padded tables of `Field.arrays`, and addition
+is XOR in characteristic 2 and digit-wise otherwise; a prime field
+multiplies and adds mod p.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .field import Field, FieldError
-from .matrix import Mat
 
 # Most elements in one block of products (matrix columns x rows x batch columns)
 # that matmul forms at a time; a larger batch is taken in slices of the batch axis.
@@ -29,7 +31,8 @@ class VecOps:
             self._powers = self.p ** np.arange(self.r, dtype=np.int64)
             self.dtype = self._exp.dtype  # of what matmul returns
         else:
-            self.dtype = np.min_scalar_type((self.p - 1) ** 2)  # also holds a product
+            # a product of two elements fits; odd p stays signed so sub can go negative
+            self.dtype = np.dtype(np.uint8) if self.p == 2 else np.dtype(np.int64)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
@@ -37,6 +40,13 @@ class VecOps:
         if self.r == 1:
             return (a + b) % self.p
         return (np.add(self._digits[a], self._digits[b], dtype=np.int64) % self.p) @ self._powers
+
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        if self.r == 1:
+            return np.subtract(a, b, dtype=np.int64) % self.p
+        return (np.subtract(self._digits[a], self._digits[b], dtype=np.int64) % self.p) @ self._powers
 
     def sum(self, a: np.ndarray) -> np.ndarray:
         """Field sum of `a` over its first axis."""
@@ -55,25 +65,30 @@ class VecOps:
         c, a = np.asarray(c, self.dtype), np.asarray(a, self.dtype)
         return c & a if self.p == 2 else (c * a) % self.p
 
-    def matmul(self, m: Mat, X: np.ndarray) -> np.ndarray:
-        """m (rows x cols) applied to X of shape (cols, B) -> (rows, B) of dtype.
+    def matmul(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """A (rows x cols) applied to X of shape (cols, B) -> (rows, B) of dtype.
 
         Products come in blocks of at most CHUNK_ELEMS (matrix columns, rows,
         batch columns), summed over matrix columns: one block for a small
         batch, one per matrix column and batch slice for a large one."""
-        if m.field != self.field:
-            raise FieldError("field mismatch in batch matmul")
-        if X.shape[0] != m.cols:
-            raise FieldError(f"batch shape {X.shape} does not match {m.cols} columns")
-        rows, B = m.rows, X.shape[1]
-        At = np.array(m.data, dtype=np.int64).reshape(rows, m.cols).T[:, :, None]
+        rows, cols = A.shape
+        if X.shape[0] != cols:
+            raise FieldError(f"batch shape {X.shape} does not match {cols} columns")
+        B = X.shape[1]
+        At = A.T[:, :, None]
         width = max(1, min(B, CHUNK_ELEMS // max(1, rows)))
         depth = max(1, CHUNK_ELEMS // (max(1, rows) * width))
         out = np.empty((rows, B), dtype=self.dtype)
         for lo in range(0, B, width):
             Xs = X[:, None, lo:lo + width]
             acc = self.sum(self.mul_scalar(At[:depth], Xs[:depth]))
-            for j in range(depth, m.cols, depth):
+            for j in range(depth, cols, depth):
                 acc = self.add(acc, self.sum(self.mul_scalar(At[j:j + depth], Xs[j:j + depth])))
             out[:, lo:lo + width] = acc
         return out
+
+
+@lru_cache(maxsize=None)
+def field_ops(field: Field) -> VecOps:
+    """The kernels of `field`, built once per field."""
+    return VecOps(field)

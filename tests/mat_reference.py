@@ -1,0 +1,111 @@
+"""Per-element reference for sumbox.matrix, used by the tests only.
+
+A matrix here is a list of rows of ints.  Products go through the
+polynomial multiply `Field._mul_direct` and inverses through `Field.pow`, so
+nothing shares the log/exp tables or the numpy kernels under test.  The
+elimination is the one `Mat` had before it moved onto arrays: pivot on the
+first nonzero entry top-down, columns left to right.
+"""
+
+from sumbox.matrix import MatrixError
+
+
+def mul(f, a, b, cols):
+    """a (m x n) times b (n x cols)."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(cols):
+            acc = 0
+            for x, brow in zip(row, b):
+                acc = f.add(acc, f._mul_direct(x, brow[j]))
+            out[-1].append(acc)
+    return out
+
+
+def transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def echelon(f, grid, reduced=False):
+    """(row echelon grid, pivot columns, det) of grid."""
+    a = [row[:] for row in grid]
+    m, n = len(a), len(a[0]) if a else 0
+    pivots, det, prow = [], 1, 0
+    for col in range(n):
+        piv = next((i for i in range(prow, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != prow:
+            a[prow], a[piv] = a[piv], a[prow]
+            det = f.neg(det)
+        pv = a[prow][col]
+        det = f._mul_direct(det, pv)
+        inv = f.pow(pv, f.order - 2)
+        a[prow] = [f._mul_direct(inv, v) for v in a[prow]]
+        for i in range(m) if reduced else range(prow + 1, m):
+            if i != prow and a[i][col]:
+                c = a[i][col]
+                a[i] = [f.sub(vi, f._mul_direct(c, vp)) for vi, vp in zip(a[i], a[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == m:
+            break
+    return a, pivots, det
+
+
+def rank(f, a):
+    return len(echelon(f, a)[1])
+
+
+def det(f, a):
+    _, pivots, d = echelon(f, a)
+    return d if len(pivots) == len(a) else 0
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def inverse(f, a):
+    n = len(a)
+    grid, pivots, _ = echelon(f, hstack(a, identity(n)), reduced=True)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise MatrixError("singular matrix")
+    return [row[n:] for row in grid]
+
+
+def left_inverse(f, a, cols):
+    grid, pivots, _ = echelon(f, hstack(a, identity(len(a))), reduced=True)
+    if len([p for p in pivots if p < cols]) < cols:
+        raise MatrixError("rank deficient: no left inverse")
+    return [row[cols:] for row in grid[:cols]]
+
+
+def right_inverse(f, a, cols):
+    return transpose(left_inverse(f, transpose(a, cols), len(a)), cols)
+
+
+def select_columns(a, idx):
+    return [[row[j - 1] for j in idx] for row in a]
+
+
+def hstack(*mats):
+    return [sum(rows, []) for rows in zip(*mats)]
+
+
+def block_diag(blocks):
+    """blocks: (grid, cols) pairs."""
+    width = sum(c for _, c in blocks)
+    out, c0 = [], 0
+    for grid, cols in blocks:
+        out += [[0] * c0 + row + [0] * (width - c0 - cols) for row in grid]
+        c0 += cols
+    return out
+
+
+def to_text(f, a, cols):
+    lines = [f"{len(a)} {cols} {f.name}"]
+    for row in a:
+        lines.append(" ".join("[" + ",".join(map(str, f.coeffs(v))) + "]" for v in row))
+    return "\n".join(lines)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from sumbox import scheme
 from sumbox.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -231,3 +232,55 @@ def test_scheme_built_on_d_field_checks(tmp_path, capsys):
     code, out, _ = run(capsys, "scheme", "check", out_file)
     assert code == 0
     assert "certificate: OK" in out
+
+
+@pytest.mark.parametrize("cmd", ["check", "simulate"])
+@pytest.mark.parametrize("block, where", [
+    ("stream a", "ENCODERS stream a is 3x4, expected 4x4"),
+    ("DECODER", "DECODER has 4 columns, expected sum of N_t = 5"),
+])
+def test_scheme_shape_errors_are_located(tmp_path, capsys, cmd, block, where):
+    out_file = str(tmp_path / "example.scheme")
+    run(capsys, "scheme", "build", prob("example.prob"), "--out", out_file)
+    lines = (tmp_path / "example.scheme").read_text().splitlines()
+    at = lines.index(block) + 1  # the matrix header "rows cols field"
+    rows, cols, name = lines[at].split()
+    if block == "DECODER":  # one column short: drop each row's last entry
+        lines[at] = f"{rows} {int(cols) - 1} {name}"
+        for i in range(at + 1, at + 1 + int(rows)):
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+    else:  # one row short
+        lines[at] = f"{int(rows) - 1} {cols} {name}"
+        del lines[at + 1]
+    bad_file = tmp_path / "bad.scheme"
+    bad_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "scheme", cmd, str(bad_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: {where}\n" or err.startswith(f"error: {where} ")
+
+
+def test_field_order_above_bound_is_a_guard(capsys):
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--z", "21")
+    assert (code, out) == (3, "")
+    assert err.startswith("guard: field order 2^21 exceeds bound 1048576")
+
+
+def test_z_search_past_the_bound_is_a_guard(capsys, monkeypatch):
+    # every draw fails, so the z search doubles until the field passes MAX_ORDER
+    def no_decoder(ch, R, seed):
+        raise scheme.RetriesExhausted("no full-rank decoder")
+    monkeypatch.setattr(scheme, "find_encoders", no_decoder)
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"))
+    assert (code, out) == (3, "")
+    assert err.startswith("guard: field order 2^") and "exceeds bound 1048576" in err
+
+
+@pytest.mark.parametrize("argv, opt", [
+    (["oracle-lp", "--cases", "2", "--max-s", "9"], "--max-s"),
+    (["beta-star", "--cases", "7"], "--cases"),
+    (["beta-star", "--seed", "1"], "--seed"),
+])
+def test_verify_rejects_options_that_do_not_apply(capsys, argv, opt):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {opt} does not apply to verify {argv[0]}\n"

@@ -1,8 +1,11 @@
 import random
+import re
 
+import mat_reference as ref
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sumbox.field import field_construct
+from sumbox.field import FieldError, field_construct
 from sumbox.matrix import Mat, MatrixError, block_diag, hstack
 
 F2 = field_construct(2)
@@ -105,3 +108,76 @@ def test_field_mismatch():
     b = Mat.identity(F8, 2)
     with pytest.raises(MatrixError):
         a * b
+
+
+@pytest.mark.parametrize("rows, err", [
+    ([[2**70]], FieldError), ([[1.0]], FieldError), ([[-1]], FieldError),
+    ([[1, 0], [1]], MatrixError),
+])
+def test_constructor_rejects(rows, err):
+    with pytest.raises(err):
+        Mat(F2, rows)
+
+
+def test_entries_are_read_only():
+    m = Mat(F8, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        m.array[0, 0] = 5
+    m.data[0][0] = 5  # a fresh list: the matrix keeps its entries
+    assert m.data == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("body, where", [
+    ("[1,0] [1]", "'[1]' in row 2"), ("[1,0] [1,0,1]", "'[1,0,1]' in row 2"),
+    ("[1,0] [-1,0]", "'[-1,0]' in row 2"), ("[1,0] [1,x]", "'[1,x]' in row 2"),
+    ("[1,0] [1,2]", "'[1,2]': a coefficient is not below 2"),
+])
+def test_from_text_names_the_bad_entry(body, where):
+    with pytest.raises(MatrixError, match=re.escape(where)):
+        Mat.from_text(f"2 2 F4\n[0,0] [1,1]\n{body}")
+
+
+# F_2, F_3, F_4, F_9, F_2^11 and F_2^17
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 11), (2, 17)]
+
+
+def same_or_both_raise(got, want, shape):
+    try:
+        w = want()
+    except MatrixError:
+        with pytest.raises(MatrixError):
+            got()
+        return
+    g = got()
+    assert (g.rows, g.cols) == shape and g.data == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(0, 5), st.integers(0, 4),
+       st.booleans(), st.integers(0, 2**32))
+def test_core_matches_reference(pr, rows, cols, k, full, seed):
+    f = field_construct(*pr)
+    rng = random.Random(seed)
+    # a product through an inner dimension below min(rows, cols) is rank deficient
+    inner = min(rows, cols) if full else rng.randrange(min(rows, cols) + 1)
+    a = ref.mul(f, [[rng.randrange(f.order) for _ in range(inner)] for _ in range(rows)],
+                [[rng.randrange(f.order) for _ in range(cols)] for _ in range(inner)], cols)
+    b = [[rng.randrange(f.order) for _ in range(k)] for _ in range(cols)]
+    m, mb = Mat(f, a, cols=cols), Mat(f, b, cols=k)
+    prod = m * mb
+    assert (prod.rows, prod.cols) == (rows, k) and prod.data == ref.mul(f, a, b, k)
+    assert m.rank() == ref.rank(f, a)
+    if rows == cols:
+        assert m.det() == ref.det(f, a)
+        same_or_both_raise(m.inverse, lambda: ref.inverse(f, a), (rows, rows))
+    same_or_both_raise(m.left_inverse, lambda: ref.left_inverse(f, a, cols), (cols, rows))
+    same_or_both_raise(m.right_inverse, lambda: ref.right_inverse(f, a, cols), (cols, rows))
+    idx = rng.sample(range(1, cols + 1), rng.randrange(cols + 1))
+    assert m.select_columns(idx).data == ref.select_columns(a, idx)
+    assert hstack(m, prod).data == ref.hstack(a, prod.data)
+    diag = block_diag(f, [m, mb])
+    assert (diag.rows, diag.cols) == (rows + cols, cols + k)
+    assert diag.data == ref.block_diag([(a, cols), (b, k)])
+    text = m.to_text()
+    assert text == ref.to_text(f, a, cols)
+    assert Mat.from_text(text) == m

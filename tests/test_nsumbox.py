@@ -64,12 +64,12 @@ def test_identity_plus_symmetric_is_valid():
     rng = random.Random(4)
     for f in (F3, F8):
         n = 3
-        s = Mat.zeros(f, n, n)
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                val = rng.randrange(f.order)
-                s.data[i][j] = val
-                s.data[j][i] = val
+                rows[i][j] = rows[j][i] = rng.randrange(f.order)
+        s = Mat(f, rows)
+        assert not s.is_zero()
         m = hstack(Mat.identity(f, n), s)
         assert is_valid_box(m)
 

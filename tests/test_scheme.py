@@ -2,6 +2,7 @@ import os
 import random
 from fractions import Fraction
 
+import mat_reference as ref
 import numpy as np
 import pytest
 
@@ -25,19 +26,19 @@ def random_data(sch, rng):
 
 
 def mat_simulate(sch, cols):
-    """One channel use in per-element Mat arithmetic: D * stack(box.M * x_t),
+    """One channel use in the per-element reference arithmetic: D * stack(box.M * x_t),
     with each box input x_t scattered from the precoded streams P_k * data_k."""
     f = sch.ext.big
     ch = sch.channel
     xs = {t: [0] * (2 * box.N) for t, box in ch.boxes}
     for k, c in enumerate(cols):
-        v = sch.precoders[k] * c
+        v = ref.mul(f, sch.precoders[k].data, c.data, 1)
         for i, (t, slot) in enumerate(ch.colmap[k]):
-            xs[t][slot] = f.add(xs[t][slot], v.data[i][0])
+            xs[t][slot] = f.add(xs[t][slot], v[i][0])
     ys = []
     for t, box in ch.boxes:
-        ys.extend((box.M * Mat(f, [[v] for v in xs[t]], cols=1)).data)
-    return sch.decoder * Mat(f, ys, cols=1)
+        ys.extend(ref.mul(f, box.M.data, [[v] for v in xs[t]], 1))
+    return Mat(f, ref.mul(f, sch.decoder.data, ys, 1), cols=1)
 
 
 def test_allocation_from_lp_reference():

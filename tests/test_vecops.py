@@ -1,19 +1,19 @@
 import random
 from unittest import mock
 
+import mat_reference as ref
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sumbox import vecops
 from sumbox.field import field_construct
-from sumbox.matrix import Mat
 from sumbox.vecops import VecOps
 
 # F_2, F_3, F_4, F_9, F_2^11 and F_2^17 (past the old 2^16 table bound)
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 11), (2, 17)]
 
 # matmul's block size, shrunk so that batches on both sides of a chunk
-# boundary stay small enough for the per-element Mat reference
+# boundary stay small enough for the per-element reference
 SMALL_CHUNK = 12
 
 
@@ -25,15 +25,13 @@ def test_matmul_matches_mat_product(pr, rows, cols, batch, seed):
     rng = random.Random(seed)
     chunk = SMALL_CHUNK // max(1, rows)  # batch columns per block
     B = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[batch]
-    m = Mat(f, [[rng.randrange(f.order) for _ in range(cols)] for _ in range(rows)], cols=cols)
+    A = [[rng.randrange(f.order) for _ in range(cols)] for _ in range(rows)]
     X = np.array([rng.randrange(f.order) for _ in range(cols * B)],
                  dtype=np.int64).reshape(cols, B)
     with mock.patch.object(vecops, "CHUNK_ELEMS", SMALL_CHUNK):
-        got = VecOps(f).matmul(m, X)
-    want = m * Mat(f, X.tolist(), cols=B)
+        got = VecOps(f).matmul(np.array(A, dtype=np.int64).reshape(rows, cols), X)
     assert got.shape == (rows, B)
-    for b in range(B):
-        assert got[:, b].tolist() == [row[b] for row in want.data]
+    assert got.tolist() == ref.mul(f, A, X.tolist(), B)
 
 
 @settings(max_examples=40, deadline=None)
