@@ -25,8 +25,6 @@ import numpy as np
 from . import lp
 from .model import Problem, ProblemError, full_clique, singleton_cliques
 
-Rat = Fraction
-
 MAX_LP_VARS = 10_000
 
 
@@ -39,32 +37,22 @@ class CapacityResult:
     optimal_cost: Fraction
     capacity: Fraction
     witness: tuple[Fraction, ...]            # download costs, (t, ascending s) order
-    aux: dict[tuple[int, int], Fraction]     # (t, k) -> m value at the optimum, 0-based
+
+
+def stream_values(P: Problem, D) -> list:
+    """sum_t min(total_t, 2 * sum_{s in E(t) ^ W(k)} D_{t,s}) for each stream k,
+    from a cost tuple D in cost_index() order."""
+    cliques = P.split(D)
+    totals = [sum(c.values()) for c in cliques]
+    return [sum(min(total, 2 * sum(c[s] for s in c.keys() & w))
+                for c, total in zip(cliques, totals)) for w in P.W]
 
 
 def feasible(P: Problem, D) -> bool:
     """Region membership of a download-cost tuple (length gamma, (t,s) order)."""
     D = [Fraction(v) for v in D]
-    if len(D) != P.gamma:
-        raise ProblemError(f"cost tuple length {len(D)} != gamma {P.gamma}")
-    if any(v < 0 for v in D):
-        return False
-    # slice per clique; each clique's total is the same for every stream
-    per_clique = []
-    pos = 0
-    for e in P.E:
-        servers = sorted(e)
-        per_clique.append(dict(zip(servers, D[pos : pos + len(servers)])))
-        pos += len(servers)
-    totals = [sum(d.values(), Fraction(0)) for d in per_clique]
-    for w in P.W:
-        total = Fraction(0)
-        for t, e in enumerate(P.E):
-            b = 2 * sum((per_clique[t][s] for s in e & w), Fraction(0))
-            total += min(totals[t], b)
-        if total < 1:
-            return False
-    return True
+    values = stream_values(P, D)  # a length other than gamma raises ProblemError
+    return all(v >= 0 for v in D) and min(values) >= 1
 
 
 def _active_pairs(P: Problem) -> list[tuple[int, int]]:
@@ -100,8 +88,7 @@ def capacity_lp(P: Problem) -> CapacityResult:
 
     value, x = lp.solve_min(c, A, b)
     witness = tuple(x[:gamma])
-    aux = {pair: x[gamma + i] for i, pair in enumerate(pairs)}
-    result = CapacityResult(value, 1 / value, witness, aux)
+    result = CapacityResult(value, 1 / value, witness)
     if not feasible(P, witness):
         raise AssertionError("LP witness fails region membership")
     return result
@@ -120,7 +107,7 @@ def _per_server_result(P: Problem, E, A: np.ndarray) -> CapacityResult:
     value, x = lp.solve_min([1] * P.S, A, [-1] * len(A))
     lifted = Problem(P.S, P.W, E, P.stream_names, P.base_field)
     witness = tuple(x[s - 1] for t, s in lifted.cost_index())
-    res = CapacityResult(value, 1 / value, witness, {})
+    res = CapacityResult(value, 1 / value, witness)
     if not feasible(lifted, witness):
         raise AssertionError("LP witness fails region membership")
     return res

@@ -129,12 +129,11 @@ def cmd_scheme_build(args) -> int:
     z = None if args.z in (None, "auto") else int(args.z)
     allocation = None
     if args.alloc:
-        counts = [int(v) for v in args.alloc.split(",")]
-        idx = P.cost_index()
-        if len(counts) != len(idx):
+        counts = tuple(int(v) for v in args.alloc.split(","))
+        if len(counts) != P.gamma:
             raise ProblemError(
-                f"--alloc expects {len(idx)} entries (clique-major, server-ascending)")
-        allocation = Allocation(tuple((t, s, n) for (t, s), n in zip(idx, counts)))
+                f"--alloc expects {P.gamma} entries (clique-major, server-ascending)")
+        allocation = Allocation(counts)
     sch = build_scheme(P, allocation=allocation, d_field=d_field, z=z, seed=args.seed)
     text = render_scheme(sch)
     if args.out:

@@ -83,6 +83,14 @@ class Problem:
         """
         return [(t, s) for t, e in enumerate(self.E) for s in sorted(e)]
 
+    def split(self, D) -> list[dict]:
+        """A tuple in cost_index() order as one {server: value} dict per clique,
+        servers ascending."""
+        if len(D) != self.gamma:
+            raise ProblemError(f"cost tuple length {len(D)} != gamma {self.gamma}")
+        it = iter(D)
+        return [dict(zip(sorted(e), it)) for e in self.E]
+
 
 # ---------------------------------------------------------------------------
 # standard entanglement maps

@@ -2,8 +2,9 @@
 
 A scheme fixes, for an instance (W, E):
 
-* an integer qudit allocation N_{t,s} (from the exact LP witness, scaled by
-  the least common denominator),
+* an integer qudit allocation N_{t,s}: one count per (clique, server) pair
+  in Problem.cost_index() order (from the exact LP witness, scaled by the
+  least common denominator),
 * one half-MDS N_t-sum box per clique with N_t > 0, all over a coding field
   F_q extending the data field F_d (q = d^z),
 * per-stream precoders P_k and one decoder D with the certificate
@@ -18,7 +19,10 @@ Slot convention inside clique t (box inputs are 2*N_t long): positions
 1..N_t are "left" slots, N_t+1..2N_t the paired "right" slots; server s owns
 the left slots at offset sum_{s'<s} N_{t,s'} and the paired right slots.
 Stream k's matrix Mbar_k orders columns clique-major, then server-ascending,
-each server contributing its left columns then its right columns.
+each server contributing its left columns then its right columns.  The box
+inputs of all cliques stack into one vector of length 2 * sum N_t, clique
+after clique; BigChannel.rows[k] gives the row of that vector that each
+column of Mbar_k feeds.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from math import lcm
 
 import numpy as np
 
-from .capacity import capacity_lp, feasible
+from .capacity import capacity_lp, feasible, stream_values
 from .field import Extension, Field, extend_field, field_construct
 from .matrix import Mat, MatrixError, block_diag
 from .model import Problem, full_clique, parse_problem, render_problem
@@ -49,52 +53,30 @@ class RetriesExhausted(SchemeError):
 
 @dataclass(frozen=True)
 class Allocation:
-    """Qudit counts per (clique, server) in (t, ascending s) order; t is 0-based."""
-    entries: tuple[tuple[int, int, int], ...]  # (t, s, N_ts)
+    """Qudit counts N_{t,s} in Problem.cost_index() order (clique, then ascending server)."""
+    counts: tuple[int, ...]
 
     def __post_init__(self):
-        if not any(n > 0 for _, _, n in self.entries):
+        if not any(n > 0 for n in self.counts):
             raise SchemeError("allocation must have a positive entry")
-        if any(n < 0 for _, _, n in self.entries):
+        if any(n < 0 for n in self.counts):
             raise SchemeError("negative allocation entry")
-
-    def n_ts(self, t: int, s: int) -> int:
-        for tt, ss, n in self.entries:
-            if (tt, ss) == (t, s):
-                return n
-        raise SchemeError(f"no allocation entry for clique {t}, server {s}")
-
-    def clique_total(self, t: int) -> int:
-        return sum(n for tt, _, n in self.entries if tt == t)
 
     @property
     def total(self) -> int:
-        return sum(n for _, _, n in self.entries)
-
-
-def _check_allocation(P: Problem, a: Allocation):
-    if [e[:2] for e in a.entries] != P.cost_index():
-        raise SchemeError("allocation entries do not match the instance's (t, s) layout")
+        return sum(self.counts)
 
 
 def rate_numerator(P: Problem, a: Allocation) -> int:
     """min_k sum_t min(N_t, 2 sum_{s in E(t) ^ W(k)} N_ts): sums decodable per use."""
-    _check_allocation(P, a)
-    best = None
-    for w in P.W:
-        got = 0
-        for t, e in enumerate(P.E):
-            n_t = a.clique_total(t)
-            overlap = 2 * sum(a.n_ts(t, s) for s in sorted(e & w))
-            got += min(n_t, overlap)
-        best = got if best is None else min(best, got)
-    return best
+    if len(a.counts) != P.gamma:
+        raise SchemeError(f"allocation has {len(a.counts)} counts, the instance "
+                          f"has gamma = {P.gamma} (t, s) pairs")
+    return min(stream_values(P, a.counts))
 
 
 def rate_of_allocation(P: Problem, a: Allocation) -> Fraction:
     """Guaranteed dits-per-qudit rate of an integer allocation (no matrices built)."""
-    if a.total == 0:
-        raise SchemeError("zero total allocation")
     return Fraction(rate_numerator(P, a), a.total)
 
 
@@ -108,85 +90,60 @@ def allocation_from_lp(P: Problem, witness) -> Allocation:
     if not feasible(P, w):
         raise SchemeError("witness is not in the feasible region")
     mult = lcm(*(v.denominator for v in w))
-    entries = tuple(
-        (t, s, int(v * mult)) for (t, s), v in zip(P.cost_index(), w)
-    )
-    a = Allocation(entries)
-    cap = Fraction(1) / sum(w)
-    if rate_of_allocation(P, a) != cap:
+    a = Allocation(tuple(int(v * mult) for v in w))
+    if rate_of_allocation(P, a) != 1 / sum(w):
         raise AssertionError("scaled witness does not achieve capacity")
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # no field-wise ==: `rows` holds numpy arrays
 class BigChannel:
     problem: Problem
-    allocation: Allocation
     ext: Extension
     boxes: tuple[tuple[int, NSumBox], ...]   # (t, box) for cliques with N_t > 0, ascending t
     mbar: tuple[Mat, ...]                    # per stream k
-    colmap: tuple[tuple[tuple[int, int], ...], ...]  # per k: (t, slot in clique input) per Mbar_k column
-
-    @property
-    def field(self) -> Field:
-        return self.ext.big
+    rows: tuple[np.ndarray, ...]             # per k: stacked box-input row of each Mbar_k column
 
     @property
     def n(self) -> int:
         return sum(box.N for _, box in self.boxes)
 
 
-def _slot_offsets(P: Problem, a: Allocation, t: int) -> dict[int, int]:
-    """Left-slot offset (0-based) of each server within clique t."""
-    off = {}
-    pos = 0
-    for s in sorted(P.E[t]):
-        off[s] = pos
-        pos += a.n_ts(t, s)
-    return off
-
-
 def build_big_channel(P: Problem, a: Allocation, d_field: Field, z: int) -> BigChannel:
     """One half-MDS box per clique, stacked block-diagonally per stream."""
-    _check_allocation(P, a)
     ext = extend_field(d_field, z)
-    q = ext.big.order
-    n_max = max((a.clique_total(t) for t in range(P.T)), default=0)
-    if q < n_max:
-        raise SchemeError(f"coding field order {q} < largest box size {n_max}")
-    boxes = []
-    for t in range(P.T):
-        n_t = a.clique_total(t)
-        if n_t > 0:
-            boxes.append((t, build_half_mds_box(n_t, ext.big)))
-    return assemble_channel(P, a, ext, tuple(boxes))
+    sizes = [sum(c.values()) for c in P.split(a.counts)]  # N_t per clique
+    if ext.big.order < max(sizes):
+        raise SchemeError(f"coding field order {ext.big.order} < largest box size {max(sizes)}")
+    boxes = tuple((t, build_half_mds_box(n, ext.big)) for t, n in enumerate(sizes) if n > 0)
+    return assemble_channel(P, a, ext, boxes)
 
 
 def assemble_channel(P: Problem, a: Allocation, ext: Extension,
                      boxes: tuple[tuple[int, NSumBox], ...]) -> BigChannel:
     """Wire given per-clique boxes into the per-stream block channel."""
-    _check_allocation(P, a)
-    expect = [(t, a.clique_total(t)) for t in range(P.T) if a.clique_total(t) > 0]
+    cliques = P.split(a.counts)
+    expect = [(t, sum(c.values())) for t, c in enumerate(cliques) if any(c.values())]
     if [(t, box.N) for t, box in boxes] != expect:
         raise SchemeError("boxes do not match the allocation's clique sizes")
     for _, box in boxes:
         if box.field != ext.big:
             raise SchemeError("box field disagrees with the coding field")
-    mbars, colmaps = [], []
+    starts = list(accumulate((2 * box.N for _, box in boxes), initial=0))
+    mbars, rows = [], []
     for w in P.W:
-        blocks, cmap = [], []
-        for t, box in boxes:
-            n_t = box.N
-            off = _slot_offsets(P, a, t)
-            cols = []
-            for s in sorted(P.E[t] & w):
-                left = [off[s] + j for j in range(a.n_ts(t, s))]
-                cols.extend(left + [n_t + c for c in left])
-                cmap.extend([(t, c) for c in left] + [(t, n_t + c) for c in left])
+        blocks, idx = [], []
+        for (t, box), start in zip(boxes, starts):
+            cols, off = [], 0
+            for s, n in cliques[t].items():  # left slots of s, then their paired right slots
+                if s in w:
+                    cols += [*range(off, off + n), *range(box.N + off, box.N + off + n)]
+                off += n
             blocks.append(box.M.select_columns([c + 1 for c in cols]))
+            idx += [start + c for c in cols]
         mbars.append(block_diag(ext.big, blocks))
-        colmaps.append(tuple(cmap))
-    return BigChannel(P, a, ext, tuple(boxes), tuple(mbars), tuple(colmaps))
+        rows.append(np.array(idx, dtype=np.intp))
+    return BigChannel(P, ext, boxes, tuple(mbars), tuple(rows))
 
 
 def find_encoders(ch: BigChannel, R: int, seed: int, max_retries: int = 64):
@@ -196,7 +153,7 @@ def find_encoders(ch: BigChannel, R: int, seed: int, max_retries: int = 64):
     Raises RetriesExhausted when the coding field is too small to hit a good
     D within max_retries draws (raise z and rebuild).
     """
-    f = ch.field
+    f = ch.ext.big
     n = ch.n
     for k, m in enumerate(ch.mbar):
         if m.rank() < R:
@@ -253,35 +210,28 @@ def build_scheme(
 ) -> CodingScheme:
     """Assemble a certified scheme; allocation defaults to the LP witness.
 
-    z defaults to the smallest value with d^z >= max box size + 1 and
-    d^z > 4*K*R (headroom for the randomized decoder search), doubling on
+    z defaults to the smallest value with d^z above both the largest box size
+    and 4*K*R (headroom for the randomized decoder search), doubling on
     retry exhaustion.
     """
     if d_field is None:
         d_field = P.data_field()
     if allocation is None:
         allocation = allocation_from_lp(P, capacity_lp(P).witness)
-    else:
-        _check_allocation(P, allocation)
     R = rate_numerator(P, allocation)
-    n_max = max(allocation.clique_total(t) for t in range(P.T))
-    d = d_field.order
-
-    def z_floor() -> int:
-        zz = 1
-        while d ** zz < n_max + 1 or d ** zz <= 4 * P.K * R:
-            zz += 1
-        return zz
-
-    z_fixed = z is not None
-    z_cur = z if z_fixed else z_floor()
+    bound = max(*(sum(c.values()) for c in P.split(allocation.counts)), 4 * P.K * R)
+    z_cur = z
+    if z is None:
+        z_cur = 1
+        while d_field.order ** z_cur <= bound:
+            z_cur += 1
     last_err: Exception | None = None
     for _ in range(_MAX_Z_DOUBLINGS + 1):
         ch = build_big_channel(P, allocation, d_field, z_cur)
         try:
             precoders, D = find_encoders(ch, R, seed)
         except RetriesExhausted as exc:
-            if z_fixed:
+            if z is not None:
                 raise
             last_err = exc
             z_cur *= 2
@@ -319,14 +269,13 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     if K != sch.problem.K or R != sch.R:
         raise SchemeError(f"batch shape {data.shape} does not match (K={sch.problem.K}, R={sch.R})")
     ch = sch.channel
-    # all box inputs in one array, clique after clique
-    sizes = [2 * box.N for _, box in ch.boxes]
-    start = dict(zip((t for t, _ in ch.boxes), accumulate([0] + sizes)))
-    x = np.zeros((sum(sizes), B), dtype=ops.dtype)
-    for k in range(K):
-        rows = [start[t] + slot for t, slot in ch.colmap[k]]  # distinct within a stream
-        x[rows] = ops.add(x[rows], ops.matmul(sch.precoders[k].array, data[k]))
-    ys = [ops.matmul(box.M.array, x[start[t]:start[t] + 2 * box.N]) for t, box in ch.boxes]
+    x = np.zeros((2 * ch.n, B), dtype=ops.dtype)  # all box inputs, clique after clique
+    for rows, pk, d in zip(ch.rows, sch.precoders, data):  # rows are distinct within a stream
+        x[rows] = ops.add(x[rows], ops.matmul(pk.array, d))
+    ys, start = [], 0
+    for _, box in ch.boxes:
+        ys.append(ops.matmul(box.M.array, x[start:start + 2 * box.N]))
+        start += 2 * box.N
     return ops.matmul(sch.decoder.array, np.concatenate(ys))  # an allocation has a box
 
 
@@ -361,7 +310,6 @@ _REF_VDEC_ROWS = (
     (1, 0, 0, 0, 1),
     (0, 0, 1, 1, 1),
 )
-REF_COLUMN_SETS = ((1, 6, 2, 7), (1, 6, 3, 8), (2, 7, 3, 8), (4, 5, 9, 10))
 
 
 def reference_problem() -> Problem:
@@ -377,7 +325,7 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
     """
     f = d_field if d_field is not None else field_construct(2)
     P = reference_problem()
-    alloc = Allocation(((0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 2)))
+    alloc = Allocation((1, 1, 1, 2))
     ext = extend_field(f, 1)
     M = Mat(f, [list(row) for row in _REF_M_ROWS])  # entries are 0/1 in any field
     box = NSumBox(5, f, M)
@@ -405,7 +353,7 @@ def render_scheme(sch: CodingScheme) -> str:
         "big_modulus " + ",".join(map(str, sch.ext.big.modulus)),
     ]
     out.append("ALLOCATION")
-    for t, s, n in sch.allocation.entries:
+    for (t, s), n in zip(sch.problem.cost_index(), sch.allocation.counts):
         out.append(f"{t + 1} {s} {n}")
     out.append("BOXES")
     for t, box in sch.channel.boxes:
@@ -422,23 +370,24 @@ def render_scheme(sch: CodingScheme) -> str:
     return "\n".join(out) + "\n"
 
 
+_SECTIONS = ("PROBLEM", "EXTENSION", "ALLOCATION", "BOXES", "ENCODERS", "DECODER", "SEED")
+
+
 def parse_scheme(text: str) -> CodingScheme:
     sections: dict[str, list[str]] = {}
     cur = None
     for line in text.splitlines():
-        if line.strip() in ("PROBLEM", "EXTENSION", "ALLOCATION", "BOXES",
-                            "ENCODERS", "DECODER", "SEED"):
+        if line.strip() in _SECTIONS:
             cur = line.strip()
             sections[cur] = []
         elif cur is not None:
             sections[cur].append(line)
         elif line.strip():
             raise SchemeError(f"content before first section: {line!r}")
-    for need in ("PROBLEM", "EXTENSION", "ALLOCATION", "BOXES", "ENCODERS",
-                 "DECODER", "SEED"):
+    for need in _SECTIONS:
         if need not in sections:
             raise SchemeError(f"missing section {need}")
-    P = parse_problem("\n".join(sections["PROBLEM"]))
+    P = _located("PROBLEM", parse_problem, "\n".join(sections["PROBLEM"]))
     ext_kv = {}
     for line in sections["EXTENSION"]:
         if line.strip():
@@ -447,44 +396,58 @@ def parse_scheme(text: str) -> CodingScheme:
     for key in ("d", "z", "base_modulus", "big_modulus"):
         if key not in ext_kv:
             raise SchemeError(f"EXTENSION section has no '{key}' line")
-    p, r = map(int, ext_kv["d"].split())
-    z = int(ext_kv["z"])
+    p, r = _ints("EXTENSION", "d " + ext_kv["d"], 2, skip=1)
+    (z,) = _ints("EXTENSION", "z " + ext_kv["z"], 1, skip=1)
     ext = extend_field(field_construct(p, r), z)
-    if tuple(map(int, ext_kv["base_modulus"].split(","))) != ext.base.modulus:
-        raise SchemeError("base modulus mismatch")
-    if tuple(map(int, ext_kv["big_modulus"].split(","))) != ext.big.modulus:
-        raise SchemeError("big modulus mismatch")
-    entries = []
-    for line in sections["ALLOCATION"]:
-        if line.strip():
-            t, s, n = map(int, line.split())
-            entries.append((t - 1, s, n))
-    alloc = Allocation(tuple(entries))
-    boxes_text = "\n".join(sections["BOXES"])
-    ser_boxes = _parse_labeled_blocks(boxes_text, "clique")
+    for key, field in (("base_modulus", ext.base), ("big_modulus", ext.big)):
+        if ext_kv[key].replace(" ", "") != ",".join(map(str, field.modulus)):
+            raise SchemeError(f"{key.replace('_', ' ')} mismatch")
+    layout = [_ints("ALLOCATION", line, 3) for line in sections["ALLOCATION"] if line.strip()]
+    if [(t - 1, s) for t, s, _ in layout] != P.cost_index():
+        raise SchemeError("allocation entries do not match the instance's (t, s) layout")
+    alloc = Allocation(tuple(n for _, _, n in layout))
     boxes = []
-    for lbl, blk in ser_boxes:
-        box = NSumBox.from_text(blk)
-        if box.field != ext.big:
-            # re-key the matrix onto the canonical field object
-            box = NSumBox(box.N, ext.big, Mat(ext.big, box.M.array))
+    for lbl, blk in _parse_labeled_blocks("\n".join(sections["BOXES"]), "clique"):
+        box = _located(f"BOXES clique {lbl}", NSumBox.from_text, blk)
         if not is_valid_box(box.M):
             raise SchemeError(f"serialized box for clique {lbl} is not a valid box")
-        boxes.append((int(lbl) - 1, box))
+        boxes.append((_ints("BOXES", "clique " + lbl, 1, skip=1)[0] - 1, box))
     ch = assemble_channel(P, alloc, ext, tuple(boxes))
     enc_blocks = _parse_labeled_blocks("\n".join(sections["ENCODERS"]), "stream")
     if tuple(lbl for lbl, _ in enc_blocks) != P.stream_names:
         raise SchemeError("ENCODERS stream labels mismatch")
-    precoders = tuple(Mat.from_text(blk, ext.big) for _, blk in enc_blocks)
-    D = Mat.from_text("\n".join(sections["DECODER"]), ext.big)
+    precoders = tuple(_located(f"ENCODERS stream {lbl}", Mat.from_text, blk, ext.big)
+                      for lbl, blk in enc_blocks)
+    D = _located("DECODER", Mat.from_text, "\n".join(sections["DECODER"]), ext.big)
     if D.cols != ch.n:
         raise SchemeError(f"DECODER has {D.cols} columns, expected sum of N_t = {ch.n}")
-    for name, cmap, pk in zip(P.stream_names, ch.colmap, precoders):
-        if (pk.rows, pk.cols) != (len(cmap), D.rows):
+    for name, m, pk in zip(P.stream_names, ch.mbar, precoders):
+        if (pk.rows, pk.cols) != (m.cols, D.rows):
             raise SchemeError(f"ENCODERS stream {name} is {pk.rows}x{pk.cols}, expected "
-                              f"{len(cmap)}x{D.rows} (its box columns x decoder rows)")
-    seed = int("\n".join(sections["SEED"]).strip())
+                              f"{m.cols}x{D.rows} (its box columns x decoder rows)")
+    (seed,) = _ints("SEED", " ".join(sections["SEED"]), 1)
     return CodingScheme(P, ext, alloc, ch, D.rows, precoders, D, seed)
+
+
+def _ints(section: str, line: str, count: int, skip: int = 0) -> list[int]:
+    """The integers after the first `skip` words of a line; a SchemeError naming the
+    section and the line unless there are exactly `count` of them."""
+    try:
+        vals = [int(v) for v in line.split()[skip:]]
+    except ValueError:
+        vals = []
+    if len(vals) != count:
+        raise SchemeError(f"{section} line {line.strip()!r}: expected "
+                          f"{count} integer{'s' if count > 1 else ''}")
+    return vals
+
+
+def _located(where: str, read, *args):
+    """read(*args), with `where` prefixed to any error it raises (same type)."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _parse_labeled_blocks(text: str, label: str) -> list[tuple[str, str]]:

@@ -238,18 +238,34 @@ def test_scheme_built_on_d_field_checks(tmp_path, capsys):
 @pytest.mark.parametrize("block, where", [
     ("stream a", "ENCODERS stream a is 3x4, expected 4x4"),
     ("DECODER", "DECODER has 4 columns, expected sum of N_t = 5"),
+    # a coefficient 9 in the first row of a matrix over F_2^7
+    ("clique 1", "BOXES clique 1: bad entry"),
+    ("stream b", "ENCODERS stream b: bad entry"),
+    ("DECODER", "DECODER: bad entry"),
+    # a whole line replaced by the quoted text
+    ("1 4 2", "ALLOCATION line '1 4': expected 3 integers"),
+    ("1 4 2", "ALLOCATION line '1 4 two': expected 3 integers"),
+    ("d 2 1", "EXTENSION line 'd 2 one': expected 2 integers"),
+    ("z 7", "EXTENSION line 'z 7 1': expected 1 integer"),
+    ("20240", "SEED line '2024O': expected 1 integer"),
 ])
 def test_scheme_shape_errors_are_located(tmp_path, capsys, cmd, block, where):
     out_file = str(tmp_path / "example.scheme")
     run(capsys, "scheme", "build", prob("example.prob"), "--out", out_file)
     lines = (tmp_path / "example.scheme").read_text().splitlines()
     at = lines.index(block) + 1  # the matrix header "rows cols field"
-    rows, cols, name = lines[at].split()
-    if block == "DECODER":  # one column short: drop each row's last entry
+    if "bad entry" in where:
+        at = next(i for i in range(at, len(lines)) if lines[i].startswith("["))
+        lines[at] = "[9" + lines[at][2:]
+    elif "line '" in where:
+        lines[at - 1] = where.split("'")[1]
+    elif block == "DECODER":  # one column short: drop each row's last entry
+        rows, cols, name = lines[at].split()
         lines[at] = f"{rows} {int(cols) - 1} {name}"
         for i in range(at + 1, at + 1 + int(rows)):
             lines[i] = lines[i].rsplit(" ", 1)[0]
     else:  # one row short
+        rows, cols, name = lines[at].split()
         lines[at] = f"{int(rows) - 1} {cols} {name}"
         del lines[at + 1]
     bad_file = tmp_path / "bad.scheme"

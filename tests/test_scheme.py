@@ -30,14 +30,15 @@ def mat_simulate(sch, cols):
     with each box input x_t scattered from the precoded streams P_k * data_k."""
     f = sch.ext.big
     ch = sch.channel
-    xs = {t: [0] * (2 * box.N) for t, box in ch.boxes}
+    x = [0] * (2 * ch.n)  # the box inputs, stacked clique after clique
     for k, c in enumerate(cols):
         v = ref.mul(f, sch.precoders[k].data, c.data, 1)
-        for i, (t, slot) in enumerate(ch.colmap[k]):
-            xs[t][slot] = f.add(xs[t][slot], v[i][0])
-    ys = []
-    for t, box in ch.boxes:
-        ys.extend(ref.mul(f, box.M.data, [[v] for v in xs[t]], 1))
+        for i, row in enumerate(ch.rows[k].tolist()):
+            x[row] = f.add(x[row], v[i][0])
+    ys, start = [], 0
+    for _, box in ch.boxes:
+        ys.extend(ref.mul(f, box.M.data, [[v] for v in x[start:start + 2 * box.N]], 1))
+        start += 2 * box.N
     return Mat(f, ref.mul(f, sch.decoder.data, ys, 1), cols=1)
 
 
@@ -46,13 +47,13 @@ def test_allocation_from_lp_reference():
     res = capacity_lp(P)
     a = allocation_from_lp(P, res.witness)
     # witness (1/4, 1/4, 1/4, 1/2) scaled by lcm 4 -> (1, 1, 1, 2)
-    assert tuple(n for _, _, n in a.entries) == (1, 1, 1, 2)
+    assert a.counts == (1, 1, 1, 2)
     assert rate_of_allocation(P, a) == res.capacity
 
 
 def test_allocation_validation():
     P = reference_problem()
-    bad = Allocation(((0, 1, 1),))  # wrong arity for this problem
+    bad = Allocation((1,))  # wrong arity for this problem
     with pytest.raises(SchemeError):
         rate_of_allocation(P, bad)
 

@@ -1,0 +1,56 @@
+"""Scheme files pinned byte for byte: the sha256 of render_scheme(build_scheme(...)).
+
+A scheme file fixes the LP witness, the allocation layout, the boxes, the
+decoder draws and the text form at once, so a change to any of them for a
+fixed seed shows here.  Each case is a `scheme build` command line (problem
+file and options, default seed) or `symmetric S alpha beta`.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from sumbox.cli import main
+from sumbox.model import symmetric_problem
+from sumbox.scheme import build_scheme, render_scheme
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
+
+PINS = {
+    'example-beta3.prob': '1155a5db2bc4f56c01dfaa2996eb91f4cf007ded33b20fde174643c8bf54c419',
+    'example-beta3.prob --d 2^2': '74e5cb7108f3ed65e4ec5c59bdd59fe3c759a227e4b5d7de825c8e35974f78e6',
+    'example-unent.prob': '5dee68baa5e2ec29d80ae4d3a7bc8c446053f19e4f896fe0d53fec18f8ad1f72',
+    'example-unent.prob --d 2^2': 'fb843aa2af6fd9b29ac96ddb8d731200db33ad92f6e5aad119445bfabd280032',
+    'example.prob': 'c076c5a8c3dddf11fa94a96dbe8152abe89021551c4c1a987dd2dd6cfd8a8522',
+    'example.prob --d 2^2': 'b8c9a17b6dac703c94c84d4b1d87ec15eb846e5d23f040b49117445cdb2bbae6',
+    'sym-4-2-2.prob': '7914e2db84f2b566ba7437082f01b5b5092e9a33783b5af17de68e8ba8f23782',
+    'sym-4-2-2.prob --d 2^2': 'f24c880a0476562987301aed1aaa07a3b364d8f80964d868a20aa28b2d1dd18a',
+    'example.prob --alloc 2,2,2,4': '3e322f3c8e6d6b4cac0d3af6b4b5179302a0d01f7e8ceb0861608e31f9f30c3a',
+    'sym-4-2-2.prob --z 17': '8d59c4404c8a679fd159de1d69da192bcc84c4502d2367886df98d09cac3fbc3',
+    'symmetric 3 2 2': 'd278d33a3cc3786ea53822819c83aa864489d58be69ee5de76051a5b32523773',
+    'symmetric 4 2 3': '08df4276c9235c4b85c1367bc05695e068eb60af0f8f45e1c06b5b695897ec82',
+}
+
+
+def scheme_text(case: str) -> str:
+    head, *options = case.split()
+    if head == "symmetric":
+        return render_scheme(build_scheme(symmetric_problem(*map(int, options))))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["scheme", "build", os.path.join(PROBLEMS, head), *options]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_scheme_bytes_pinned(case):
+    assert hashlib.sha256(scheme_text(case).encode()).hexdigest() == PINS[case]
+
+
+def test_every_problem_file_is_pinned():
+    for name in os.listdir(PROBLEMS):
+        if name.endswith(".prob"):
+            assert name in PINS and f"{name} --d 2^2" in PINS
