@@ -19,14 +19,12 @@ import numpy as np
 
 from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
                        capacity_symmetric, capacity_unent, dsc_gain)
-from .field import Field, FieldError, FieldOrderError, field_construct, parse_field_name
-from .matrix import MatrixError
+from .field import Field, FieldOrderError, field_construct, parse_field_name
 from .model import Problem, ProblemError, beta_cliques, parse_problem
-from .nsumbox import BoxError
 from .oracle import (DECODE_BATCH, GuardExceeded, check_identities,
                      check_lp_oracle, exhaustive_decode_check, tap_lines)
-from .scheme import (DEFAULT_SEED, Allocation, SchemeError, build_scheme,
-                     parse_scheme, render_scheme, simulate_batch)
+from .scheme import (DEFAULT_SEED, Allocation, build_scheme, parse_scheme,
+                     render_scheme, simulate_batch)
 from .vecops import field_ops
 
 EXIT_OK = 0
@@ -52,10 +50,17 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _int_option(option: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{option} expects an integer, got {token!r}") from None
+
+
 def _parse_d(token: str) -> Field:
     if "^" in token:
         p_str, r_str = token.split("^", 1)
-        return field_construct(int(p_str), int(r_str))
+        return field_construct(_int_option("--d", p_str), _int_option("--d", r_str))
     return parse_field_name("F" + token)
 
 
@@ -126,10 +131,10 @@ def cmd_tables(args) -> int:
 def cmd_scheme_build(args) -> int:
     P = parse_problem(_read(args.file))
     d_field = _parse_d(args.d) if args.d else None
-    z = None if args.z in (None, "auto") else int(args.z)
+    z = None if args.z in (None, "auto") else _int_option("--z", args.z)
     allocation = None
     if args.alloc:
-        counts = tuple(int(v) for v in args.alloc.split(","))
+        counts = tuple(_int_option("--alloc", v) for v in args.alloc.split(","))
         if len(counts) != P.gamma:
             raise ProblemError(
                 f"--alloc expects {P.gamma} entries (clique-major, server-ascending)")
@@ -298,8 +303,7 @@ def main(argv=None) -> int:
     except (GuardExceeded, LpSizeError, FieldOrderError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ProblemError, FieldError, MatrixError, BoxError, SchemeError,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,6 +10,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
 from math import isqrt
@@ -109,7 +110,7 @@ class Field:
 
     __slots__ = ("p", "r", "order", "modulus", "_arrays")
 
-    def __init__(self, p: int, r: int = 1, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, r: int = 1):
         if r < 1:
             raise FieldError(f"extension degree r = {r} must be >= 1")
         if p > MAX_ORDER or p ** min(r, MAX_ORDER.bit_length()) > MAX_ORDER:  # before is_prime(p)
@@ -120,13 +121,7 @@ class Field:
         self.p = p
         self.r = r
         self.order = order
-        if modulus is None:
-            modulus = _lex_smallest_irreducible(p, r)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != r + 1 or modulus[-1] != 1 or not _is_irreducible(modulus, p):
-                raise FieldError(f"invalid modulus {modulus} for F_{p}^{r}")
-        self.modulus = modulus
+        self.modulus = _lex_smallest_irreducible(p, r)
         self._arrays: tuple[np.ndarray, ...] | None = None
 
     # -- identity / comparison ------------------------------------------------
@@ -314,6 +309,7 @@ def parse_field_name(token: str) -> Field:
 # extensions
 
 
+@dataclass(frozen=True)
 class Extension:
     """A degree-z extension F_q of a base field F_d, q = d^z.
 
@@ -324,27 +320,14 @@ class Extension:
     the z F_d sums.
     """
 
-    __slots__ = ("base", "z", "big")
+    base: Field
+    z: int
+    big: Field = field(init=False, repr=False, compare=False)
 
-    def __init__(self, base: Field, z: int):
-        if z < 1:
-            raise FieldError(f"z = {z} must be >= 1")
-        self.base = base
-        self.z = z
-        self.big = field_construct(base.p, base.r * z)
-
-    def __repr__(self):
-        return f"Extension({self.base!r}, z={self.z})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Extension)
-            and self.base == other.base
-            and self.z == other.z
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.z))
+    def __post_init__(self):
+        if self.z < 1:
+            raise FieldError(f"z = {self.z} must be >= 1")
+        object.__setattr__(self, "big", field_construct(self.base.p, self.base.r * self.z))
 
 
 @lru_cache(maxsize=None)

@@ -11,14 +11,11 @@ practice, so the tableau lives in an int64 numpy array; if magnitudes ever
 approach overflow it is promoted to an exact big-integer (object dtype)
 array and the run continues unchanged.
 
-Input contract: c, b and the rows of A hold ints, Fractions, or anything
-`Fraction()` accepts (floats are taken at their exact binary value); A may
-also be an integer numpy array of shape (len(b), len(c)).  Each row [A_i | b_i]
-and the row c enter the tableau scaled by the lcm of their denominators: an
-integer ndarray or an all-int row is copied in unchanged, and only a row with
-a non-int entry goes through lcm clearing.  The tableau starts as int64 when
-every cleared entry is at most _INT64_SAFE in magnitude, and as an object
-(big-int) array otherwise.
+Input contract: c, A and b hold integers only: Python or numpy ints, in
+lists or integer numpy arrays, with big ints in object arrays; A has shape
+(len(b), len(c)).  Any other entry (a Fraction, a float, a string) raises
+LpError.  The tableau starts as int64 when every entry is at most
+_INT64_SAFE in magnitude, and as an object (big-int) array otherwise.
 
 Pivot rules: Dantzig (most negative reduced cost) by default, with
 deterministic index tie-breaks.  More than _DEGENERATE_RUN degenerate pivots
@@ -30,7 +27,6 @@ improvement never revisits a basis, so the hybrid terminates.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -52,37 +48,28 @@ class LpUnbounded(LpError):
     pass
 
 
-def _clear_row(vals) -> list:
-    """An all-int row unchanged, else the row scaled by the lcm of its denominators."""
-    if all(type(v) is int for v in vals):
-        return vals
-    fr = [Fraction(v) for v in vals]
-    mult = lcm(*(f.denominator for f in fr))
-    return [f.numerator * (mult // f.denominator) for f in fr]
+def _integer_array(v, shape) -> np.ndarray:
+    """v as an integer array of the given shape: numpy ints as they are, anything
+    else as Python ints in an object array.  LpError on a non-integer entry."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "bi":
+        vals = a.ravel().tolist()
+        bad = next((x for x in vals if not isinstance(x, (int, np.integer))), None)
+        if bad is not None:
+            raise LpError(f"LP entries must be integers, got {bad!r}")
+        a = np.array([int(x) for x in vals], dtype=object)
+    return a.reshape(shape)
 
 
-def _integer_rows(A, b, n: int) -> np.ndarray:
-    """[A | b] as an (m, n+1) integer array, each row cleared of denominators."""
-    m = len(b)
-    A = np.asarray(A).reshape(m, n)
-    b = np.asarray(b).reshape(m, 1)
-    if A.dtype.kind in "bi" and b.dtype.kind in "bi":
-        return np.hstack([A, b])
-    rows = np.hstack([A.astype(object), b.astype(object)]).tolist()
-    return np.array([_clear_row(r) for r in rows], dtype=object).reshape(m, n + 1)
-
-
-def solve_min(c: Sequence, A: Sequence[Sequence] | np.ndarray, b: Sequence, *,
-              max_pivots: int = _MAX_PIVOTS):
+def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequence[int]):
     """Exact simplex.  Returns (optimal value, x) as Fractions.
 
     Raises LpInfeasible / LpUnbounded accordingly.
     """
     n = len(c)
     m = len(b)
-    cf = [Fraction(v) for v in c]
-    Ab = _integer_rows(A, b, n)
-    c_int = _clear_row(list(c))
+    c_int = _integer_array(c, n).tolist()
+    Ab = np.hstack([_integer_array(A, (m, n)), _integer_array(b, (m, 1))])
     big = (max(map(abs, c_int), default=0) > _INT64_SAFE
            or Ab.min(initial=0) < -_INT64_SAFE or Ab.max(initial=0) > _INT64_SAFE)
 
@@ -181,7 +168,7 @@ def solve_min(c: Sequence, A: Sequence[Sequence] | np.ndarray, b: Sequence, *,
         nonlocal bland, degen_run
         bland_ref = None
         while True:
-            if pivots > max_pivots:
+            if pivots > _MAX_PIVOTS:
                 raise LpError("pivot limit exceeded")
             if bland and Fraction(int(T[obj_row, rhs_col]), den) != bland_ref:
                 bland = False
@@ -236,5 +223,5 @@ def solve_min(c: Sequence, A: Sequence[Sequence] | np.ndarray, b: Sequence, *,
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(int(T[i, rhs_col]), den)
-    value = sum((cj * xj for cj, xj in zip(cf, x)), Fraction(0))
+    value = sum((cj * xj for cj, xj in zip(c_int, x)), Fraction(0))
     return value, x

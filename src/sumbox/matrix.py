@@ -201,11 +201,9 @@ class Mat:
         if not lines:
             raise MatrixError("empty matrix text")
         head = lines[0].split()
-        if len(head) != 3:
+        if len(head) != 3 or not (head[0].isdecimal() and head[1].isdecimal()):
             raise MatrixError(f"bad matrix header {lines[0]!r}")
         rows, cols = int(head[0]), int(head[1])
-        if rows < 0 or cols < 0:
-            raise MatrixError(f"bad matrix header {lines[0]!r}")
         f = field if field is not None else parse_field_name(head[2])
         if f.name != head[2]:
             raise MatrixError(f"field mismatch: header {head[2]}, expected {f.name}")

@@ -102,10 +102,12 @@ class NSumBox:
         lines = text.splitlines()
         if not lines or not lines[0].startswith("box "):
             raise BoxError("missing box header")
-        _, n_str, q_str = lines[0].split()
+        head = lines[0].split()
+        if len(head) != 3 or not (head[1].isdecimal() and head[2].isdecimal()):
+            raise BoxError(f"bad box header {lines[0]!r}")
         M = Mat.from_text("\n".join(lines[1:]))
-        box = cls(int(n_str), M.field, M)
-        if M.field.order != int(q_str):
+        box = cls(int(head[1]), M.field, M)
+        if M.field.order != int(head[2]):
             raise BoxError("field order mismatch in box header")
         return box
 
@@ -121,27 +123,20 @@ def is_valid_box(M: Mat) -> bool:
     return (M * J * M.transpose()).is_zero()
 
 
-def is_half_mds(M: Mat, *, sample_rng=None) -> tuple[bool, tuple[int, ...] | None]:
+def is_half_mds(M: Mat) -> tuple[bool, tuple[int, ...] | None]:
     """Check every paired-column subset spans min(2n, N) dimensions.
 
-    Exhaustive over all 2^N - 1 subsets for N <= HALF_MDS_EXHAUSTIVE_MAX;
-    larger boxes are refused unless a sampling RNG is supplied, in which case
-    2^HALF_MDS_EXHAUSTIVE_MAX random subsets are tried.  Returns (ok,
-    witness): witness is the first failing subset (1-based row indices) in
-    colexicographic order, or None.
+    Exhaustive over all 2^N - 1 subsets; boxes with N above
+    HALF_MDS_EXHAUSTIVE_MAX are refused.  Returns (ok, witness): witness is
+    the first failing subset (1-based row indices) in colexicographic order,
+    or None.
     """
     if M.cols != 2 * M.rows:
         raise BoxError(f"expected N x 2N matrix, got {M.rows} x {M.cols}")
     N = M.rows
-    if N > HALF_MDS_EXHAUSTIVE_MAX and sample_rng is None:
-        raise BoxError(
-            f"N = {N} exceeds the exhaustive bound {HALF_MDS_EXHAUSTIVE_MAX}; "
-            "pass sample_rng for sampling mode")
-    if N <= HALF_MDS_EXHAUSTIVE_MAX:
-        masks = range(1, 1 << N)  # ascending bitmask = colex subset order
-    else:
-        masks = (sample_rng.randrange(1, 1 << N) for _ in range(1 << HALF_MDS_EXHAUSTIVE_MAX))
-    for mask in masks:
+    if N > HALF_MDS_EXHAUSTIVE_MAX:
+        raise BoxError(f"N = {N} exceeds the exhaustive bound {HALF_MDS_EXHAUSTIVE_MAX}")
+    for mask in range(1, 1 << N):  # ascending bitmask = colex subset order
         idx = [i + 1 for i in range(N) if mask >> i & 1]
         cols = idx + [N + i for i in idx]
         n = len(idx)

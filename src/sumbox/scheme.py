@@ -146,12 +146,15 @@ def assemble_channel(P: Problem, a: Allocation, ext: Extension,
     return BigChannel(P, ext, boxes, tuple(mbars), tuple(rows))
 
 
-def find_encoders(ch: BigChannel, R: int, seed: int, max_retries: int = 64):
+_DECODER_DRAWS = 64
+
+
+def find_encoders(ch: BigChannel, R: int, seed: int):
     """Sample a decoder D until every D . Mbar_k has full row rank R, then invert.
 
     Returns (precoders, D) with D . Mbar_k . precoders[k] = I_R for every k.
     Raises RetriesExhausted when the coding field is too small to hit a good
-    D within max_retries draws (raise z and rebuild).
+    D within _DECODER_DRAWS draws (raise z and rebuild).
     """
     f = ch.ext.big
     n = ch.n
@@ -163,14 +166,14 @@ def find_encoders(ch: BigChannel, R: int, seed: int, max_retries: int = 64):
     if R == 0:
         D = Mat.zeros(f, 0, n)
         return tuple(Mat.zeros(f, m.cols, 0) for m in ch.mbar), D
-    for _ in range(max_retries):
+    for _ in range(_DECODER_DRAWS):
         D = Mat.random(f, R, n, rng)
         try:  # every D . Mbar_k has full row rank R exactly when it has a right inverse
             return tuple((D * m).right_inverse() for m in ch.mbar), D
         except MatrixError:
             continue
     raise RetriesExhausted(
-        f"no full-rank decoder in {max_retries} draws over F_{f.order}")
+        f"no full-rank decoder in {_DECODER_DRAWS} draws over F_{f.order}")
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,15 @@ def test_scheme_build_d_flag(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--z", "x"), ("--alloc", "1,x"), ("--d", "x^2"), ("--d", "2^x"),
+])
+def test_scheme_build_names_a_non_integer_option(capsys, option, value):
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), option, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} expects an integer, got 'x'\n"
+
+
 def test_scheme_built_on_d_field_checks(tmp_path, capsys):
     out_file = str(tmp_path / "d4.scheme")
     code, _, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^2",
@@ -243,6 +252,8 @@ def test_scheme_built_on_d_field_checks(tmp_path, capsys):
     ("stream b", "ENCODERS stream b: bad entry"),
     ("DECODER", "DECODER: bad entry"),
     # a whole line replaced by the quoted text
+    ("box 5 128", "BOXES clique 1: bad box header 'box 5'"),
+    ("5 10 F128", "BOXES clique 1: bad matrix header '5 ten F128'"),
     ("1 4 2", "ALLOCATION line '1 4': expected 3 integers"),
     ("1 4 2", "ALLOCATION line '1 4 two': expected 3 integers"),
     ("d 2 1", "EXTENSION line 'd 2 one': expected 2 integers"),
@@ -257,7 +268,7 @@ def test_scheme_shape_errors_are_located(tmp_path, capsys, cmd, block, where):
     if "bad entry" in where:
         at = next(i for i in range(at, len(lines)) if lines[i].startswith("["))
         lines[at] = "[9" + lines[at][2:]
-    elif "line '" in where:
+    elif "'" in where:
         lines[at - 1] = where.split("'")[1]
     elif block == "DECODER":  # one column short: drop each row's last entry
         rows, cols, name = lines[at].split()

@@ -140,10 +140,8 @@ def test_box_serialization_roundtrip():
 
 def test_half_mds_size_guard():
     m = hstack(Mat.identity(F2, 13), Mat.identity(F2, 13))
-    with pytest.raises(BoxError):
+    with pytest.raises(BoxError, match="exceeds the exhaustive bound 12"):
         is_half_mds(m)
-    ok, _ = is_half_mds(m, sample_rng=random.Random(0))
-    assert not ok
 
 
 @pytest.mark.parametrize("p, r", [(2, 11), (3, 4), (2, 17)])
