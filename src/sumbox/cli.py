@@ -13,14 +13,13 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
                        capacity_symmetric, capacity_unent, dsc_gain)
-from .field import Field, FieldOrderError, field_construct, parse_field_name
-from .model import Problem, ProblemError, beta_cliques, parse_problem
+from .field import Field, FieldError, FieldOrderError, field_construct, parse_field_name
+from .model import Problem, ProblemError, beta_cliques, colex_subsets, parse_problem
 from .oracle import (DECODE_BATCH, GuardExceeded, check_identities,
                      check_lp_oracle, exhaustive_decode_check, tap_lines)
 from .scheme import (DEFAULT_SEED, Allocation, build_scheme, parse_scheme,
@@ -58,10 +57,16 @@ def _int_option(option: str, token: str) -> int:
 
 
 def _parse_d(token: str) -> Field:
-    if "^" in token:
-        p_str, r_str = token.split("^", 1)
-        return field_construct(_int_option("--d", p_str), _int_option("--d", r_str))
-    return parse_field_name("F" + token)
+    """The data field named by --d: p^r, or its order."""
+    try:
+        if "^" in token:
+            p_str, r_str = token.split("^", 1)
+            return field_construct(_int_option("--d", p_str), _int_option("--d", r_str))
+        return parse_field_name("F" + token)
+    except FieldOrderError:
+        raise
+    except FieldError:
+        raise FieldError(f"--d expects a prime power, p^r or its value, got {token!r}") from None
 
 
 def _detect_symmetric(P: Problem) -> tuple[int, int, int]:
@@ -71,7 +76,7 @@ def _detect_symmetric(P: Problem) -> tuple[int, int, int]:
     if len(sizes) != 1:
         raise ProblemError("streams are not uniformly replicated")
     alpha = sizes.pop()
-    if set(P.W) != {frozenset(c) for c in combinations(range(1, S + 1), alpha)}:
+    if set(P.W) != set(colex_subsets(S, alpha)):
         raise ProblemError("streams do not cover all alpha-subsets of servers")
     bsizes = {len(e) for e in P.E}
     if len(bsizes) != 1:
@@ -113,18 +118,13 @@ def cmd_tables(args) -> int:
 
     records = args.format == "records"
     bad = 0
-    for label, got, golden in check_table1():
-        _emit(records, f"table1 {label}", got)
-        if got != golden:
-            bad += 1
-            print(f"MISMATCH {label}: computed {got}, golden {golden}",
-                  file=sys.stderr)
-    for label, got, golden in check_table2(args.lp_check_max_s):
-        _emit(records, f"table2 {label}", got)
-        if got != golden:
-            bad += 1
-            print(f"MISMATCH {label}: computed {got}, golden {golden}",
-                  file=sys.stderr)
+    checks = {"table1": check_table1, "table2": lambda: check_table2(args.lp_check_max_s)}
+    for table, check in checks.items():  # table 1 prints before table 2 is computed
+        for label, got, golden in check():
+            _emit(records, f"{table} {label}", got)
+            if got != golden:
+                bad += 1
+                print(f"MISMATCH {label}: computed {got}, golden {golden}", file=sys.stderr)
     return EXIT_MISMATCH if bad else EXIT_OK
 
 

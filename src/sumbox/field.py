@@ -1,22 +1,20 @@
-"""Exact arithmetic in prime-power finite fields F_{p^r} and their extensions.
+"""Prime-power finite fields F_{p^r} and their extensions.
 
-Elements are plain ints in [0, p^r): the integer sum(c_i * p^i) encodes the
-polynomial c_0 + c_1*x + ... + c_{r-1}*x^{r-1} over F_p, reduced modulo a
-fixed monic irreducible polynomial.  The modulus is always the
-lexicographically smallest monic irreducible of the right degree
-(coefficients compared low-to-high), so every downstream matrix is
-bit-reproducible.
+A Field describes its field; the arithmetic on elements, and the log/exp
+tables it runs on, live in `vecops`.  Elements are plain ints in [0, p^r):
+the integer sum(c_i * p^i) encodes the polynomial c_0 + c_1*x + ... +
+c_{r-1}*x^{r-1} over F_p, reduced modulo a fixed monic irreducible
+polynomial.  The modulus is always the lexicographically smallest monic
+irreducible of the right degree (coefficients compared low-to-high), so
+every downstream matrix is bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from math import isqrt
 from typing import Iterable, Sequence
-
-import numpy as np
 
 MAX_ORDER = 1 << 20
 
@@ -108,7 +106,7 @@ class Field:
     additive and multiplicative identities and (for r > 1) `p` encodes x.
     """
 
-    __slots__ = ("p", "r", "order", "modulus", "_arrays")
+    __slots__ = ("p", "r", "order", "modulus", "_ops")
 
     def __init__(self, p: int, r: int = 1):
         if r < 1:
@@ -122,7 +120,7 @@ class Field:
         self.r = r
         self.order = order
         self.modulus = _lex_smallest_irreducible(p, r)
-        self._arrays: tuple[np.ndarray, ...] | None = None
+        self._ops = None  # this field's vecops.VecOps, built on first use
 
     # -- identity / comparison ------------------------------------------------
     def __eq__(self, other):
@@ -160,9 +158,6 @@ class Field:
             raise FieldError(f"too many coefficients for {self.name}")
         return sum(int(c) % self.p * self.p ** i for i, c in enumerate(cs))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def elements_lex(self, n: int) -> list[int]:
         """The first n elements ordered by coefficient tuple, lexicographically
         low-to-high: the i-th is i with its r base-p digits reversed."""
@@ -175,92 +170,18 @@ class Field:
             out.append(a)
         return out
 
-    # -- arithmetic -------------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self.element(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
-
-    def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
-        return a if self.p == 2 else self.element(-c for c in self.coeffs(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
+    # -- table bootstrap: products and powers without tables --------------------
     def _mul_direct(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a * b) % self.p
-        pa = self.coeffs(a)
-        pb = self.coeffs(b)
-        prod = _poly_mul(pa, pb, self.p)
-        red = _poly_mod(prod, self.modulus, self.p)
-        return self.element(red)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """numpy (exp, log, digits) tables of this field, built once and kept here.
-
-        log[a] is the discrete log of a != 0 to the smallest primitive element
-        and log[0] = 2(q-1); exp holds two periods of the powers and zeros up
-        to index 4(q-1), so exp[log a + log b] = a*b for every a and b, 0
-        included.  digits[a] lists a's base-p digits (odd p only)."""
-        if self._arrays is not None:
-            return self._arrays
-        p, r, q = self.p, self.r, self.order
-        n = q - 1
-        a = np.arange(q, dtype=np.int64)
-        digits = None if p == 2 else (a[:, None] // p ** np.arange(r) % p).astype(
-            np.min_scalar_type(p - 1))
-        # the smallest g of order n; a -> g*a is F_p-linear, so its map over
-        # all of F_q takes r numpy steps (the image of digit i is g * x^i)
-        divisors = [d for f in range(1, isqrt(n) + 1) if n % f == 0 for d in (f, n // f)]
-        g = next(g for g in range(1 if n == 1 else 2, q)
-                 if all(self.pow(g, n // f) != 1 for f in divisors if is_prime(f)))
-        gx = [self._mul_direct(g, p ** i) for i in range(r)]
-        if p == 2:
-            step = reduce(np.bitwise_xor, (((a >> i) & 1) * v for i, v in enumerate(gx)))
-        else:
-            gx = np.array([self.coeffs(v) for v in gx], dtype=np.int32)
-            step = ((digits @ gx) % p) @ (p ** np.arange(r, dtype=np.int64))
-        # the powers of g, doubling: with step = the map a -> g^k a, the next
-        # k powers are step[powers of the first k], and step squares to g^2k
-        powers = np.ones(1, dtype=np.int64)
-        while len(powers) < n:
-            powers = np.concatenate([powers, step[powers]])
-            step = step[step]
-        powers = powers[:n]
-        exp = np.zeros(4 * n + 1, dtype=np.uint16 if q <= 1 << 16 else np.uint32)
-        exp[:n] = exp[n:2 * n] = powers
-        log = np.full(q, 2 * n, dtype=np.intp)
-        log[powers] = np.arange(n)
-        self._arrays = (exp, log, digits)
-        return self._arrays
-
-    def mul(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a * b) % self.p
-        exp, log, _ = self.arrays()
-        return int(exp[log[a] + log[b]])
-
-    def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
-            raise FieldError("division by zero")
-        if self.r == 1:
-            return pow(a, self.p - 2, self.p)
-        exp, log, _ = self.arrays()
-        n = self.order - 1
-        return int(exp[(n - log[a]) % n])
+        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
+        return self.element(_poly_mod(prod, self.modulus, self.p))
 
     def pow(self, a: int, e: int) -> int:
-        """a^e by squaring; it uses no tables, so building them can call it."""
+        """a^e, e >= 0, by squaring; it uses no tables, so building them can call it."""
         self.check(a)
         if e < 0:
-            a = self.inv(a)
-            e = -e
+            raise FieldError(f"negative exponent {e}")
         out = 1
         base = a
         while e:

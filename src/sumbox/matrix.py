@@ -9,6 +9,7 @@ of `vecops`.  Column indices at public boundaries are 1-based
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,14 +120,14 @@ class Mat:
 
     # -- elimination core ------------------------------------------------------
     def _rref(self):
-        """Reduced row echelon form: (array, pivot columns, det if square and full rank).
+        """Reduced row echelon form: (array, pivot columns, pivot values, row swaps).
 
         Pivot choice: first nonzero entry scanning rows top-down within each
         column, columns left to right; the form itself is unique.
         """
-        f, ops = self.field, field_ops(self.field)
+        ops = field_ops(self.field)
         a = self.array.copy()
-        pivots, det = [], 1
+        pivots, values, swaps = [], [], 0
         for col in range(a.shape[1]):
             prow = len(pivots)
             if prow == a.shape[0]:
@@ -135,27 +136,31 @@ class Mat:
             if not below.size:
                 continue
             piv = prow + int(below[0])
-            pv = int(a[piv, col])
-            row = ops.mul_scalar(f.inv(pv), a[piv])
+            pv = a[piv, col]
+            row = ops.mul_scalar(ops.inv(pv), a[piv])
             # clear the column in every row, the pivot row too, then put the
             # scaled pivot row at prow and the old row prow (zero there) at piv
             a[...] = ops.sub(a, ops.mul_scalar(a[:, col, None], row))
             if piv != prow:
                 a[piv] = a[prow]
-                det = f.neg(det)
+                swaps += 1
             a[prow] = row
-            det = f.mul(det, pv)
+            values.append(pv)
             pivots.append(col)
-        return a, pivots, det
+        return a, pivots, values, swaps
 
     def rank(self) -> int:
         return len(self._rref()[1])
 
     def det(self) -> int:
+        """The product of the pivots, negated per row swap (-1 is p - 1)."""
         if self.rows != self.cols:
             raise MatrixError("det of non-square matrix")
-        _, pivots, det = self._rref()
-        return det if len(pivots) == self.rows else 0
+        _, pivots, values, swaps = self._rref()
+        if len(pivots) < self.rows:
+            return 0
+        sign = self.field.p - 1 if swaps % 2 else 1
+        return int(reduce(field_ops(self.field).mul_scalar, values, sign))
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -165,7 +170,7 @@ class Mat:
     def left_inverse(self) -> "Mat":
         """U with U * self = I_cols; requires full column rank."""
         n = self.cols
-        a, pivots, _ = hstack(self, Mat.identity(self.field, self.rows))._rref()
+        a, pivots, _, _ = hstack(self, Mat.identity(self.field, self.rows))._rref()
         if sum(p < n for p in pivots) < n:
             raise MatrixError("rank deficient: no left inverse")
         return Mat._of(self.field, a[:n, n:])

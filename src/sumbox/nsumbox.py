@@ -63,21 +63,21 @@ def grs_dual_multipliers(field: Field, alpha, u) -> tuple[int, ...]:
     """
     n = len(alpha)
     GrsSpec(field.order, n, 0, tuple(alpha), tuple(u))  # validates inputs
-    v = []
-    for i in range(n):
-        prod = u[i]
-        for j in range(n):
-            if j != i:
-                prod = field.mul(prod, field.sub(alpha[i], alpha[j]))
-        v.append(field.inv(prod))
-    return tuple(v)
+    ops = field_ops(field)
+    a = np.array(alpha, dtype=np.int64)
+    diff = ops.sub(a[:, None], a[None, :])  # alpha_i - alpha_j
+    np.fill_diagonal(diff, 1)
+    prod = np.array(u, dtype=np.int64)
+    for j in range(n):
+        prod = ops.mul_scalar(prod, diff[:, j])
+    return tuple(ops.inv(prod).tolist())
 
 
 def symplectic_form(field: Field, N: int) -> Mat:
     """J = [[0, -I_N], [I_N, 0]], shape 2N x 2N."""
     J = np.zeros((2 * N, 2 * N), dtype=np.int64)
     i = np.arange(N)
-    J[i, N + i] = field.neg(1)
+    J[i, N + i] = field.p - 1  # -1
     J[N + i, i] = 1
     return Mat(field, J)
 

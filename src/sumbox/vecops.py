@@ -1,24 +1,62 @@
 """Vectorized finite-field arithmetic on numpy int arrays.
 
-The one F_q array core: `Mat` multiplies, eliminates and serialises on these
-kernels, and simulation runs its batches on them.  Elements keep the int
-encoding of `field`.  Over F_{p^r}, r > 1, a product is one lookup
-exp[log a + log b] in the zero-padded tables of `Field.arrays`, and addition
-is XOR in characteristic 2 and digit-wise otherwise; a prime field
-multiplies and adds mod p.
+The one F_q arithmetic: `Mat` multiplies, eliminates and serialises on these
+kernels, boxes are built on them, and simulation runs its batches on them.
+Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
+is one lookup exp[log a + log b] in the zero-padded tables of `_tables`, and
+addition is XOR in characteristic 2 and digit-wise otherwise; a prime field
+multiplies and adds mod p.  An inverse is a lookup in a table of q entries.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import reduce
+from math import isqrt
 
 import numpy as np
 
-from .field import Field, FieldError
+from .field import Field, FieldError, is_prime
 
 # Most elements in one block of products (matrix columns x rows x batch columns)
 # that matmul forms at a time; a larger batch is taken in slices of the batch axis.
 CHUNK_ELEMS = 1 << 16
+
+
+def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """numpy (exp, log, digits) tables of field.
+
+    log[a] is the discrete log of a != 0 to the smallest primitive element
+    and log[0] = 2(q-1); exp holds two periods of the powers and zeros up
+    to index 4(q-1), so exp[log a + log b] = a*b for every a and b, 0
+    included.  digits[a] lists a's base-p digits (odd p only)."""
+    p, r, q = field.p, field.r, field.order
+    n = q - 1
+    a = np.arange(q, dtype=np.int64)
+    digits = None if p == 2 else (a[:, None] // p ** np.arange(r) % p).astype(
+        np.min_scalar_type(p - 1))
+    # the smallest g of order n; a -> g*a is F_p-linear, so its map over
+    # all of F_q takes r numpy steps (the image of digit i is g * x^i)
+    divisors = [d for f in range(1, isqrt(n) + 1) if n % f == 0 for d in (f, n // f)]
+    g = next(g for g in range(1 if n == 1 else 2, q)
+             if all(field.pow(g, n // f) != 1 for f in divisors if is_prime(f)))
+    gx = [field._mul_direct(g, p ** i) for i in range(r)]
+    if p == 2:
+        step = reduce(np.bitwise_xor, (((a >> i) & 1) * v for i, v in enumerate(gx)))
+    else:
+        gx = np.array([field.coeffs(v) for v in gx], dtype=np.int32)
+        step = ((digits @ gx) % p) @ (p ** np.arange(r, dtype=np.int64))
+    # the powers of g, doubling: with step = the map a -> g^k a, the next
+    # k powers are step[powers of the first k], and step squares to g^2k
+    powers = np.ones(1, dtype=np.int64)
+    while len(powers) < n:
+        powers = np.concatenate([powers, step[powers]])
+        step = step[step]
+    powers = powers[:n]
+    exp = np.zeros(4 * n + 1, dtype=np.uint16 if q <= 1 << 16 else np.uint32)
+    exp[:n] = exp[n:2 * n] = powers
+    log = np.full(q, 2 * n, dtype=np.intp)
+    log[powers] = np.arange(n)
+    return exp, log, digits
 
 
 class VecOps:
@@ -27,12 +65,26 @@ class VecOps:
         self.p = field.p
         self.r = field.r
         if self.r > 1:
-            self._exp, self._log, self._digits = field.arrays()
+            self._exp, self._log, self._digits = _tables(field)
             self._powers = self.p ** np.arange(self.r, dtype=np.int64)
             self.dtype = self._exp.dtype  # of what matmul returns
+            n = field.order - 1
+            self._inv = self._exp[(n - self._log) % n]  # g^(n - log a) = 1/a
         else:
             # a product of two elements fits; odd p stays signed so sub can go negative
             self.dtype = np.dtype(np.uint8) if self.p == 2 else np.dtype(np.int64)
+            # a^(p-2) = 1/a, by squaring over all of F_p at once
+            base, e = np.arange(self.p, dtype=np.int64), self.p - 2
+            self._inv = np.ones(self.p, dtype=np.int64)
+            while e:
+                if e & 1:
+                    self._inv = self._inv * base % self.p
+                base, e = base * base % self.p, e >> 1
+        self._inv[0] = 0
+
+    def inv(self, a):
+        """1/a for a nonzero element or array of them; 0 maps to 0."""
+        return self._inv[a]
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
@@ -88,7 +140,8 @@ class VecOps:
         return out
 
 
-@lru_cache(maxsize=None)
 def field_ops(field: Field) -> VecOps:
-    """The kernels of `field`, built once per field."""
-    return VecOps(field)
+    """The kernels of `field`, built once per Field object and kept on it."""
+    if field._ops is None:
+        field._ops = VecOps(field)
+    return field._ops

@@ -1,13 +1,31 @@
 """Per-element reference for sumbox.matrix, used by the tests only.
 
-A matrix here is a list of rows of ints.  Products go through the
-polynomial multiply `Field._mul_direct` and inverses through `Field.pow`, so
-nothing shares the log/exp tables or the numpy kernels under test.  The
-elimination is the one `Mat` had before it moved onto arrays: pivot on the
-first nonzero entry top-down, columns left to right.
+A matrix here is a list of rows of ints.  Sums go digit-wise through
+`Field.coeffs` and `Field.element`, products through the polynomial multiply
+`Field._mul_direct` and inverses through `Field.pow`, so nothing shares the
+log/exp tables or the numpy kernels under test.  The elimination is the one
+`Mat` had before it moved onto arrays: pivot on the first nonzero entry
+top-down, columns left to right.
 """
 
 from sumbox.matrix import MatrixError
+
+
+def add(f, a, b):
+    return f.element(x + y for x, y in zip(f.coeffs(a), f.coeffs(b)))
+
+
+def neg(f, a):
+    return f.element(-c for c in f.coeffs(a))
+
+
+def sub(f, a, b):
+    return add(f, a, neg(f, b))
+
+
+def inv(f, a):
+    """1/a for a != 0: a^(q-2)."""
+    return f.pow(a, f.order - 2)
 
 
 def mul(f, a, b, cols):
@@ -18,7 +36,7 @@ def mul(f, a, b, cols):
         for j in range(cols):
             acc = 0
             for x, brow in zip(row, b):
-                acc = f.add(acc, f._mul_direct(x, brow[j]))
+                acc = add(f, acc, f._mul_direct(x, brow[j]))
             out[-1].append(acc)
     return out
 
@@ -38,15 +56,15 @@ def echelon(f, grid, reduced=False):
             continue
         if piv != prow:
             a[prow], a[piv] = a[piv], a[prow]
-            det = f.neg(det)
+            det = neg(f, det)
         pv = a[prow][col]
         det = f._mul_direct(det, pv)
-        inv = f.pow(pv, f.order - 2)
-        a[prow] = [f._mul_direct(inv, v) for v in a[prow]]
+        pinv = inv(f, pv)
+        a[prow] = [f._mul_direct(pinv, v) for v in a[prow]]
         for i in range(m) if reduced else range(prow + 1, m):
             if i != prow and a[i][col]:
                 c = a[i][col]
-                a[i] = [f.sub(vi, f._mul_direct(c, vp)) for vi, vp in zip(a[i], a[prow])]
+                a[i] = [sub(f, vi, f._mul_direct(c, vp)) for vi, vp in zip(a[i], a[prow])]
         pivots.append(col)
         prow += 1
         if prow == m:

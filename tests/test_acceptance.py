@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+import mat_reference as ref
 import numpy as np
 import pytest
 
@@ -183,13 +184,13 @@ def test_oracle_mutation_sensitivity():
         if kind == 0:
             rows = [list(r) for r in sch.decoder.data]
             i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
-            rows[i][j] = f.add(rows[i][j], 1)
+            rows[i][j] = ref.add(f, rows[i][j], 1)
             bad = dataclasses.replace(sch, decoder=Mat(f, rows))
         else:
             k = rng.randrange(len(sch.precoders))
             rows = [list(r) for r in sch.precoders[k].data]
             i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
-            rows[i][j] = f.add(rows[i][j], 1)
+            rows[i][j] = ref.add(f, rows[i][j], 1)
             pre = list(sch.precoders)
             pre[k] = Mat(f, rows)
             bad = dataclasses.replace(sch, precoders=tuple(pre))

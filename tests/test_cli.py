@@ -232,6 +232,20 @@ def test_scheme_build_names_a_non_integer_option(capsys, option, value):
     assert err == f"error: {option} expects an integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("value", ["x", "6", "1", "6^1", "2^0"])
+def test_scheme_build_names_a_bad_d_field(capsys, value):
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --d expects a prime power, p^r or its value, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["2^21", "2097152"])
+def test_d_field_above_the_bound_is_a_guard(capsys, value):
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", value)
+    assert (code, out) == (3, "")
+    assert err.startswith("guard: field order ")
+
+
 def test_scheme_built_on_d_field_checks(tmp_path, capsys):
     out_file = str(tmp_path / "d4.scheme")
     code, _, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^2",

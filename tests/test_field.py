@@ -1,7 +1,10 @@
+import mat_reference as ref
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumbox.field import FieldError, field_construct, parse_field_name, is_prime
+from sumbox.vecops import field_ops
 
 
 def test_is_prime():
@@ -12,12 +15,13 @@ def test_is_prime():
 
 def test_prime_field_basics():
     f = field_construct(5)
+    ops = field_ops(f)
     assert f.order == 5
-    assert f.add(3, 4) == 2
-    assert f.mul(3, 4) == 2
-    assert f.neg(2) == 3
-    assert f.inv(3) == 2
-    assert f.sub(1, 4) == 2
+    assert ops.add(np.array([3]), np.array([4])).tolist() == [2]
+    assert ops.mul_scalar(3, np.array([4])).tolist() == [2]
+    assert ops.sub(np.array([0]), np.array([2])).tolist() == [3]
+    assert ops.inv(3) == 2
+    assert ops.sub(np.array([1]), np.array([4])).tolist() == [2]
 
 
 def test_canonical_modulus_f4():
@@ -44,7 +48,7 @@ def test_parse_field_name():
 
 def test_element_coeffs_roundtrip():
     f = field_construct(3, 2)
-    for a in f.elements():
+    for a in range(f.order):
         assert f.element(f.coeffs(a)) == a
 
 
@@ -54,23 +58,34 @@ def test_element_coeffs_roundtrip():
 def test_field_axioms(pr, x, y, z):
     f = field_construct(*pr)
     a, b, c = x % f.order, y % f.order, z % f.order
-    assert f.add(a, b) == f.add(b, a)
-    assert f.mul(a, b) == f.mul(b, a)
-    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    assert f.add(a, f.neg(a)) == 0
+    add, mul = (lambda u, v: ref.add(f, u, v)), f._mul_direct
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, ref.neg(f, a)) == 0
     if a:
-        assert f.mul(a, f.inv(a)) == 1
+        assert mul(a, ref.inv(f, a)) == 1
+    # the kernels agree with the reference
+    ops, A, B = field_ops(f), np.array([a]), np.array([b])
+    assert ops.add(A, B).tolist() == [add(a, b)]
+    assert ops.sub(A, B).tolist() == [ref.sub(f, a, b)]
+    assert ops.mul_scalar(A, B).tolist() == [mul(a, b)]
+    if a:
+        assert ops.inv(a) == ref.inv(f, a)
 
 
 def test_pow_matches_repeated_mul():
     f = field_construct(2, 4)
+    ops = field_ops(f)
     for a in range(1, f.order):
         acc = 1
         for e in range(5):
             assert f.pow(a, e) == acc
-            acc = f.mul(acc, a)
+            acc = int(ops.mul_scalar(acc, a))
+    with pytest.raises(FieldError, match="negative exponent"):
+        f.pow(3, -1)
 
 
 def test_order_guard():
@@ -80,7 +95,7 @@ def test_order_guard():
 
 def test_check_bounds():
     f = field_construct(2, 3)
-    for a in f.elements():
+    for a in range(f.order):
         assert f.check(a) == a
     with pytest.raises(FieldError):
         f.check(8)

@@ -48,7 +48,7 @@ def test_det_multiplicative():
     for _ in range(15):
         a = Mat.random(F9, 3, 3, rng)
         b = Mat.random(F9, 3, 3, rng)
-        assert (a * b).det() == F9.mul(a.det(), b.det())
+        assert (a * b).det() == F9._mul_direct(a.det(), b.det())
 
 
 def test_left_right_inverse():

@@ -46,17 +46,18 @@ def test_grs_spec_validation():
         GrsSpec(3, 4, 2, (0, 1, 2), (1, 1, 1))        # n > q
 
 
-def test_dual_orthogonality_all_k():
+@pytest.mark.parametrize("p, r", [(2, 3), (3, 2), (67, 1)])
+def test_dual_orthogonality_all_k(p, r):
     rng = random.Random(2)
-    f = F8
-    n = 5
-    alpha = tuple(rng.sample(range(8), n))
-    u = tuple(rng.choice(range(1, 8)) for _ in range(n))
+    f = field_construct(p, r)
+    q, n = f.order, 5
+    alpha = tuple(rng.sample(range(q), n))
+    u = tuple(rng.choice(range(1, q)) for _ in range(n))
     v = grs_dual_multipliers(f, alpha, u)
     assert all(x != 0 for x in v)
     for k in range(1, n):
-        a = grs_matrix(f, GrsSpec(8, n, k, alpha, u))
-        b = grs_matrix(f, GrsSpec(8, n, n - k, alpha, v))
+        a = grs_matrix(f, GrsSpec(q, n, k, alpha, u))
+        b = grs_matrix(f, GrsSpec(q, n, n - k, alpha, v))
         assert (a * b.transpose()).is_zero()
 
 
@@ -147,7 +148,7 @@ def test_half_mds_size_guard():
 @pytest.mark.parametrize("p, r", [(2, 11), (3, 4), (2, 17)])
 def test_elements_lex_is_the_sorted_order(p, r):
     f = field_construct(p, r)
-    want = sorted(f.elements(), key=f.coeffs)
+    want = sorted(range(f.order), key=f.coeffs)
     assert f.elements_lex(f.order) == want
     assert f.elements_lex(5) == want[:5]
 

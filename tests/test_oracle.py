@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import mat_reference as ref
 import numpy as np
 import pytest
 
@@ -208,7 +209,7 @@ def test_exhaustive_decode_detects_corrupted_decoder():
     sch = worked_reference_scheme()
     f = sch.ext.big
     rows = [list(r) for r in sch.decoder.data]
-    rows[0][0] = f.add(rows[0][0], 1)  # flip one decoder entry
+    rows[0][0] = ref.add(f, rows[0][0], 1)  # flip one decoder entry
     bad = dataclasses.replace(sch, decoder=Mat(f, rows))
     rep = exhaustive_decode_check(bad)
     assert not rep.agree
@@ -219,7 +220,7 @@ def test_exhaustive_decode_detects_corrupted_precoder():
     sch = worked_reference_scheme()
     f = sch.ext.big
     rows = [list(r) for r in sch.precoders[1].data]
-    rows[0][0] = f.add(rows[0][0], 1)
+    rows[0][0] = ref.add(f, rows[0][0], 1)
     bad = dataclasses.replace(
         sch, precoders=(sch.precoders[0], Mat(f, rows)) + sch.precoders[2:])
     rep = exhaustive_decode_check(bad)

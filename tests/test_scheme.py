@@ -34,7 +34,7 @@ def mat_simulate(sch, cols):
     for k, c in enumerate(cols):
         v = ref.mul(f, sch.precoders[k].data, c.data, 1)
         for i, row in enumerate(ch.rows[k].tolist()):
-            x[row] = f.add(x[row], v[i][0])
+            x[row] = ref.add(f, x[row], v[i][0])
     ys, start = [], 0
     for _, box in ch.boxes:
         ys.extend(ref.mul(f, box.M.data, [[v] for v in x[start:start + 2 * box.N]], 1))
@@ -211,7 +211,7 @@ def test_base_d_packing_carries_stream_sums(field_line):
             for j in range(z):
                 acc = 0
                 for k in range(K):
-                    acc = base.add(acc, streams[k][i][b][j])
+                    acc = ref.add(base, acc, streams[k][i][b][j])
                 want.append(acc)
             assert got == want
 

@@ -3,11 +3,12 @@ from unittest import mock
 
 import mat_reference as ref
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumbox import vecops
 from sumbox.field import field_construct
-from sumbox.vecops import VecOps
+from sumbox.vecops import VecOps, field_ops
 
 # F_2, F_3, F_4, F_9, F_2^11 and F_2^17 (past the old 2^16 table bound)
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 11), (2, 17)]
@@ -45,21 +46,44 @@ def test_sum_and_add_match_field(pr, n, seed):
     for j in range(3):
         acc = 0
         for i in range(n):
-            acc = f.add(acc, int(a[i, j]))
+            acc = ref.add(f, acc, int(a[i, j]))
         want.append(acc)
     assert ops.sum(a).tolist() == want
-    assert ops.add(a[0], a[-1]).tolist() == [f.add(int(x), int(y)) for x, y in zip(a[0], a[-1])]
+    assert ops.add(a[0], a[-1]).tolist() == [ref.add(f, int(x), int(y))
+                                             for x, y in zip(a[0], a[-1])]
 
 
 def test_tables_cover_every_order():
     # the largest field: every nonzero element is a power of the generator,
     # and the zero-padded tables multiply by 0 without a mask
     f = field_construct(2, 20)
-    exp, log, _ = f.arrays()
+    ops = VecOps(f)
+    exp, log = ops._exp, ops._log
     n = f.order - 1
     assert np.array_equal(np.sort(exp[:n]), np.arange(1, f.order))
     assert log[0] == 2 * n and not exp[2 * n:].any()
     rng = random.Random(5)
     pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(200)] + [(0, 7), (9, 0)]
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
-    assert VecOps(f).mul_scalar(a, b).tolist() == [f._mul_direct(x, y) for x, y in pairs]
+    assert ops.mul_scalar(a, b).tolist() == [f._mul_direct(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("pr", FIELDS + [(67, 1)])
+def test_inv_is_the_fermat_inverse(pr):
+    # every nonzero element (a sample of F_2^17), against a^(q-2) by squaring
+    f = field_construct(*pr)
+    q = f.order
+    a = range(1, q) if q <= 1 << 11 else random.Random(7).sample(range(1, q), 300)
+    assert field_ops(f).inv(np.array(a)).tolist() == [ref.inv(f, x) for x in a]
+    assert field_ops(f).inv(0) == 0
+
+
+def test_field_ops_follows_the_field_object():
+    # the kernels live on the Field object: a new canonical field gets new
+    # kernels, and asking again returns the same ones
+    old = field_ops(field_construct(2, 5))
+    field_construct.cache_clear()
+    f = field_construct(2, 5)
+    ops = field_ops(f)
+    assert ops is not old and ops.field is f
+    assert field_ops(f) is ops
