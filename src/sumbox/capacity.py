@@ -12,13 +12,19 @@ stream) pair with non-empty overlap (an empty overlap pins the term to 0).
 Everything is exact rational arithmetic; closed forms for the fully
 entangled, unentangled and symmetric families are provided and cross-checked
 against the LP in the test suite.
+
+Every LP result is certified before it is returned: the witness lies in the
+region and costs the optimal value, and the LP's dual point y proves that no
+point costs less (y <= 0, A^T y <= c and b.y = the optimal value, by weak
+duality).  The checks run in integers, on values scaled to a common
+denominator, and raise AssertionError, so they also run under python -O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -37,6 +43,7 @@ class CapacityResult:
     optimal_cost: Fraction
     capacity: Fraction
     witness: tuple[Fraction, ...]            # download costs, (t, ascending s) order
+    dual: tuple[Fraction, ...]               # optimal dual point, one entry per LP row
 
 
 def stream_values(P: Problem, D) -> list:
@@ -48,11 +55,45 @@ def stream_values(P: Problem, D) -> list:
                 for c, total in zip(cliques, totals)) for w in P.W]
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integers n_i and the least L >= 1 with values[i] == n_i / L (Fractions or ints)."""
+    L = lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
 def feasible(P: Problem, D) -> bool:
     """Region membership of a download-cost tuple (length gamma, (t,s) order)."""
-    D = [Fraction(v) for v in D]
+    D, L = common_denominator([Fraction(v) for v in D])
     values = stream_values(P, D)  # a length other than gamma raises ProblemError
-    return all(v >= 0 for v in D) and min(values) >= 1
+    return all(v >= 0 for v in D) and min(values) >= L
+
+
+def _row_combination(coeffs: list[int], A: np.ndarray) -> list[int]:
+    """sum_i coeffs[i] * A[i] exactly: in int64 when no sum can overflow it."""
+    bound = max(map(abs, coeffs), default=0) * int(np.abs(A).sum(axis=0).max(initial=0))
+    if bound < 1 << 63:
+        return (np.array(coeffs, dtype=np.int64) @ A).tolist()
+    return (np.array(coeffs, dtype=object) @ A.astype(object)).tolist()
+
+
+def _certified(P: Problem, c, A: np.ndarray, b, value: Fraction, witness: tuple,
+               dual) -> CapacityResult:
+    """The result of the LP min c.x, A x <= b, x >= 0 of P's region, after an
+    exact check that `witness` (the download-cost part of x) is in the region
+    at cost `value` and that `dual` proves the minimum."""
+    if not feasible(P, witness):
+        raise AssertionError("LP witness fails region membership")
+    w, L = common_denominator(witness)
+    if sum(w) != value * L:
+        raise AssertionError("LP witness does not cost the optimal value")
+    y, L = common_denominator(dual)
+    if any(v > 0 for v in y):
+        raise AssertionError("dual certificate has a positive entry")
+    if any(v > cj * L for v, cj in zip(_row_combination(y, A), c)):
+        raise AssertionError("dual certificate violates A^T y <= c")
+    if sum(bi * v for bi, v in zip(b, y)) != value * L:
+        raise AssertionError("dual certificate does not attain the optimal value")
+    return CapacityResult(value, 1 / value, witness, tuple(dual))
 
 
 def _active_pairs(P: Problem) -> list[tuple[int, int]]:
@@ -60,7 +101,8 @@ def _active_pairs(P: Problem) -> list[tuple[int, int]]:
 
 
 def capacity_lp(P: Problem) -> CapacityResult:
-    """Exact LP solve of the capacity region; returns optimum and a witness vertex."""
+    """Exact LP solve of the capacity region; returns the optimum, a witness
+    vertex and the dual point that certifies it."""
     for k, w in enumerate(P.W):
         if not any(e & w for e in P.E):
             raise ProblemError(
@@ -86,12 +128,8 @@ def capacity_lp(P: Problem) -> CapacityResult:
     b = [0] * (2 * len(pairs)) + [-1] * P.K
     c = [1] * gamma + [0] * len(pairs)
 
-    value, x = lp.solve_min(c, A, b)
-    witness = tuple(x[:gamma])
-    result = CapacityResult(value, 1 / value, witness)
-    if not feasible(P, witness):
-        raise AssertionError("LP witness fails region membership")
-    return result
+    value, x, y = lp.solve_min(c, A, b, dual=True)
+    return _certified(P, c, A, b, value, tuple(x[:gamma]), y)
 
 
 def _incidence(P: Problem) -> np.ndarray:
@@ -104,13 +142,10 @@ def _incidence(P: Problem) -> np.ndarray:
 
 def _per_server_result(P: Problem, E, A: np.ndarray) -> CapacityResult:
     """Solve min sum_s D_s s.t. A D <= -1 (S per-server variables); lift to E's layout."""
-    value, x = lp.solve_min([1] * P.S, A, [-1] * len(A))
+    c, b = [1] * P.S, [-1] * len(A)
+    value, x, y = lp.solve_min(c, A, b, dual=True)
     lifted = Problem(P.S, P.W, E, P.stream_names, P.base_field)
-    witness = tuple(x[s - 1] for t, s in lifted.cost_index())
-    res = CapacityResult(value, 1 / value, witness)
-    if not feasible(lifted, witness):
-        raise AssertionError("LP witness fails region membership")
-    return res
+    return _certified(lifted, c, A, b, value, tuple(x[s - 1] for t, s in lifted.cost_index()), y)
 
 
 def capacity_fullent(P: Problem) -> CapacityResult:

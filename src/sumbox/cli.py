@@ -18,7 +18,8 @@ import numpy as np
 
 from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
                        capacity_symmetric, capacity_unent, dsc_gain)
-from .field import Field, FieldError, FieldOrderError, field_construct, parse_field_name
+from .field import (Field, FieldError, FieldOrderError, field_construct, parse_decimal,
+                    parse_field_name)
 from .model import Problem, ProblemError, beta_cliques, colex_subsets, parse_problem
 from .oracle import (DECODE_BATCH, GuardExceeded, check_identities,
                      check_lp_oracle, exhaustive_decode_check, tap_lines)
@@ -51,7 +52,7 @@ def _read(path: str) -> str:
 
 def _int_option(option: str, token: str) -> int:
     try:
-        return int(token)
+        return parse_decimal(token)
     except ValueError:
         raise ValueError(f"{option} expects an integer, got {token!r}") from None
 

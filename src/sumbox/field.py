@@ -27,6 +27,18 @@ class FieldOrderError(FieldError):
     """A field order above MAX_ORDER: a resource guard, not a malformed input."""
 
 
+def parse_decimal(token: str) -> int:
+    """A non-negative integer written in ASCII digits only; ValueError otherwise.
+
+    int() alone also takes a sign, underscores, surrounding blanks and
+    non-ASCII digits (int('\u0664') == 4), so a malformed token would be read
+    as some other number instead of refused.
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -203,7 +215,7 @@ def parse_field_name(token: str) -> Field:
     if not token.startswith("F"):
         raise FieldError(f"bad field token {token!r}")
     try:
-        order = int(token[1:])
+        order = parse_decimal(token[1:])
     except ValueError:
         raise FieldError(f"bad field token {token!r}") from None
     if order < 2:

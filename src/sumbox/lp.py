@@ -1,21 +1,35 @@
-"""Exact rational linear programming via a fraction-free tableau simplex.
+"""Exact rational linear programming via a row-scaled fraction-free simplex.
 
 Solves  minimize c.x  subject to  A x <= b,  x >= 0  in exact arithmetic.
 
-The tableau is kept as an integer matrix T plus a positive integer
-denominator `den`: the rational tableau is T/den.  A pivot on entry (r, s)
-replaces every other row i by (T[r,s]*T[i] - T[i,s]*T[r]) / den (the division
-is exact: tableau entries scaled by the basis determinant are integers, and
-den tracks that determinant), then sets den = T[r,s].  Entries stay small in
-practice, so the tableau lives in an int64 numpy array; if magnitudes ever
-approach overflow it is promoted to an exact big-integer (object dtype)
-array and the run continues unchanged.
+The tableau is an integer matrix T whose last column holds a positive
+denominator d_i for each row: the rational tableau row i is T[i] / d_i.  A
+pivot on entry (r, s) keeps row r's integers and sets d_r = T[r,s]; every
+other row i with T[i,s] != 0 becomes T[r,s]*T[i] - T[i,s]*T[r], with
+d_i *= T[r,s].  Rows with a zero in the pivot column are not touched.  The
+row denominators cancel in the entering choice (one objective row) and in
+the ratio test (rhs_i / T[i,s] lies in one row), so the pivot sequence is
+the one a tableau with a common denominator would take.
+
+Entries are kept small lazily: when an entry of the rows a pivot just
+updated passes _GCD_THRESHOLD, each of those rows is divided by the gcd of
+its entries and its denominator.  The tableau lives in an int64 numpy array
+whose entries stay at most _INT64_SAFE in magnitude, so a pivot's products
+cannot overflow; when an updated row still passes that bound after its gcd
+division, the tableau is promoted to an exact big-integer (object dtype)
+array and the run continues unchanged.  Only the updated rows are checked.
 
 Input contract: c, A and b hold integers only: Python or numpy ints, in
 lists or integer numpy arrays, with big ints in object arrays; A has shape
 (len(b), len(c)).  Any other entry (a Fraction, a float, a string) raises
 LpError.  The tableau starts as int64 when every entry is at most
 _INT64_SAFE in magnitude, and as an object (big-int) array otherwise.
+
+Dual: the final objective row holds the reduced costs c_j - (A^T y)_j, and
+slack j = n+i has cost 0 and column e_i, so y_i = -T[m, n+i] / d_m for every
+row i (rows negated into >= form included: their slack keeps its meaning
+s_i = b_i - A_i x).  At an optimum y <= 0, A^T y <= c and b.y equals the
+optimal value, which is read off the same row as -T[m, rhs] / d_m.
 
 Pivot rules: Dantzig (most negative reduced cost) by default, with
 deterministic index tie-breaks.  More than _DEGENERATE_RUN degenerate pivots
@@ -31,7 +45,10 @@ from typing import Sequence
 
 import numpy as np
 
-_INT64_SAFE = 1 << 30  # entries above this trigger promotion to exact big ints
+# int64 entries stay at most this in magnitude, so a pivot's products (below
+# 2^61) cannot overflow; an entry above it promotes the tableau to big ints
+_INT64_SAFE = 1 << 30
+_GCD_THRESHOLD = 1 << 12  # updated rows with an entry above this are gcd-reduced
 _DEGENERATE_RUN = 150
 _MAX_PIVOTS = 500_000
 
@@ -61,8 +78,11 @@ def _integer_array(v, shape) -> np.ndarray:
     return a.reshape(shape)
 
 
-def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequence[int]):
-    """Exact simplex.  Returns (optimal value, x) as Fractions.
+def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequence[int],
+              *, dual: bool = False):
+    """Exact simplex.  Returns (optimal value, x) as Fractions, and with
+    `dual=True` (optimal value, x, y), y the optimal dual point (one Fraction
+    per row of A, y <= 0, A^T y <= c, b.y = optimal value).
 
     Raises LpInfeasible / LpUnbounded accordingly.
     """
@@ -79,8 +99,9 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
     n_art = len(art_rows)
     art_cols = np.arange(n + m, n + m + n_art)
 
-    width = n + m + n_art + 1
-    rhs_col = width - 1
+    width = n + m + n_art + 2
+    rhs_col = width - 2
+    den_col = width - 1  # the row denominators d_i
     # rows 0..m-1 constraints, row m real objective, row m+1 phase-1 objective
     T = np.zeros((m + 2, width), dtype=object if big else np.int64)
     T[:m, :n] = Ab[:, :n]
@@ -96,69 +117,78 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
     # phase-1 objective: sum of artificials, reduced against the artificial basis
     T[m + 1] = -T[art_rows].sum(axis=0)
     T[m + 1, art_cols] = 0
+    T[:, den_col] = 1
+    if T.dtype == np.int64 and max(T.max(), -T.min()) > _INT64_SAFE:
+        T = T.astype(object)
 
-    den = 1
+    # Pivot scratch of T's shape, reused by every pivot: blocks allocated per
+    # pivot map fresh pages whenever one outgrows the last (100k page faults
+    # on a first (6,4,2) capacity LP), and one block of twice T's size left
+    # later allocations on the heap once freed (+5.8 MB peak RSS on simulate).
+    work = [np.empty_like(T), np.empty_like(T)]
+
     enterable = np.ones(width, dtype=bool)
-    enterable[rhs_col] = False
+    enterable[rhs_col:] = False
     enterable[art_cols] = False  # artificials never (re-)enter
 
     bland = False
     degen_run = 0
     pivots = 0
 
-    def promote_if_needed():
-        nonlocal T
-        if T.dtype == np.int64 and int(np.abs(T).max(initial=0)) > _INT64_SAFE:
-            T = T.astype(object)
-
     def pivot(r: int, s: int):
-        nonlocal T, den, pivots
-        piv = int(T[r, s])
+        nonlocal T, work, pivots
+        row = T[r].copy()
+        piv = int(row[s])
         if piv <= 0:
             raise AssertionError(f"pivot entry {piv} is not positive")
-        promote_if_needed()
-        col = T[:, s].copy()
-        row = T[r, :].copy()
-        if piv == den:
-            # rows with a zero multiplier are unchanged; update only the rest
-            nz = np.nonzero(col)[0]
-            sub = T[nz, :] * piv
-            sub -= np.outer(col[nz], row)
-            sub //= den
-            T[nz, :] = sub
-        else:
-            T *= piv
-            T -= np.outer(col, row)
-            T //= den
-        T[r, :] = row
-        den = piv
+        row[den_col] = 0  # so that the update multiplies each d_i by piv
+        T[r, s] = 0       # so that row r is not among the rows updated
+        nz = T[:, s].nonzero()[0]
+        sub, prod = work[0][:len(nz)], work[1][:len(nz)]
+        np.take(T, nz, axis=0, out=sub, mode="clip")
+        sub *= piv
+        np.multiply(T[nz, s][:, None], row, out=prod)
+        sub -= prod
+        top = max(sub.max(initial=0), -sub.min(initial=0))
+        if top > _GCD_THRESHOLD:
+            sub //= np.gcd.reduce(sub, axis=1)[:, None]
+            if top > _INT64_SAFE:
+                top = max(sub.max(), -sub.min())
+        if top > _INT64_SAFE and T.dtype == np.int64:
+            T = T.astype(object)
+            work = [np.empty_like(T), np.empty_like(T)]
+        T[nz] = sub
+        row[den_col] = piv
+        T[r] = row
         basis[r] = s
         pivots += 1
 
     def choose_entering(obj_row: int, active_cols: np.ndarray) -> int | None:
-        row = T[obj_row, :]
-        neg = active_cols & (row < 0)
-        if not neg.any():
-            return None
+        row = T[obj_row]
         if bland:
-            return int(np.nonzero(neg)[0][0])
+            neg = np.flatnonzero(active_cols & (row < 0))
+            return int(neg[0]) if len(neg) else None
         vals = np.where(active_cols, row, 0)
-        return int(np.argmin(vals))
+        s = int(vals.argmin())
+        return s if vals[s] < 0 else None
 
     def choose_leaving(s: int, nrows: int) -> int | None:
         col = T[:nrows, s]
-        cand = np.nonzero(col > 0)[0]
+        cand = (col > 0).nonzero()[0].tolist()
+        col = col.tolist()
+        rhs = T[:nrows, rhs_col].tolist()
         best_i = None
         bn = bd = None  # best ratio bn/bd
         for i in cand:
-            i = int(i)
-            a = int(col[i])
-            r_num = int(T[i, rhs_col])
+            a, r_num = col[i], rhs[i]
             if best_i is None or r_num * bd < bn * a or (
                 r_num * bd == bn * a and basis[i] < basis[best_i]
             ):
                 best_i, bn, bd = i, r_num, a
         return best_i
+
+    def objective(obj_row: int) -> Fraction:
+        return Fraction(-int(T[obj_row, rhs_col]), int(T[obj_row, den_col]))
 
     def run_phase(obj_row: int, active_cols: np.ndarray, nrows: int):
         # Dantzig by default; a long degenerate run switches to Bland's rule,
@@ -170,7 +200,7 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
         while True:
             if pivots > _MAX_PIVOTS:
                 raise LpError("pivot limit exceeded")
-            if bland and Fraction(int(T[obj_row, rhs_col]), den) != bland_ref:
+            if bland and objective(obj_row) != bland_ref:
                 bland = False
                 degen_run = 0
             s = choose_entering(obj_row, active_cols)
@@ -179,11 +209,11 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
             r = choose_leaving(s, nrows)
             if r is None:
                 raise LpUnbounded("LP is unbounded")
-            if int(T[r, rhs_col]) == 0:
+            if T[r, rhs_col] == 0:
                 degen_run += 1
                 if degen_run > _DEGENERATE_RUN and not bland:
                     bland = True
-                    bland_ref = Fraction(int(T[obj_row, rhs_col]), den)
+                    bland_ref = objective(obj_row)
             else:
                 degen_run = 0
             pivot(r, s)
@@ -191,7 +221,7 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
     # ---- phase 1 ----
     if n_art:
         run_phase(m + 1, enterable, m)
-        if int(T[m + 1, rhs_col]) != 0:
+        if T[m + 1, rhs_col] != 0:
             raise LpInfeasible("no feasible point")
         # drive any degenerate artificials out of the basis
         art_set = set(art_cols.tolist())
@@ -206,9 +236,9 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
                 if s is None:
                     drop_rows.append(i)  # redundant row
                     continue
-                if int(T[i, s]) < 0:
+                if T[i, s] < 0:
                     # rhs is 0 here, so negating the row is harmless
-                    T[i, :] = -T[i, :]
+                    T[i, :den_col] = -T[i, :den_col]
                 pivot(i, s)
         if drop_rows:
             keep = [i for i in range(m) if i not in set(drop_rows)]
@@ -217,11 +247,18 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
             m = len(keep)
 
     # ---- phase 2 ----
+    T = T[:m + 1]  # the phase-1 objective is not needed any more
     run_phase(m, enterable, m)
 
+    rhs = T[:m, rhs_col].tolist()
+    dens = T[:m, den_col].tolist()
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(int(T[i, rhs_col]), den)
-    value = sum((cj * xj for cj, xj in zip(c_int, x)), Fraction(0))
-    return value, x
+            x[basis[i]] = Fraction(rhs[i], dens[i])
+    value = objective(m)
+    if not dual:
+        return value, x
+    d_obj = int(T[m, den_col])
+    y = [Fraction(-v, d_obj) for v in T[m, n:n + len(b)].tolist()]
+    return value, x, y

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .field import field_construct, is_prime
+from .field import field_construct, is_prime, parse_decimal
 
 
 class ProblemError(ValueError):
@@ -198,15 +198,15 @@ def parse_problem(text: str) -> Problem:
             if len(toks) not in (2, 3):
                 fail(lineno, "expected: field <p> [<r>]")
             try:
-                p = int(toks[1])
-                r = int(toks[2]) if len(toks) == 3 else 1
+                p = parse_decimal(toks[1])
+                r = parse_decimal(toks[2]) if len(toks) == 3 else 1
             except ValueError:
                 fail(lineno, "field parameters must be integers")
         elif head == "servers":
             if len(toks) != 2:
                 fail(lineno, "expected: servers <S>")
             try:
-                S = int(toks[1])
+                S = parse_decimal(toks[1])
             except ValueError:
                 fail(lineno, "server count must be an integer")
         elif head == "stream":
@@ -220,7 +220,7 @@ def parse_problem(text: str) -> Problem:
             if not name:
                 fail(lineno, "stream needs a name")
             try:
-                servers = frozenset(int(v) for v in idx.split())
+                servers = frozenset(parse_decimal(v) for v in idx.split())
             except ValueError:
                 fail(lineno, "server indices must be integers")
             if not servers:
@@ -229,7 +229,7 @@ def parse_problem(text: str) -> Problem:
         elif head == "clique:" or (head == "clique" and len(toks) > 1 and toks[1].startswith(":")):
             idx = line.partition(":")[2]
             try:
-                servers = frozenset(int(v) for v in idx.split())
+                servers = frozenset(parse_decimal(v) for v in idx.split())
             except ValueError:
                 fail(lineno, "server indices must be integers")
             if not servers:
@@ -244,7 +244,7 @@ def parse_problem(text: str) -> Problem:
                 cliques.extend(singleton_cliques(S))
             elif len(toks) == 3 and toks[1] == "beta":
                 try:
-                    beta = int(toks[2])
+                    beta = parse_decimal(toks[2])
                 except ValueError:
                     fail(lineno, "beta must be an integer")
                 cliques.extend(beta_cliques(S, beta))

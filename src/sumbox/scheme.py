@@ -31,11 +31,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 
 import numpy as np
 
-from .capacity import capacity_lp, feasible, stream_values
+from .capacity import capacity_lp, common_denominator, feasible, stream_values
 from .field import Extension, Field, extend_field, field_construct
 from .matrix import Mat, MatrixError, block_diag
 from .model import Problem, full_clique, parse_problem, render_problem
@@ -89,8 +88,8 @@ def allocation_from_lp(P: Problem, witness) -> Allocation:
     w = [Fraction(v) for v in witness]
     if not feasible(P, w):
         raise SchemeError("witness is not in the feasible region")
-    mult = lcm(*(v.denominator for v in w))
-    a = Allocation(tuple(int(v * mult) for v in w))
+    counts, _ = common_denominator(w)
+    a = Allocation(tuple(counts))
     if rate_of_allocation(P, a) != 1 / sum(w):
         raise AssertionError("scaled witness does not achieve capacity")
     return a

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sumbox import capacity
 from sumbox.capacity import (beta_star, capacity_fullent, capacity_lp,
                              capacity_symmetric, capacity_unent, dsc_gain,
                              feasible, maximal_dsc_gain)
@@ -47,8 +49,67 @@ def test_witness_is_feasible():
 def test_feasible_rejects_negative_and_short():
     P = reference_problem()
     assert not feasible(P, (F(-1), F(1), F(1), F(1)))
+    # the optimal vertex is feasible; a hair below it, on a huge denominator, is not
+    assert feasible(P, (F(1, 4), F(1, 4), F(1, 4), F(1, 2)))
+    assert feasible(P, ("1/4", 0.25, F(1, 4), F(1, 2)))
+    assert not feasible(P, (F(1, 4), F(1, 4), F(1, 4), F(1, 2) - F(1, 10**30)))
     with pytest.raises(ValueError):
         feasible(P, (F(1),))
+
+
+def _negate(y, b):
+    i = next(i for i, v in enumerate(y) if v)
+    return y[:i] + [-y[i]] + y[i + 1:]
+
+
+def _scale_on_zero_rhs(y, b):
+    # a pair row: its entry only enters A^T y, on columns with nonpositive A
+    i = next(i for i, v in enumerate(y) if v and b[i] == 0)
+    return y[:i] + [1000 * y[i]] + y[i + 1:]
+
+
+def _halve_on_stream_row(y, b):
+    # a stream row: A^T y stays <= c, but b.y moves off the optimum
+    i = next(i for i, v in enumerate(y) if v and b[i] != 0)
+    return y[:i] + [y[i] / 2] + y[i + 1:]
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (_negate, "has a positive entry"),
+    (_scale_on_zero_rhs, r"violates A\^T y <= c"),
+    (_halve_on_stream_row, "does not attain the optimal value"),
+], ids=["positive", "scaled", "halved"])
+def test_mutated_dual_is_rejected(monkeypatch, mutate, error):
+    solve_min = capacity.lp.solve_min
+
+    def mutated(c, A, b, *, dual=False):
+        value, x, y = solve_min(c, A, b, dual=True)
+        return value, x, mutate(y, b)
+
+    P = reference_problem()
+    monkeypatch.setattr(capacity.lp, "solve_min", mutated)
+    with pytest.raises(AssertionError, match="dual certificate " + error):
+        capacity_lp(P)
+
+
+def test_row_combination_is_exact_past_int64():
+    A = np.array([[1, -2], [1, 0]])
+    assert capacity._row_combination([3, -4], A) == [-1, -6]
+    big = 1 << 62
+    assert capacity._row_combination([big, big], A) == [2 * big, -2 * big]
+
+
+def test_every_result_carries_its_dual():
+    # the rows with a nonzero right-hand side all have b_i = -1: the last K
+    # (stream) rows of capacity_lp's LP and every row of the per-server LPs
+    P = reference_problem()
+    pairs = sum(1 for e in P.E for w in P.W if e & w)
+    for res, rows, b_rows in ((capacity_lp(P), 2 * pairs + P.K, P.K),
+                              (capacity_fullent(P), 1 + P.K, 1 + P.K),
+                              (capacity_unent(P), P.K, P.K)):
+        assert len(res.dual) == rows
+        assert all(v <= 0 for v in res.dual)
+        assert -sum(res.dual[-b_rows:]) == res.optimal_cost
 
 
 def test_capacity_single_stream_single_server():

@@ -239,6 +239,39 @@ def test_scheme_build_names_a_bad_d_field(capsys, value):
     assert err == f"error: --d expects a prime power, p^r or its value, got {value!r}\n"
 
 
+# int() takes each of these tokens, as 16 or 4; an option must be ASCII digits
+MALFORMED_INTEGERS = ["1_6", "+4", " 4", "\u0664"]
+
+
+@pytest.mark.parametrize("token", MALFORMED_INTEGERS)
+@pytest.mark.parametrize("option, template", [
+    ("--z", "{}"), ("--alloc", "1,1,1,{}"), ("--d", "2^{}"), ("--d", "{}^2"),
+])
+def test_scheme_build_refuses_malformed_integer_options(capsys, token, option, template):
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"),
+                         option, template.format(token))
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} expects an integer, got {token!r}\n"
+
+
+@pytest.mark.parametrize("token", MALFORMED_INTEGERS)
+def test_scheme_build_refuses_a_malformed_d_order(capsys, token):
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", token)
+    assert (code, out) == (2, "")
+    assert err == f"error: --d expects a prime power, p^r or its value, got {token!r}\n"
+
+
+@pytest.mark.parametrize("token", ["1_6", "+4", "\u0664"])
+def test_capacity_refuses_a_malformed_integer_in_the_file(tmp_path, capsys, token):
+    with open(prob("example.prob")) as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text.replace("servers 4", f"servers {token}"))
+    code, out, err = run(capsys, "capacity", str(bad))
+    assert (code, out) == (2, "")
+    assert "server count must be an integer" in err
+
+
 @pytest.mark.parametrize("value", ["2^21", "2097152"])
 def test_d_field_above_the_bound_is_a_guard(capsys, value):
     code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", value)

@@ -46,6 +46,13 @@ def test_parse_field_name():
         parse_field_name("8")
 
 
+# int() reads each of these as 16 or 4; only ASCII digits name an order
+@pytest.mark.parametrize("token", ["F1_6", "F+4", "F 4", "F\u0664"])
+def test_parse_field_name_refuses_malformed_orders(token):
+    with pytest.raises(FieldError, match="bad field token"):
+        parse_field_name(token)
+
+
 def test_element_coeffs_roundtrip():
     f = field_construct(3, 2)
     for a in range(f.order):

@@ -1,10 +1,18 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sumbox import lp
+from sumbox.capacity import capacity_lp
 from sumbox.lp import LpError, LpInfeasible, LpUnbounded, solve_min
+from sumbox.model import parse_problem, symmetric_problem
+from sumbox.tables import table1_problems
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def F(a, b=1):
@@ -72,8 +80,8 @@ def test_exactness_with_awkward_rationals():
 
 
 def test_random_lps_certified():
-    # feasibility + complementary-slackness-free sanity: the reported optimum
-    # is attained by the witness and no coordinate is negative
+    # the reported optimum is attained by the witness, which is feasible, and
+    # by the dual point, which is dual feasible (y <= 0, A^T y <= c)
     rng = random.Random(9)
     for _ in range(40):
         n = rng.randint(2, 4)
@@ -84,13 +92,18 @@ def test_random_lps_certified():
         if any(all(v == 0 for v in row) for row in A):
             continue  # a zero row with negative rhs is trivially infeasible
         try:
-            val, x = solve_min(c, A, b)
+            val, x, y = solve_min(c, A, b, dual=True)
         except LpInfeasible:
             continue
+        assert (val, x) == solve_min(c, A, b)
         assert all(v >= 0 for v in x)
         assert sum(ci * xi for ci, xi in zip(c, x)) == val
         for row, bi in zip(A, b):
             assert sum(ai * xi for ai, xi in zip(row, x)) <= bi
+        assert all(v <= 0 for v in y)
+        assert sum(bi * yi for bi, yi in zip(b, y)) == val
+        for j, cj in enumerate(c):
+            assert sum(row[j] * yi for row, yi in zip(A, y)) <= cj
 
 
 @pytest.mark.parametrize("A, b, value", [
@@ -132,3 +145,82 @@ def test_non_integer_entries_are_refused(where, bad):
         args[where][0] = bad
     with pytest.raises(LpError, match="LP entries must be integers"):
         solve_min(args["c"], args["A"], args["b"])
+
+
+def test_dual_reads_the_same_on_negated_rows():
+    # min 2x + 3y s.t. x + y >= 1 (negated, an artificial row), x <= 4: the
+    # dual of the >= row is -2, with the sign of a <= row's dual
+    val, x, y = solve_min([2, 3], [[-1, -1], [1, 0]], [-1, 4], dual=True)
+    assert (val, x, y) == (2, [1, 0], [-2, 0])
+    # min -x s.t. x <= 3: a <= row with a binding constraint
+    assert solve_min([-1], [[1]], [3], dual=True) == (-3, [3], [-1])
+
+
+@pytest.fixture(scope="module")
+def ladder_lps():
+    """((c, A, b), exact result) of every LP that capacity_lp solves on table
+    1, problems/*.prob and the symmetric cells with S <= 4."""
+    problems = [P for _, P, _ in table1_problems()]
+    problems += [parse_problem(p.read_text()) for p in sorted(PROBLEMS.glob("*.prob"))]
+    problems += [symmetric_problem(S, a, b)
+                 for S in range(1, 5) for a in range(1, S + 1) for b in range(1, S + 1)]
+    solve, lps = lp.solve_min, []
+
+    def record(c, A, b, **kwargs):
+        lps.append((c, A, b))
+        return solve(c, A, b, **kwargs)
+
+    lp.solve_min = record
+    try:
+        for P in problems:
+            capacity_lp(P)
+    finally:
+        lp.solve_min = solve
+    return [(args, solve(*args, dual=True)) for args in lps]
+
+
+def tableau_dtypes(run) -> list[list[str]]:
+    """The tableau's dtype after each pivot, one list per solve_min call in run()."""
+    solves = []
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            solves[-1].append(frame.f_locals["T"].dtype.name)
+        return on_return
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_filename != lp.__file__:
+            return None
+        if frame.f_code.co_name == "solve_min":
+            solves.append([])
+        return on_return if frame.f_code.co_name == "pivot" else None
+
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return solves
+
+
+@pytest.mark.parametrize("safe, gcd_threshold", [
+    (0, lp._GCD_THRESHOLD),   # every solve on big ints from the start
+    (0, 0),                   # the same, with every updated row gcd-reduced
+    (16, lp._GCD_THRESHOLD),  # int64 at first, big ints once an entry passes 16
+    (lp._INT64_SAFE, 0),      # int64 throughout, every updated row gcd-reduced
+], ids=["object", "object-eager-gcd", "promoted", "int64-eager-gcd"])
+def test_ladder_results_do_not_depend_on_dtype_or_gcd(monkeypatch, ladder_lps, safe,
+                                                        gcd_threshold):
+    monkeypatch.setattr(lp, "_INT64_SAFE", safe)
+    monkeypatch.setattr(lp, "_GCD_THRESHOLD", gcd_threshold)
+    results = []
+    dtypes = tableau_dtypes(lambda: results.extend(
+        solve_min(*args, dual=True) for args, _ in ladder_lps))
+    assert results == [expected for _, expected in ladder_lps]
+    assert all(dtypes)  # every solve pivots
+    if safe == 0:
+        assert all(set(d) == {"object"} for d in dtypes)
+    elif safe == 16:  # 27 of the 45 solves promote mid-run
+        assert any(d[0] == "int64" and d[-1] == "object" for d in dtypes)
+    else:
+        assert all(set(d) == {"int64"} for d in dtypes)

@@ -52,6 +52,26 @@ def test_parse_errors_carry_line_numbers():
         parse_problem("servers 2\nclique: 1\n")  # no streams
 
 
+# int() reads "1_6" as 16, "+4" as 4 and the Arabic-Indic digit four as 4;
+# every integer token of a problem file must be ASCII digits only.  (A token
+# never has surrounding blanks: lines are split on whitespace.)
+@pytest.mark.parametrize("token", ["1_6", "+4", "\u0664"])
+@pytest.mark.parametrize("lineno, line, template, error", [
+    (1, "servers 4", "servers {}", "server count must be an integer"),
+    (2, "stream a: 1 2", "stream a: 1 {}", "server indices must be integers"),
+    (6, "entangle full", "entangle beta {}", "beta must be an integer"),
+    (6, "entangle full", "clique: 1 {}", "server indices must be integers"),
+    (7, "", "field {}", "field parameters must be integers"),
+    (7, "", "field 2 {}", "field parameters must be integers"),
+])
+def test_parse_refuses_malformed_integers(token, lineno, line, template, error):
+    lines = EXAMPLE_TEXT.strip().splitlines()[1:] + [""]
+    assert lines[lineno - 1] == line
+    lines[lineno - 1] = template.format(token)
+    with pytest.raises(ProblemError, match=f"^line {lineno}: {error}$"):
+        parse_problem("\n".join(lines))
+
+
 def test_duplicate_stream_names_rejected():
     with pytest.raises(ProblemError):
         parse_problem("servers 2\nstream a: 1\nstream a: 2\nclique: 1 2\n")

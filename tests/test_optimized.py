@@ -32,6 +32,28 @@ def test_capacity_witness_check_survives_optimize():
     assert "region membership" in proc.stdout
 
 
+def test_capacity_dual_check_survives_optimize():
+    proc = run_optimized("""
+        import sumbox.capacity as cap
+        from sumbox.scheme import reference_problem
+        solve_min = cap.lp.solve_min
+
+        def positive_dual(c, A, b, *, dual=False):
+            value, x, y = solve_min(c, A, b, dual=True)
+            return value, x, [-v for v in y]
+
+        cap.lp.solve_min = positive_dual
+        try:
+            cap.capacity_lp(reference_problem())
+        except AssertionError as exc:
+            print(exc)
+        else:
+            sys.exit("capacity_lp returned an unchecked dual")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert "dual certificate has a positive entry" in proc.stdout
+
+
 def test_scheme_certificate_check_survives_optimize():
     proc = run_optimized("""
         from sumbox.scheme import CodingScheme, build_scheme, reference_problem
