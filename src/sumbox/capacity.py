@@ -61,11 +61,16 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (L // v.denominator) for v in values], L
 
 
+def in_region(P: Problem, N: list[int], L: int) -> bool:
+    """Region membership of the download-cost tuple N / L, given as integers
+    N (length gamma, (t,s) order) and L >= 1."""
+    values = stream_values(P, N)  # a length other than gamma raises ProblemError
+    return all(v >= 0 for v in N) and min(values) >= L
+
+
 def feasible(P: Problem, D) -> bool:
     """Region membership of a download-cost tuple (length gamma, (t,s) order)."""
-    D, L = common_denominator([Fraction(v) for v in D])
-    values = stream_values(P, D)  # a length other than gamma raises ProblemError
-    return all(v >= 0 for v in D) and min(values) >= L
+    return in_region(P, *common_denominator([Fraction(v) for v in D]))
 
 
 def _row_combination(coeffs: list[int], A: np.ndarray) -> list[int]:
@@ -81,9 +86,9 @@ def _certified(P: Problem, c, A: np.ndarray, b, value: Fraction, witness: tuple,
     """The result of the LP min c.x, A x <= b, x >= 0 of P's region, after an
     exact check that `witness` (the download-cost part of x) is in the region
     at cost `value` and that `dual` proves the minimum."""
-    if not feasible(P, witness):
-        raise AssertionError("LP witness fails region membership")
     w, L = common_denominator(witness)
+    if not in_region(P, w, L):
+        raise AssertionError("LP witness fails region membership")
     if sum(w) != value * L:
         raise AssertionError("LP witness does not cost the optimal value")
     y, L = common_denominator(dual)
@@ -128,7 +133,7 @@ def capacity_lp(P: Problem) -> CapacityResult:
     b = [0] * (2 * len(pairs)) + [-1] * P.K
     c = [1] * gamma + [0] * len(pairs)
 
-    value, x, y = lp.solve_min(c, A, b, dual=True)
+    value, x, y = lp.solve_min(c, A, b)
     return _certified(P, c, A, b, value, tuple(x[:gamma]), y)
 
 
@@ -143,7 +148,7 @@ def _incidence(P: Problem) -> np.ndarray:
 def _per_server_result(P: Problem, E, A: np.ndarray) -> CapacityResult:
     """Solve min sum_s D_s s.t. A D <= -1 (S per-server variables); lift to E's layout."""
     c, b = [1] * P.S, [-1] * len(A)
-    value, x, y = lp.solve_min(c, A, b, dual=True)
+    value, x, y = lp.solve_min(c, A, b)
     lifted = Problem(P.S, P.W, E, P.stream_names, P.base_field)
     return _certified(lifted, c, A, b, value, tuple(x[s - 1] for t, s in lifted.cost_index()), y)
 

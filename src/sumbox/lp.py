@@ -78,11 +78,10 @@ def _integer_array(v, shape) -> np.ndarray:
     return a.reshape(shape)
 
 
-def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequence[int],
-              *, dual: bool = False):
-    """Exact simplex.  Returns (optimal value, x) as Fractions, and with
-    `dual=True` (optimal value, x, y), y the optimal dual point (one Fraction
-    per row of A, y <= 0, A^T y <= c, b.y = optimal value).
+def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequence[int]):
+    """Exact simplex.  Returns (optimal value, x, y) as Fractions: x an optimal
+    point and y the optimal dual point (one entry per row of A, y <= 0,
+    A^T y <= c, b.y = optimal value).
 
     Raises LpInfeasible / LpUnbounded accordingly.
     """
@@ -256,9 +255,6 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(rhs[i], dens[i])
-    value = objective(m)
-    if not dual:
-        return value, x
     d_obj = int(T[m, den_col])
     y = [Fraction(-v, d_obj) for v in T[m, n:n + len(b)].tolist()]
-    return value, x, y
+    return objective(m), x, y

@@ -34,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .capacity import capacity_lp, common_denominator, feasible, stream_values
+from .capacity import capacity_lp, common_denominator, in_region, stream_values
 from .field import Extension, Field, extend_field, field_construct
 from .matrix import Mat, MatrixError, block_diag
 from .model import Problem, full_clique, parse_problem, render_problem
@@ -86,9 +86,9 @@ def allocation_from_lp(P: Problem, witness) -> Allocation:
     exactly (asserted).
     """
     w = [Fraction(v) for v in witness]
-    if not feasible(P, w):
+    counts, L = common_denominator(w)
+    if not in_region(P, counts, L):
         raise SchemeError("witness is not in the feasible region")
-    counts, _ = common_denominator(w)
     a = Allocation(tuple(counts))
     if rate_of_allocation(P, a) != 1 / sum(w):
         raise AssertionError("scaled witness does not achieve capacity")

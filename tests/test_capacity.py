@@ -82,8 +82,8 @@ def _halve_on_stream_row(y, b):
 def test_mutated_dual_is_rejected(monkeypatch, mutate, error):
     solve_min = capacity.lp.solve_min
 
-    def mutated(c, A, b, *, dual=False):
-        value, x, y = solve_min(c, A, b, dual=True)
+    def mutated(c, A, b):
+        value, x, y = solve_min(c, A, b)
         return value, x, mutate(y, b)
 
     P = reference_problem()

@@ -21,21 +21,21 @@ def F(a, b=1):
 
 def test_simple_2d():
     # min x + y s.t. -x - y <= -1 (i.e. x + y >= 1)
-    val, x = solve_min([1, 1], [[-1, -1]], [-1])
+    val, x, _ = solve_min([1, 1], [[-1, -1]], [-1])
     assert val == 1
     assert sum(x) == 1
 
 
 def test_bounded_above():
     # min -x - 2y s.t. x <= 3, y <= 2, x + y <= 4
-    val, x = solve_min([-1, -2], [[1, 0], [0, 1], [1, 1]], [3, 2, 4])
+    val, x, _ = solve_min([-1, -2], [[1, 0], [0, 1], [1, 1]], [3, 2, 4])
     assert val == -6
     assert x == [F(2), F(2)]
 
 
 def test_fractional_optimum():
     # min x + y s.t. 2x + y >= 1, x + 3y >= 1
-    val, _ = solve_min([1, 1], [[-2, -1], [-1, -3]], [-1, -1])
+    val, _, _ = solve_min([1, 1], [[-2, -1], [-1, -3]], [-1, -1])
     assert val == Fraction(3, 5)
 
 
@@ -65,14 +65,14 @@ def test_degenerate_does_not_cycle():
         b.append(1)
     A.append([1] * n)
     b.append(3)
-    val, _ = solve_min(c, A, b)
+    val, _, _ = solve_min(c, A, b)
     assert val == -3
 
 
 def test_exactness_with_awkward_rationals():
     # optimum forced to a vertex with large denominators: the rows
     # 7/3 x + 2/5 y >= 1 and 1/9 x + 11/4 y >= 1, each scaled by its lcm
-    val, x = solve_min([1, 1], [[-35, -6], [-4, -99]], [-15, -36])
+    val, x, _ = solve_min([1, 1], [[-35, -6], [-4, -99]], [-15, -36])
     # verify the returned point exactly satisfies both constraints with equality
     assert F(7, 3) * x[0] + F(2, 5) * x[1] == 1
     assert F(1, 9) * x[0] + F(11, 4) * x[1] == 1
@@ -92,10 +92,9 @@ def test_random_lps_certified():
         if any(all(v == 0 for v in row) for row in A):
             continue  # a zero row with negative rhs is trivially infeasible
         try:
-            val, x, y = solve_min(c, A, b, dual=True)
+            val, x, y = solve_min(c, A, b)
         except LpInfeasible:
             continue
-        assert (val, x) == solve_min(c, A, b)
         assert all(v >= 0 for v in x)
         assert sum(ci * xi for ci, xi in zip(c, x)) == val
         for row, bi in zip(A, b):
@@ -111,7 +110,7 @@ def test_random_lps_certified():
     ([[-1]], [-(1 << 70)], F(1 << 70)),     # a right-hand side beyond int64
 ])
 def test_entries_beyond_int64_start_on_big_ints(A, b, value):
-    val, x = solve_min([1], A, b)
+    val, x, _ = solve_min([1], A, b)
     assert val == value
     assert x == [value]
 
@@ -129,8 +128,8 @@ FORMS_B = [-1, -1, 5, -1]
     lambda A, b: (np.array(A, dtype=object), np.array(b, dtype=object)),  # object ints
 ], ids=["ints", "int64", "object"])
 def test_input_forms_give_identical_results(form):
-    val, x = solve_min(FORMS_C, *form(FORMS_A, FORMS_B))
-    assert (val, x) == solve_min(FORMS_C, FORMS_A, FORMS_B)
+    val, x, y = solve_min(FORMS_C, *form(FORMS_A, FORMS_B))
+    assert (val, x, y) == solve_min(FORMS_C, FORMS_A, FORMS_B)
     assert val == 2
     assert x == [F(1, 2), F(0), F(1, 2)]
 
@@ -150,10 +149,10 @@ def test_non_integer_entries_are_refused(where, bad):
 def test_dual_reads_the_same_on_negated_rows():
     # min 2x + 3y s.t. x + y >= 1 (negated, an artificial row), x <= 4: the
     # dual of the >= row is -2, with the sign of a <= row's dual
-    val, x, y = solve_min([2, 3], [[-1, -1], [1, 0]], [-1, 4], dual=True)
+    val, x, y = solve_min([2, 3], [[-1, -1], [1, 0]], [-1, 4])
     assert (val, x, y) == (2, [1, 0], [-2, 0])
     # min -x s.t. x <= 3: a <= row with a binding constraint
-    assert solve_min([-1], [[1]], [3], dual=True) == (-3, [3], [-1])
+    assert solve_min([-1], [[1]], [3]) == (-3, [3], [-1])
 
 
 @pytest.fixture(scope="module")
@@ -166,9 +165,9 @@ def ladder_lps():
                  for S in range(1, 5) for a in range(1, S + 1) for b in range(1, S + 1)]
     solve, lps = lp.solve_min, []
 
-    def record(c, A, b, **kwargs):
+    def record(c, A, b):
         lps.append((c, A, b))
-        return solve(c, A, b, **kwargs)
+        return solve(c, A, b)
 
     lp.solve_min = record
     try:
@@ -176,7 +175,7 @@ def ladder_lps():
             capacity_lp(P)
     finally:
         lp.solve_min = solve
-    return [(args, solve(*args, dual=True)) for args in lps]
+    return [(args, solve(*args)) for args in lps]
 
 
 def tableau_dtypes(run) -> list[list[str]]:
@@ -215,7 +214,7 @@ def test_ladder_results_do_not_depend_on_dtype_or_gcd(monkeypatch, ladder_lps, s
     monkeypatch.setattr(lp, "_GCD_THRESHOLD", gcd_threshold)
     results = []
     dtypes = tableau_dtypes(lambda: results.extend(
-        solve_min(*args, dual=True) for args, _ in ladder_lps))
+        solve_min(*args) for args, _ in ladder_lps))
     assert results == [expected for _, expected in ladder_lps]
     assert all(dtypes)  # every solve pivots
     if safe == 0:

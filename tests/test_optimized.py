@@ -20,7 +20,7 @@ def test_capacity_witness_check_survives_optimize():
     proc = run_optimized("""
         import sumbox.capacity as cap
         from sumbox.scheme import reference_problem
-        cap.feasible = lambda *args: False
+        cap.in_region = lambda *args: False
         try:
             cap.capacity_lp(reference_problem())
         except AssertionError as exc:
@@ -38,8 +38,8 @@ def test_capacity_dual_check_survives_optimize():
         from sumbox.scheme import reference_problem
         solve_min = cap.lp.solve_min
 
-        def positive_dual(c, A, b, *, dual=False):
-            value, x, y = solve_min(c, A, b, dual=True)
+        def positive_dual(c, A, b):
+            value, x, y = solve_min(c, A, b)
             return value, x, [-v for v in y]
 
         cap.lp.solve_min = positive_dual
