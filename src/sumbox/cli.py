@@ -21,7 +21,7 @@ from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
 from .field import (Field, FieldError, FieldOrderError, field_construct, parse_decimal,
                     parse_field_name)
 from .model import Problem, ProblemError, beta_cliques, colex_subsets, parse_problem
-from .oracle import (DECODE_BATCH, GuardExceeded, check_identities,
+from .oracle import (DECODE_BATCH, GuardExceeded, check_beta_star, check_identities,
                      check_lp_oracle, exhaustive_decode_check, tap_lines)
 from .scheme import (DEFAULT_SEED, Allocation, build_scheme, parse_scheme,
                      render_scheme, simulate_batch)
@@ -117,9 +117,10 @@ def cmd_capacity(args) -> int:
 def cmd_tables(args) -> int:
     from .tables import check_table1, check_table2
 
+    lp_check_max_s = _int_option("--lp-check-max-s", args.lp_check_max_s)
     records = args.format == "records"
     bad = 0
-    checks = {"table1": check_table1, "table2": lambda: check_table2(args.lp_check_max_s)}
+    checks = {"table1": check_table1, "table2": lambda: check_table2(lp_check_max_s)}
     for table, check in checks.items():  # table 1 prints before table 2 is computed
         for label, got, golden in check():
             _emit(records, f"{table} {label}", got)
@@ -130,6 +131,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_scheme_build(args) -> int:
+    seed = _int_option("--seed", args.seed)
     P = parse_problem(_read(args.file))
     d_field = _parse_d(args.d) if args.d else None
     z = None if args.z in (None, "auto") else _int_option("--z", args.z)
@@ -140,7 +142,7 @@ def cmd_scheme_build(args) -> int:
             raise ProblemError(
                 f"--alloc expects {P.gamma} entries (clique-major, server-ascending)")
         allocation = Allocation(counts)
-    sch = build_scheme(P, allocation=allocation, d_field=d_field, z=z, seed=args.seed)
+    sch = build_scheme(P, allocation=allocation, d_field=d_field, z=z, seed=seed)
     text = render_scheme(sch)
     if args.out:
         with open(args.out, "w") as fh:
@@ -153,6 +155,7 @@ def cmd_scheme_build(args) -> int:
 
 
 def cmd_scheme_simulate(args) -> int:
+    trials, seed = _int_option("--trials", args.trials), _int_option("--seed", args.seed)
     sch = parse_scheme(_read(args.file))
     q = sch.ext.big.order
     if args.exhaustive:
@@ -164,17 +167,17 @@ def cmd_scheme_simulate(args) -> int:
         print(f"FAIL at realization {rep.counterexample}: "
               f"decoded {rep.main_value}, expected {rep.oracle_value}")
         return EXIT_MISMATCH
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     K, R = sch.problem.K, sch.R
     ops = field_ops(sch.ext.big)
     fails = 0
-    for lo in range(0, args.trials, DECODE_BATCH):
-        n = min(DECODE_BATCH, args.trials - lo)
+    for lo in range(0, trials, DECODE_BATCH):
+        n = min(DECODE_BATCH, trials - lo)
         # the draws of one trial at a time, in order: trial, stream, row
         data = np.array([rng.randrange(q) for _ in range(n * K * R)], dtype=np.int64)
         data = data.reshape(n, K, R).transpose(1, 2, 0)
         fails += int((simulate_batch(sch, data) != ops.sum(data)).any(axis=0).sum())
-    print(f"{args.trials - fails}/{args.trials} pass (seed {args.seed})")
+    print(f"{trials - fails}/{trials} pass (seed {seed})")
     return EXIT_MISMATCH if fails else EXIT_OK
 
 
@@ -189,20 +192,17 @@ def cmd_scheme_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .capacity import beta_star
-
     used = {"identities": ("seed", "cases", "max_s"), "oracle-lp": ("seed", "cases"),
             "beta-star": ("max_s",)}[args.suite]
-    for opt in ("seed", "cases", "max_s"):
-        if getattr(args, opt) is not None and opt not in used:
-            raise ValueError(f"--{opt.replace('_', '-')} does not apply to verify {args.suite}")
-    seed = args.seed or 0
-    cases = 100 if args.cases is None else args.cases
-    max_s = args.max_s or 0  # 0: the suite's default
-    if cases < 0:
-        raise ValueError(f"--cases must be non-negative, got {cases}")
-    if max_s < 0:
-        raise ValueError(f"--max-s must be non-negative, got {max_s}")
+    values = {"seed": 0, "cases": 100, "max_s": 0}  # max_s 0: the suite's default
+    for opt in values:
+        token = getattr(args, opt)
+        if token is not None:
+            option = "--" + opt.replace("_", "-")
+            if opt not in used:
+                raise ValueError(f"{option} does not apply to verify {args.suite}")
+            values[opt] = _int_option(option, token)
+    seed, cases, max_s = values.values()
     if args.suite == "identities" and 0 < max_s < 3:
         raise ValueError(f"--max-s must be 0 (default 5) or at least 3 for identities "
                          f"(the triangle suite needs 3 servers), got {max_s}")
@@ -211,19 +211,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "oracle-lp":
         reports = check_lp_oracle(seed, cases)
     else:  # beta-star
-        from .oracle import OracleReport
-
-        reports = []
-        max_s = max_s or 10
-        for S in range(1, max_s + 1):
-            for alpha in range(1, S + 1):
-                c_full = capacity_symmetric(S, alpha, S)
-                scanned = next(b for b in range(1, S + 1)
-                               if capacity_symmetric(S, alpha, b) == c_full)
-                formula = beta_star(S, alpha)
-                reports.append(OracleReport(
-                    f"beta* S={S} alpha={alpha}", scanned, formula,
-                    scanned == formula))
+        reports = check_beta_star(max_s or 10)
     if args.format == "records":
         for rep in reports:
             val = rep.main_value if isinstance(rep.main_value, Fraction) else None
@@ -253,7 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cap.set_defaults(func=cmd_capacity)
 
     p_tab = sub.add_parser("tables", help="regenerate and diff the golden tables")
-    p_tab.add_argument("--lp-check-max-s", type=int, default=0,
+    p_tab.add_argument("--lp-check-max-s", default="0",
                        help="also LP-cross-check the symmetric grid up to this S")
     p_tab.add_argument("--format", choices=["text", "records"], default="text")
     p_tab.set_defaults(func=cmd_tables)
@@ -266,15 +254,15 @@ def make_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--out", help="output scheme file (default: stdout)")
     p_b.add_argument("--d", help="data field as p^r or order (default: field in file)")
     p_b.add_argument("--z", default="auto", help="extension degree or 'auto'")
-    p_b.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_b.add_argument("--seed", default=str(DEFAULT_SEED))
     p_b.add_argument("--alloc", help="comma-separated box counts, clique-major order")
     p_b.set_defaults(func=cmd_scheme_build)
 
     p_s = ssub.add_parser("simulate", help="run decode trials on a scheme file")
     p_s.add_argument("file")
-    p_s.add_argument("--trials", type=int, default=1000)
+    p_s.add_argument("--trials", default="1000")
     p_s.add_argument("--exhaustive", action="store_true")
-    p_s.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_s.add_argument("--seed", default=str(DEFAULT_SEED))
     p_s.set_defaults(func=cmd_scheme_simulate)
 
     p_c = ssub.add_parser("check", help="re-validate a scheme file's certificate")
@@ -283,9 +271,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run a verification suite (TAP output)")
     p_v.add_argument("suite", choices=["identities", "beta-star", "oracle-lp"])
-    p_v.add_argument("--seed", type=int, help="default 0 (identities, oracle-lp)")
-    p_v.add_argument("--cases", type=int, help="default 100 (identities, oracle-lp)")
-    p_v.add_argument("--max-s", type=int,
+    p_v.add_argument("--seed", help="default 0 (identities, oracle-lp)")
+    p_v.add_argument("--cases", help="default 100 (identities, oracle-lp)")
+    p_v.add_argument("--max-s",
                      help="largest S; 0 or default: 5 (identities), 10 (beta-star)")
     p_v.add_argument("--format", choices=["text", "records"], default="text")
     p_v.set_defaults(func=cmd_verify)

@@ -30,9 +30,10 @@ class FieldOrderError(FieldError):
 def parse_decimal(token: str) -> int:
     """A non-negative integer written in ASCII digits only; ValueError otherwise.
 
-    int() alone also takes a sign, underscores, surrounding blanks and
-    non-ASCII digits (int('\u0664') == 4), so a malformed token would be read
-    as some other number instead of refused.
+    The one reader for every integer taken from a command line, a problem
+    file or a scheme file.  int() alone also takes a sign, underscores,
+    surrounding blanks and non-ASCII digits (int('\u0664') == 4), so a
+    malformed token would be read as some other number instead of refused.
     """
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"not a decimal integer: {token!r}")

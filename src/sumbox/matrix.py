@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import Field, FieldError, parse_field_name
+from .field import Field, FieldError, parse_decimal, parse_field_name
 from .vecops import field_ops
 
 
@@ -205,13 +205,14 @@ class Mat:
         lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
         if not lines:
             raise MatrixError("empty matrix text")
-        head = lines[0].split()
-        if len(head) != 3 or not (head[0].isdecimal() and head[1].isdecimal()):
-            raise MatrixError(f"bad matrix header {lines[0]!r}")
-        rows, cols = int(head[0]), int(head[1])
-        f = field if field is not None else parse_field_name(head[2])
-        if f.name != head[2]:
-            raise MatrixError(f"field mismatch: header {head[2]}, expected {f.name}")
+        try:
+            rows, cols, name = lines[0].split()
+            rows, cols = parse_decimal(rows), parse_decimal(cols)
+        except ValueError:
+            raise MatrixError(f"bad matrix header {lines[0]!r}") from None
+        f = field if field is not None else parse_field_name(name)
+        if f.name != name:
+            raise MatrixError(f"field mismatch: header {name}, expected {f.name}")
         body = lines[1:1 + rows] if cols else []
         if len(body) != rows and cols:
             raise MatrixError("row count mismatch")

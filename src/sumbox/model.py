@@ -188,6 +188,12 @@ def parse_problem(text: str) -> Problem:
     def fail(lineno, msg):
         raise ProblemError(f"line {lineno}: {msg}")
 
+    def ints(lineno, toks, msg):
+        try:
+            return [parse_decimal(v) for v in toks]
+        except ValueError:
+            fail(lineno, msg)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -197,18 +203,11 @@ def parse_problem(text: str) -> Problem:
         if head == "field":
             if len(toks) not in (2, 3):
                 fail(lineno, "expected: field <p> [<r>]")
-            try:
-                p = parse_decimal(toks[1])
-                r = parse_decimal(toks[2]) if len(toks) == 3 else 1
-            except ValueError:
-                fail(lineno, "field parameters must be integers")
+            p, r = (ints(lineno, toks[1:], "field parameters must be integers") + [1])[:2]
         elif head == "servers":
             if len(toks) != 2:
                 fail(lineno, "expected: servers <S>")
-            try:
-                S = parse_decimal(toks[1])
-            except ValueError:
-                fail(lineno, "server count must be an integer")
+            (S,) = ints(lineno, toks[1:], "server count must be an integer")
         elif head == "stream":
             if S is None:
                 fail(lineno, "servers line must come before streams")
@@ -219,19 +218,13 @@ def parse_problem(text: str) -> Problem:
             name = name.strip()
             if not name:
                 fail(lineno, "stream needs a name")
-            try:
-                servers = frozenset(parse_decimal(v) for v in idx.split())
-            except ValueError:
-                fail(lineno, "server indices must be integers")
+            servers = frozenset(ints(lineno, idx.split(), "server indices must be integers"))
             if not servers:
                 fail(lineno, "empty stream subset")
             streams.append((name, servers))
         elif head == "clique:" or (head == "clique" and len(toks) > 1 and toks[1].startswith(":")):
             idx = line.partition(":")[2]
-            try:
-                servers = frozenset(parse_decimal(v) for v in idx.split())
-            except ValueError:
-                fail(lineno, "server indices must be integers")
+            servers = frozenset(ints(lineno, idx.split(), "server indices must be integers"))
             if not servers:
                 fail(lineno, "empty clique subset")
             cliques.append(servers)
@@ -243,10 +236,7 @@ def parse_problem(text: str) -> Problem:
             elif len(toks) == 2 and toks[1] == "none":
                 cliques.extend(singleton_cliques(S))
             elif len(toks) == 3 and toks[1] == "beta":
-                try:
-                    beta = parse_decimal(toks[2])
-                except ValueError:
-                    fail(lineno, "beta must be an integer")
+                (beta,) = ints(lineno, toks[2:], "beta must be an integer")
                 cliques.extend(beta_cliques(S, beta))
             else:
                 fail(lineno, "expected: entangle full | beta <b> | none")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field
+from .field import Field, parse_decimal
 from .matrix import Mat, block_diag
 from .vecops import field_ops
 
@@ -102,12 +102,14 @@ class NSumBox:
         lines = text.splitlines()
         if not lines or not lines[0].startswith("box "):
             raise BoxError("missing box header")
-        head = lines[0].split()
-        if len(head) != 3 or not (head[1].isdecimal() and head[2].isdecimal()):
-            raise BoxError(f"bad box header {lines[0]!r}")
+        try:
+            _, n, order = lines[0].split()
+            n, order = parse_decimal(n), parse_decimal(order)
+        except ValueError:
+            raise BoxError(f"bad box header {lines[0]!r}") from None
         M = Mat.from_text("\n".join(lines[1:]))
-        box = cls(int(head[1]), M.field, M)
-        if M.field.order != int(head[2]):
+        box = cls(n, M.field, M)
+        if M.field.order != order:
             raise BoxError("field order mismatch in box header")
         return box
 

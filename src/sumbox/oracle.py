@@ -11,6 +11,8 @@
   data realization.
 * check_identities runs the capacity identity families on seeded random
   instances plus the named worked instances.
+* check_beta_star and check_lp_oracle compare beta* and the LP against a
+  scan of the symmetric closed form and against vertex enumeration.
 
 Reports render as TAP lines for CI consumption.
 """
@@ -26,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .capacity import (capacity_fullent, capacity_lp, capacity_symmetric,
+from .capacity import (beta_star, capacity_fullent, capacity_lp, capacity_symmetric,
                        capacity_unent, maximal_dsc_gain)
 from .model import (Problem, beta_cliques, concat_problems, full_clique,
                     merged_map, singleton_cliques, symmetric_problem,
@@ -382,6 +384,21 @@ def check_identities(seed: int = 0, cases: int = 100, max_s: int = 5) -> list[Or
 # agreement suites
 
 
+def check_beta_star(max_s: int = 10) -> list[OracleReport]:
+    """beta*(S, alpha) against a scan for the smallest beta whose symmetric
+    capacity equals the fully entangled one, for every alpha <= S <= max_s."""
+    reports = []
+    for S in range(1, max_s + 1):
+        for alpha in range(1, S + 1):
+            c_full = capacity_symmetric(S, alpha, S)
+            scanned = next(b for b in range(1, S + 1)
+                           if capacity_symmetric(S, alpha, b) == c_full)
+            formula = beta_star(S, alpha)
+            reports.append(OracleReport(f"beta* S={S} alpha={alpha}", scanned, formula,
+                                        scanned == formula))
+    return reports
+
+
 def random_small_problem(rng: random.Random) -> Problem:
     """Tiny random instances sized for the vertex-enumeration guard."""
     while True:
@@ -392,9 +409,7 @@ def random_small_problem(rng: random.Random) -> Problem:
         E = tuple(frozenset(rng.sample(range(1, S + 1), rng.randint(1, min(2, S))))
                   for _ in range(T))
         P = Problem(S, W, E)
-        if P.gamma + K * T > VERTEX_ENUM_GUARD:
-            continue
-        if all(any(e & w for e in P.E) for w in P.W):
+        if P.gamma + K * T <= VERTEX_ENUM_GUARD and _covered(P):
             return P
 
 

@@ -35,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from .capacity import capacity_lp, common_denominator, in_region, stream_values
-from .field import Extension, Field, extend_field, field_construct
+from .field import Extension, Field, extend_field, field_construct, parse_decimal
 from .matrix import Mat, MatrixError, block_diag
 from .model import Problem, full_clique, parse_problem, render_problem
 from .nsumbox import NSumBox, build_half_mds_box, is_valid_box
@@ -214,8 +214,11 @@ def build_scheme(
 
     z defaults to the smallest value with d^z above both the largest box size
     and 4*K*R (headroom for the randomized decoder search), doubling on
-    retry exhaustion.
+    retry exhaustion.  The seed is non-negative, like every integer a scheme
+    file holds, so every built scheme can be read back.
     """
+    if seed < 0:
+        raise SchemeError(f"seed must be non-negative, got {seed}")
     if d_field is None:
         d_field = P.data_field()
     if allocation is None:
@@ -435,7 +438,7 @@ def _ints(section: str, line: str, count: int, skip: int = 0) -> list[int]:
     """The integers after the first `skip` words of a line; a SchemeError naming the
     section and the line unless there are exactly `count` of them."""
     try:
-        vals = [int(v) for v in line.split()[skip:]]
+        vals = [parse_decimal(v) for v in line.split()[skip:]]
     except ValueError:
         vals = []
     if len(vals) != count:

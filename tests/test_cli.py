@@ -1,9 +1,11 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from sumbox import scheme
+from sumbox import build_scheme, parse_problem, render_scheme, scheme
 from sumbox.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -122,13 +124,13 @@ def test_scheme_build_deterministic(tmp_path, capsys):
     b = str(tmp_path / "b.scheme")
     run(capsys, "scheme", "build", prob("example.prob"), "--out", a, "--seed", "3")
     run(capsys, "scheme", "build", prob("example.prob"), "--out", b, "--seed", "3")
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_scheme_check_detects_corruption(tmp_path, capsys):
     out_file = str(tmp_path / "example.scheme")
     run(capsys, "scheme", "build", prob("example.prob"), "--out", out_file)
-    text = open(out_file).read()
+    text = Path(out_file).read_text()
     # corrupt the decoder: swap a digit inside the DECODER section
     head, _, tail = text.partition("DECODER")
     dec_lines = tail.splitlines()
@@ -143,7 +145,7 @@ def test_scheme_check_detects_corruption(tmp_path, capsys):
             break
     corrupted = head + "DECODER" + "\n".join(dec_lines)
     bad_file = str(tmp_path / "bad.scheme")
-    open(bad_file, "w").write(corrupted)
+    Path(bad_file).write_text(corrupted)
     code, out, _ = run(capsys, "scheme", "check", bad_file)
     assert code in (1, 2)  # certificate failure, or rejected as unparseable
 
@@ -200,12 +202,12 @@ def test_usage_error(capsys):
 def test_scheme_check_missing_extension_key(tmp_path, capsys, key):
     out_file = str(tmp_path / "example.scheme")
     run(capsys, "scheme", "build", prob("example.prob"), "--out", out_file)
-    lines = open(out_file).read().splitlines(keepends=True)
+    lines = Path(out_file).read_text().splitlines(keepends=True)
     start = lines.index("EXTENSION\n")
     drop = next(i for i in range(start + 1, len(lines))
                 if lines[i].split()[0] == key)
     bad_file = str(tmp_path / "bad.scheme")
-    open(bad_file, "w").write("".join(lines[:drop] + lines[drop + 1:]))
+    Path(bad_file).write_text("".join(lines[:drop] + lines[drop + 1:]))
     code, _, err = run(capsys, "scheme", "check", bad_file)
     assert code == 2
     assert f"no '{key}' line" in err
@@ -263,8 +265,7 @@ def test_scheme_build_refuses_a_malformed_d_order(capsys, token):
 
 @pytest.mark.parametrize("token", ["1_6", "+4", "\u0664"])
 def test_capacity_refuses_a_malformed_integer_in_the_file(tmp_path, capsys, token):
-    with open(prob("example.prob")) as fh:
-        text = fh.read()
+    text = Path(prob("example.prob")).read_text()
     bad = tmp_path / "bad.prob"
     bad.write_text(text.replace("servers 4", f"servers {token}"))
     code, out, err = run(capsys, "capacity", str(bad))
@@ -284,7 +285,7 @@ def test_scheme_built_on_d_field_checks(tmp_path, capsys):
     code, _, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^2",
                      "--out", out_file)
     assert code == 0
-    assert "d 2 2\n" in open(out_file).read()  # the data field used, not the file's F_2
+    assert "d 2 2\n" in Path(out_file).read_text()  # the data field used, not the file's F_2
     code, out, _ = run(capsys, "scheme", "check", out_file)
     assert code == 0
     assert "certificate: OK" in out
@@ -358,3 +359,65 @@ def test_verify_rejects_options_that_do_not_apply(capsys, argv, opt):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {opt} does not apply to verify {argv[0]}\n"
+
+
+@pytest.fixture(scope="module")
+def example_scheme():
+    return render_scheme(build_scheme(parse_problem(Path(prob("example.prob")).read_text())))
+
+
+# int() reads each form of n as n; every integer sumbox reads must be ASCII digits
+MALFORMED_FORMS = {
+    "sign": lambda n: "+" + n,
+    "underscore": lambda n: n[:1] + "_" + n[1:] if len(n) > 1 else "0_" + n,
+    "arabic-indic": lambda n: n.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+
+
+def integer_tokens(text):
+    """(line, start, end) of each integer outside the matrix bodies and comments:
+    a digit run between blanks or commas, on a line not starting with '['."""
+    return [(i, m.start(), m.end()) for i, line in enumerate(text.splitlines())
+            if not line.startswith("[")
+            for m in re.finditer(r"(?<![^ ,])[0-9]+(?![^ ,])", line.split("#", 1)[0])]
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED_FORMS))
+@pytest.mark.parametrize("source", ["example.prob built"] + sorted(
+    f for f in os.listdir(PROBLEMS) if f.endswith(".prob")))
+def test_every_integer_in_a_file_refuses_a_malformed_form(tmp_path, capsys, example_scheme,
+                                                         source, form):
+    if source == "example.prob built":
+        text, command = example_scheme, ["scheme", "check"]
+    else:
+        text, command = Path(prob(source)).read_text(), ["capacity"]
+    lines = text.splitlines()
+    tokens = integer_tokens(text)
+    assert tokens
+    bad = tmp_path / "bad"
+    taken = []
+    for i, start, end in tokens:
+        line = lines[i][:start] + MALFORMED_FORMS[form](lines[i][start:end]) + lines[i][end:]
+        bad.write_text("\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n")
+        code, out, err = run(capsys, *command, str(bad))
+        if (code, out) != (2, "") or not err.startswith("error: "):
+            taken.append((line, code))
+    assert taken == []
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["scheme", "simulate", "{scheme}", "--trials", "-5"], "--trials"),
+    (["scheme", "simulate", "{scheme}", "--trials", "1_0"], "--trials"),
+    (["scheme", "simulate", "{scheme}", "--trials", "٣"], "--trials"),
+    (["scheme", "simulate", "{scheme}", "--seed", "-5"], "--seed"),
+    (["scheme", "build", prob("example.prob"), "--seed", "-5"], "--seed"),
+    (["tables", "--lp-check-max-s", "-3"], "--lp-check-max-s"),
+    (["verify", "beta-star", "--max-s", " 4"], "--max-s"),
+    (["verify", "oracle-lp", "--cases", "٣"], "--cases"),
+])
+def test_integer_options_refuse_malformed_values(tmp_path, capsys, example_scheme, argv, option):
+    scheme_file = tmp_path / "example.scheme"
+    scheme_file.write_text(example_scheme)
+    code, out, err = run(capsys, *(a.format(scheme=scheme_file) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} expects an integer, got {argv[-1]!r}\n"

@@ -24,8 +24,8 @@ SCHEME_TEXT = render_scheme(build_scheme(parse_problem(PROB_TEXT)))
 SOURCES = {"scheme": SCHEME_TEXT.splitlines(), "prob": PROB_TEXT.splitlines()}
 LINES = sorted({ln for lines in SOURCES.values() for ln in lines})
 # tokens kept small: a mutated "servers" or "entangle beta" line stays cheap
-TOKENS = ["", "0", "1", "2", "3", "4", "7", "9", "-1", "x", "1.5", ":", "[9,0]",
-          "[1,0,0,0,0,0,0]", "F2", "F128", "clique", "stream", "full", "beta", "none"]
+TOKENS = ["", "0", "1", "2", "3", "4", "7", "9", "-1", "+1", "1_0", "\u0663", "x", "1.5", ":",
+          "[9,0]", "[1,0,0,0,0,0,0]", "F2", "F128", "clique", "stream", "full", "beta", "none"]
 
 
 @st.composite
