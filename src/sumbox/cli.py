@@ -20,6 +20,7 @@ from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
                        capacity_symmetric, capacity_unent, dsc_gain)
 from .field import (Field, FieldError, FieldOrderError, field_construct, parse_decimal,
                     parse_field_name)
+from .lp import PivotLimitExceeded
 from .model import Problem, ProblemError, beta_cliques, colex_subsets, parse_problem
 from .oracle import (DECODE_BATCH, GuardExceeded, check_beta_star, check_identities,
                      check_lp_oracle, exhaustive_decode_check, tap_lines)
@@ -33,16 +34,13 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
-def _emit(records: bool, instance: str, value: Fraction, extra: str = ""):
+def _emit(records: bool, instance: str, value: Fraction):
     if records:
         print(json.dumps({"instance": instance,
                           "value-num": value.numerator,
                           "value-den": value.denominator}))
     else:
-        line = f"{instance}: {value}"
-        if extra:
-            line += f"  ({extra})"
-        print(line)
+        print(f"{instance}: {value}")
 
 
 def _read(path: str) -> str:
@@ -289,7 +287,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (GuardExceeded, LpSizeError, FieldOrderError) as exc:
+    except (GuardExceeded, LpSizeError, FieldOrderError, PivotLimitExceeded) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (OSError, ValueError) as exc:

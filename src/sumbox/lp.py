@@ -65,6 +65,10 @@ class LpUnbounded(LpError):
     pass
 
 
+class PivotLimitExceeded(LpError):
+    """More than _MAX_PIVOTS pivots: a resource limit, not a wrong input."""
+
+
 def _integer_array(v, shape) -> np.ndarray:
     """v as an integer array of the given shape: numpy ints as they are, anything
     else as Python ints in an object array.  LpError on a non-integer entry."""
@@ -198,7 +202,7 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
         bland_ref = None
         while True:
             if pivots > _MAX_PIVOTS:
-                raise LpError("pivot limit exceeded")
+                raise PivotLimitExceeded("pivot limit exceeded")
             if bland and objective(obj_row) != bland_ref:
                 bland = False
                 degen_run = 0

@@ -64,11 +64,6 @@ class Problem:
     def gamma(self) -> int:
         return sum(len(e) for e in self.E)
 
-    @property
-    def d(self) -> int:
-        p, r = self.base_field
-        return p ** r
-
     def data_field(self):
         return field_construct(*self.base_field)
 
@@ -116,13 +111,13 @@ def beta_cliques(S: int, beta: int) -> tuple[frozenset[int], ...]:
     return tuple(colex_subsets(S, beta))
 
 
-def symmetric_problem(S: int, alpha: int, beta: int, base_field=(2, 1)) -> Problem:
+def symmetric_problem(S: int, alpha: int, beta: int) -> Problem:
     """W = all alpha-subsets, E = all beta-subsets, both in colex order."""
     if not 1 <= alpha <= S:
         raise ProblemError(f"replication size {alpha} out of range 1..{S}")
     W = tuple(colex_subsets(S, alpha))
     names = tuple("w" + "".join(map(str, sorted(w))) for w in W)
-    return Problem(S, W, beta_cliques(S, beta), names, base_field)
+    return Problem(S, W, beta_cliques(S, beta), names)
 
 
 # ---------------------------------------------------------------------------

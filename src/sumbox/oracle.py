@@ -29,9 +29,8 @@ from typing import Any
 import numpy as np
 
 from .capacity import (beta_star, capacity_fullent, capacity_lp, capacity_symmetric,
-                       capacity_unent, maximal_dsc_gain)
-from .model import (Problem, beta_cliques, concat_problems, full_clique,
-                    merged_map, singleton_cliques, symmetric_problem,
+                       capacity_unent)
+from .model import (Problem, beta_cliques, concat_problems, full_clique, merged_map,
                     triangle_substitute)
 from .scheme import CodingScheme, simulate_batch
 from .vecops import field_ops
@@ -288,9 +287,9 @@ def check_bipartite_merge(seed: int, cases: int = 100, max_s: int = 5):
     return reports
 
 
-def check_disjoint_data(max_s: int = 8):
+def check_disjoint_data():
     reports = []
-    for S in range(2, max_s + 1):
+    for S in range(2, 9):
         W = tuple(frozenset([s]) for s in range(1, S + 1))
         P_full = Problem(S, W, full_clique(S))
         P_beta2 = Problem(S, W, beta_cliques(S, 2))
@@ -311,7 +310,7 @@ def check_dsc_gain(seed: int, cases: int = 200, max_s: int = 5):
         K = rng.randint(1, 4)
         P = Problem(S, random_replication(rng, S, K), full_clique(S))
         c_un = capacity_unent(P).capacity
-        gain = maximal_dsc_gain(P)
+        gain = capacity_fullent(P).capacity / c_un
         closed = min(Fraction(2), 1 / c_un)
         reports.append(OracleReport(
             f"maximal gain #{i + 1} (S={S}, K={K})", gain, closed, gain == closed))
@@ -329,7 +328,8 @@ def check_separability(seed: int, cases: int = 50, max_s: int = 4):
         c1, c2 = capacity_fullent(P1).capacity, capacity_fullent(P2).capacity
         c3 = capacity_fullent(P3).capacity
         additive = (1 / c3) == (1 / c1) + (1 / c2)
-        both_max = maximal_dsc_gain(P1) == 2 and maximal_dsc_gain(P2) == 2
+        both_max = (c1 / capacity_unent(P1).capacity == 2
+                    and c2 / capacity_unent(P2).capacity == 2)
         reports.append(OracleReport(
             f"separability #{i + 1} (S1={S1}, S2={S2})",
             f"additive={additive}", f"both gains 2: {both_max}", additive == both_max))

@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -120,7 +119,8 @@ def build_big_channel(P: Problem, a: Allocation, d_field: Field, z: int) -> BigC
 
 def assemble_channel(P: Problem, a: Allocation, ext: Extension,
                      boxes: tuple[tuple[int, NSumBox], ...]) -> BigChannel:
-    """Wire given per-clique boxes into the per-stream block channel."""
+    """Wire given per-clique boxes into the per-stream block channel: Mbar_k is
+    the columns rows[k] of the block-diagonal stack of the box matrices."""
     cliques = P.split(a.counts)
     expect = [(t, sum(c.values())) for t, c in enumerate(cliques) if any(c.values())]
     if [(t, box.N) for t, box in boxes] != expect:
@@ -128,21 +128,19 @@ def assemble_channel(P: Problem, a: Allocation, ext: Extension,
     for _, box in boxes:
         if box.field != ext.big:
             raise SchemeError("box field disagrees with the coding field")
-    starts = list(accumulate((2 * box.N for _, box in boxes), initial=0))
-    mbars, rows = [], []
+    stack = block_diag(ext.big, [box.M for _, box in boxes]).array
+    rows = []
     for w in P.W:
-        blocks, idx = [], []
-        for (t, box), start in zip(boxes, starts):
-            cols, off = [], 0
+        idx, start = [], 0
+        for t, box in boxes:
             for s, n in cliques[t].items():  # left slots of s, then their paired right slots
                 if s in w:
-                    cols += [*range(off, off + n), *range(box.N + off, box.N + off + n)]
-                off += n
-            blocks.append(box.M.select_columns([c + 1 for c in cols]))
-            idx += [start + c for c in cols]
-        mbars.append(block_diag(ext.big, blocks))
+                    idx += [*range(start, start + n), *range(start + box.N, start + box.N + n)]
+                start += n
+            start += box.N  # past the clique's right slots
         rows.append(np.array(idx, dtype=np.intp))
-    return BigChannel(P, ext, boxes, tuple(mbars), tuple(rows))
+    mbar = tuple(Mat._of(ext.big, stack[:, r]) for r in rows)
+    return BigChannel(P, ext, boxes, mbar, tuple(rows))
 
 
 _DECODER_DRAWS = 64

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sumbox import build_scheme, parse_problem, render_scheme, scheme
+from sumbox import build_scheme, capacity, lp, oracle, parse_problem, render_scheme, scheme
 from sumbox.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -175,6 +177,19 @@ def test_verify_identities_quick(capsys):
     code, out, _ = run(capsys, "verify", "identities", "--cases", "5")
     assert code == 0
     assert "strict gap" in out
+
+
+def test_verify_identities_reports_a_gain_mismatch(capsys, monkeypatch):
+    # C_fullent scaled by 9/10 breaks C_fullent / C_unent = min(2, 1/C_unent): the
+    # suite reports the failing cases and exits 1 rather than raising
+    def scaled(P, solve=capacity.capacity_fullent):
+        res = solve(P)
+        return dataclasses.replace(res, capacity=res.capacity * Fraction(9, 10))
+    for module in (capacity, oracle):
+        monkeypatch.setattr(module, "capacity_fullent", scaled)
+    code, out, err = run(capsys, "verify", "identities", "--cases", "5")
+    assert (code, err) == (1, "")
+    assert re.search(r"^not ok \d+ - maximal gain #", out, re.M)
 
 
 @pytest.mark.parametrize("max_s", ["1", "2", "-1"])
@@ -348,6 +363,12 @@ def test_z_search_past_the_bound_is_a_guard(capsys, monkeypatch):
     code, out, err = run(capsys, "scheme", "build", prob("example.prob"))
     assert (code, out) == (3, "")
     assert err.startswith("guard: field order 2^") and "exceeds bound 1048576" in err
+
+
+def test_pivot_limit_is_a_guard(capsys, monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 3)
+    code, out, err = run(capsys, "capacity", prob("example.prob"))
+    assert (code, out, err) == (3, "", "guard: pivot limit exceeded\n")
 
 
 @pytest.mark.parametrize("argv, opt", [

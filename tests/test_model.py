@@ -40,7 +40,7 @@ def test_parse_explicit_cliques_and_field():
     P = parse_problem("field 3 2\nservers 3\nstream x: 1 2\nclique: 1 2\nclique: 3\n")
     assert P.base_field == (3, 2)
     assert P.E == (frozenset({1, 2}), frozenset({3}))
-    assert P.d == 9
+    assert P.data_field().order == 9
 
 
 def test_parse_errors_carry_line_numbers():

@@ -42,6 +42,26 @@ def mat_simulate(sch, cols):
     return Mat(f, ref.mul(f, sch.decoder.data, ys, 1), cols=1)
 
 
+@pytest.mark.parametrize("source", sorted(f for f in os.listdir(PROBLEMS) if f.endswith(".prob"))
+                         + [(5, 2, 3), (6, 2, 2)], ids=str)
+def test_mbar_is_the_stack_at_rows(source):
+    """Each Mbar_k is the columns rows[k] of the block-diagonal stack of the box
+    matrices, so the certificate and simulate_batch read one wiring table."""
+    if isinstance(source, tuple):
+        P = symmetric_problem(*source)
+    else:
+        with open(os.path.join(PROBLEMS, source)) as fh:
+            P = parse_problem(fh.read())
+    sch = build_scheme(P)
+    ch = sch.channel
+    stack = ref.block_diag([(box.M.data, 2 * box.N) for _, box in ch.boxes])
+    for m, rows in zip(ch.mbar, ch.rows):
+        rows = rows.tolist()
+        assert len(set(rows)) == len(rows) and all(0 <= r < 2 * ch.n for r in rows)
+        assert m.data == ref.select_columns(stack, [r + 1 for r in rows])
+    assert sch.certificate_ok()
+
+
 def test_allocation_from_lp_reference():
     P = reference_problem()
     res = capacity_lp(P)
