@@ -29,13 +29,8 @@ from math import comb, lcm
 import numpy as np
 
 from . import lp
-from .model import Problem, ProblemError, full_clique, singleton_cliques
-
-MAX_LP_VARS = 10_000
-
-
-class LpSizeError(ProblemError):
-    """Instance exceeds the LP variable-count guard."""
+from .model import (MAX_LP_VARS, LpSizeError, Problem, ProblemError, full_clique,
+                    singleton_cliques)
 
 
 @dataclass(frozen=True)
@@ -116,8 +111,7 @@ def capacity_lp(P: Problem) -> CapacityResult:
     gamma = P.gamma
     pairs = _active_pairs(P)
     nvars = gamma + len(pairs)
-    if nvars > MAX_LP_VARS:
-        raise LpSizeError(f"{nvars} LP variables exceed the guard {MAX_LP_VARS}")
+    _check_lp_size(nvars)
     # variable layout: gamma download costs then one m per active (t, k) pair
     cost_pos = {ts: j for j, ts in enumerate(P.cost_index())}
 
@@ -135,6 +129,11 @@ def capacity_lp(P: Problem) -> CapacityResult:
 
     value, x, y = lp.solve_min(c, A, b)
     return _certified(P, c, A, b, value, tuple(x[:gamma]), y)
+
+
+def _check_lp_size(nvars: int):
+    if nvars > MAX_LP_VARS:
+        raise LpSizeError(f"{nvars} LP variables exceed the guard {MAX_LP_VARS}")
 
 
 def _incidence(P: Problem) -> np.ndarray:
@@ -158,6 +157,7 @@ def capacity_fullent(P: Problem) -> CapacityResult:
 
     Per-server LP: sum_s D_s >= 1 and 2 * sum_{s in W(k)} D_s >= 1 for all k.
     """
+    _check_lp_size(P.S)
     A = np.vstack([np.full((1, P.S), -1), -2 * _incidence(P)])
     return _per_server_result(P, full_clique(P.S), A)
 
@@ -167,6 +167,7 @@ def capacity_unent(P: Problem) -> CapacityResult:
 
     Per-server LP: sum_{s in W(k)} D_s >= 1 for all k.
     """
+    _check_lp_size(P.S)
     return _per_server_result(P, singleton_cliques(P.S), -_incidence(P))
 
 

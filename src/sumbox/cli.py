@@ -99,11 +99,11 @@ def cmd_capacity(args) -> int:
         S, alpha, beta = _detect_symmetric(P)
         val = capacity_symmetric(S, alpha, beta)
         _emit(records, f"{args.file} symmetric S={S} alpha={alpha} beta={beta}", val)
-        return EXIT_OK
+        res = None  # a closed form has no cost or witness to print
     else:
         res = capacity_lp(P)
         _emit(records, f"{args.file} capacity", res.capacity)
-    if not records:
+    if res is not None and not records:
         print(f"optimal cost: {res.optimal_cost}")
         witness = " ".join(str(v) for v in res.witness)
         print(f"witness: {witness}")

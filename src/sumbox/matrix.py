@@ -2,15 +2,14 @@
 
 Matrices are immutable value objects: a Field plus a read-only 2-D int64
 numpy array of int-encoded elements, operated on by the whole-array kernels
-of `vecops`.  Column indices at public boundaries are 1-based
-(select_columns); internal storage is 0-based.
+of `vecops`.  A scheme needs products, rank, a right inverse, block-diagonal
+stacking and the text form, and nothing more is kept.
 """
 
 from __future__ import annotations
 
 import re
-from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +24,7 @@ class MatrixError(ValueError):
 class Mat:
     __slots__ = ("field", "array")
 
-    def __init__(self, field: Field, data: Sequence[Sequence[int]] | np.ndarray,
-                 cols: int | None = None):
+    def __init__(self, field: Field, data: Sequence[Sequence[int]] | np.ndarray):
         """A matrix from a list of rows of ints, or from a 2-D integer array."""
         if isinstance(data, np.ndarray):
             if data.ndim != 2 or data.dtype.kind not in "iu":
@@ -36,15 +34,13 @@ class Mat:
             array = data.astype(np.int64)
         else:
             rows = [list(r) for r in data]
-            width = len(rows[0]) if rows else cols or 0
+            width = len(rows[0]) if rows else 0
             if any(len(r) != width for r in rows):
                 raise MatrixError("ragged rows")
             for r in rows:
                 for v in r:
                     field.check(v)
             array = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-        if cols is not None and array.shape[1] != cols and array.shape[0]:
-            raise MatrixError("cols mismatch")
         self._set(field, array)
 
     def _set(self, field: Field, array: np.ndarray):
@@ -83,8 +79,10 @@ class Mat:
 
     @classmethod
     def random(cls, field: Field, rows: int, cols: int, rng) -> "Mat":
+        """Entries rng.randrange(q), drawn row by row."""
         q = field.order
-        return cls(field, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], cols=cols)
+        draws = [rng.randrange(q) for _ in range(rows * cols)]
+        return cls._of(field, np.array(draws, dtype=np.int64).reshape(rows, cols))
 
     # -- value semantics ---------------------------------------------------------
     def __eq__(self, other):
@@ -94,22 +92,10 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.field.name}, {self.rows}x{self.cols})"
 
-    def is_zero(self) -> bool:
-        return not self.array.any()
-
     # -- arithmetic ---------------------------------------------------------------
-    def _check_same_field(self, other: "Mat"):
+    def __mul__(self, other: "Mat") -> "Mat":
         if self.field != other.field:
             raise MatrixError("field mismatch")
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if self.array.shape != other.array.shape:
-            raise MatrixError("dimension mismatch in add")
-        return Mat._of(self.field, field_ops(self.field).add(self.array, other.array))
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
         if self.cols != other.rows:
             raise MatrixError(f"dimension mismatch in mul: "
                               f"{self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -118,77 +104,20 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat._of(self.field, self.array.T)
 
-    # -- elimination core ------------------------------------------------------
-    def _rref(self):
-        """Reduced row echelon form: (array, pivot columns, pivot values, row swaps).
-
-        Pivot choice: first nonzero entry scanning rows top-down within each
-        column, columns left to right; the form itself is unique.
-        """
-        ops = field_ops(self.field)
-        a = self.array.copy()
-        pivots, values, swaps = [], [], 0
-        for col in range(a.shape[1]):
-            prow = len(pivots)
-            if prow == a.shape[0]:
-                break
-            below = a[prow:, col].nonzero()[0]
-            if not below.size:
-                continue
-            piv = prow + int(below[0])
-            pv = a[piv, col]
-            row = ops.mul_scalar(ops.inv(pv), a[piv])
-            # clear the column in every row, the pivot row too, then put the
-            # scaled pivot row at prow and the old row prow (zero there) at piv
-            a[...] = ops.sub(a, ops.mul_scalar(a[:, col, None], row))
-            if piv != prow:
-                a[piv] = a[prow]
-                swaps += 1
-            a[prow] = row
-            values.append(pv)
-            pivots.append(col)
-        return a, pivots, values, swaps
-
+    # -- elimination ------------------------------------------------------------
     def rank(self) -> int:
-        return len(self._rref()[1])
-
-    def det(self) -> int:
-        """The product of the pivots, negated per row swap (-1 is p - 1)."""
-        if self.rows != self.cols:
-            raise MatrixError("det of non-square matrix")
-        _, pivots, values, swaps = self._rref()
-        if len(pivots) < self.rows:
-            return 0
-        sign = self.field.p - 1 if swaps % 2 else 1
-        return int(reduce(field_ops(self.field).mul_scalar, values, sign))
-
-    def inverse(self) -> "Mat":
-        if self.rows != self.cols:
-            raise MatrixError("inverse of non-square matrix")
-        return self.left_inverse()
-
-    def left_inverse(self) -> "Mat":
-        """U with U * self = I_cols; requires full column rank."""
-        n = self.cols
-        a, pivots, _, _ = hstack(self, Mat.identity(self.field, self.rows))._rref()
-        if sum(p < n for p in pivots) < n:
-            raise MatrixError("rank deficient: no left inverse")
-        return Mat._of(self.field, a[:n, n:])
+        return len(_rref(self.field, self.array)[1])
 
     def right_inverse(self) -> "Mat":
-        """V with self * V = I_rows; requires full row rank."""
-        return self.transpose().left_inverse().transpose()
+        """V with self * V = I_rows; requires full row rank.
 
-    # -- shaping ------------------------------------------------------------------
-    def select_columns(self, idx: Iterable[int]) -> "Mat":
-        """Submatrix of the given 1-based columns, in the given order."""
-        idx = list(idx)
-        if len(set(idx)) != len(idx):
-            raise MatrixError(f"duplicate column index in {idx}")
-        for j in idx:
-            if not 1 <= j <= self.cols:
-                raise MatrixError(f"column index {j} out of range 1..{self.cols}")
-        return Mat._of(self.field, self.array[:, np.array(idx, dtype=np.intp) - 1])
+        Eliminates [self^T | I]: its first rows(self) rows end as [I | V^T].
+        """
+        m = self.rows
+        a, pivots = _rref(self.field, np.hstack([self.array.T, np.eye(self.cols, dtype=np.int64)]))
+        if sum(p < m for p in pivots) < m:
+            raise MatrixError("rank deficient: no right inverse")
+        return Mat._of(self.field, a[:m, m:].T)
 
     # -- serialization -------------------------------------------------------------
     def to_text(self) -> str:
@@ -221,6 +150,33 @@ class Mat:
         return cls._of(f, _parse_entries(body, f).reshape(rows, cols))
 
 
+def _rref(field: Field, array: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a copy of array, and its pivot columns.
+
+    Pivot choice: first nonzero entry scanning rows top-down within each
+    column, columns left to right; the form itself is unique.
+    """
+    ops = field_ops(field)
+    a = array.copy()
+    pivots = []
+    for col in range(a.shape[1]):
+        prow = len(pivots)
+        if prow == a.shape[0]:
+            break
+        below = a[prow:, col].nonzero()[0]
+        if not below.size:
+            continue
+        piv = prow + int(below[0])
+        row = ops.mul_scalar(ops.inv(a[piv, col]), a[piv])
+        # clear the column in every row, the pivot row too, then put the
+        # scaled pivot row at prow and the old row prow (zero there) at piv
+        a[...] = ops.sub(a, ops.mul_scalar(a[:, col, None], row))
+        a[piv] = a[prow]
+        a[prow] = row
+        pivots.append(col)
+    return a, pivots
+
+
 def _parse_entries(body: list[str], f: Field) -> np.ndarray:
     """The elements of space- or tab-separated "[c_0,...,c_{r-1}]" entries, each
     coefficient a decimal number below p, low-to-high."""
@@ -241,17 +197,6 @@ _UNBRACKET = str.maketrans("[],", "   ")
 
 
 # -- block assembly ------------------------------------------------------------
-
-def hstack(*mats: Mat) -> Mat:
-    if not mats:
-        raise MatrixError("hstack of nothing")
-    f = mats[0].field
-    rows = mats[0].rows
-    for m in mats:
-        if m.field != f or m.rows != rows:
-            raise MatrixError("hstack mismatch")
-    return Mat._of(f, np.hstack([m.array for m in mats]))
-
 
 def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:
     """Block-diagonal assembly; zero-width or zero-height blocks still occupy space."""

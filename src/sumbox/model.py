@@ -11,12 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .field import field_construct, is_prime, parse_decimal
+from .field import MAX_ORDER, FieldOrderError, field_construct, is_prime, parse_decimal
+
+MAX_LP_VARS = 10_000
 
 
 class ProblemError(ValueError):
     pass
+
+
+class LpSizeError(ProblemError):
+    """Instance exceeds the LP variable-count guard."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,8 @@ class Problem:
             raise ProblemError("stream name count mismatch")
         object.__setattr__(self, "stream_names", names)
         p, r = self.base_field
+        if p > MAX_ORDER:  # before the trial division in is_prime(p)
+            raise FieldOrderError(f"field order {p}^{r} exceeds bound {MAX_ORDER}")
         if not is_prime(p) or r < 1:
             raise ProblemError(f"invalid base field ({p}, {r})")
 
@@ -226,15 +235,24 @@ def parse_problem(text: str) -> Problem:
         elif head == "entangle":
             if S is None:
                 fail(lineno, "servers line must come before entangle")
-            if len(toks) == 2 and toks[1] == "full":
-                cliques.extend(full_clique(S))
-            elif len(toks) == 2 and toks[1] == "none":
-                cliques.extend(singleton_cliques(S))
+            if len(toks) == 2 and toks[1] in ("full", "none"):
+                beta = S if toks[1] == "full" else 1
             elif len(toks) == 3 and toks[1] == "beta":
                 (beta,) = ints(lineno, toks[2:], "beta must be an integer")
-                cliques.extend(beta_cliques(S, beta))
             else:
                 fail(lineno, "expected: entangle full | beta <b> | none")
+            # comb(S, beta) cliques of beta servers, one download cost per
+            # (clique, server), refused before any is built; comb(S, beta) * beta
+            # >= S for 1 <= beta <= S, so a large S never reaches comb
+            if 1 <= beta <= S and (S > MAX_LP_VARS or comb(S, beta) * beta > MAX_LP_VARS):
+                raise LpSizeError(f"line {lineno}: entangle {' '.join(toks[1:])} on {S} servers "
+                                  f"needs more LP variables than the guard {MAX_LP_VARS}")
+            if toks[1] == "full":
+                cliques.extend(full_clique(S))
+            elif toks[1] == "none":
+                cliques.extend(singleton_cliques(S))
+            else:
+                cliques.extend(beta_cliques(S, beta))
         else:
             fail(lineno, f"unknown directive {toks[0]!r}")
     if S is None:

@@ -25,31 +25,12 @@ class BoxError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GrsSpec:
-    q: int
-    n: int
-    k: int
-    alpha: tuple[int, ...]
-    u: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n <= self.q:
-            raise BoxError(f"need k <= n <= q, got k={self.k} n={self.n} q={self.q}")
-        if len(self.alpha) != self.n or len(set(self.alpha)) != self.n:
-            raise BoxError("evaluation points must be n distinct elements")
-        if len(self.u) != self.n or any(v == 0 for v in self.u):
-            raise BoxError("column multipliers must be n nonzero elements")
-
-
-def grs_matrix(field: Field, g: GrsSpec) -> Mat:
-    """k x n generator with entry (i, j) = u_j * alpha_j^(i-1)."""
-    if field.order != g.q:
-        raise BoxError("field order mismatch")
+def grs_matrix(field: Field, alpha, u, k: int) -> Mat:
+    """k x n generator with entry (i, j) = u_j * alpha_j^(i-1), n = len(alpha)."""
     ops = field_ops(field)
-    out = np.empty((g.k, g.n), dtype=np.int64)
-    powers, alpha = np.array(g.u, dtype=np.int64), np.array(g.alpha, dtype=np.int64)
-    for i in range(g.k):
+    out = np.empty((k, len(alpha)), dtype=np.int64)
+    powers, alpha = np.array(u, dtype=np.int64), np.array(alpha, dtype=np.int64)
+    for i in range(k):
         out[i] = powers
         powers = ops.mul_scalar(powers, alpha)
     return Mat(field, out)
@@ -58,11 +39,11 @@ def grs_matrix(field: Field, g: GrsSpec) -> Mat:
 def grs_dual_multipliers(field: Field, alpha, u) -> tuple[int, ...]:
     """Multipliers v making the dual of GRS(alpha, u) again GRS(alpha, v).
 
-    v_i = ( u_i * prod_{j != i} (alpha_i - alpha_j) )^(-1); all nonzero, and
+    v_i = ( u_i * prod_{j != i} (alpha_i - alpha_j) )^(-1).  For distinct
+    alpha_i and nonzero u_i they are all nonzero, and
     GRS_{k,n}(alpha, u) . GRS_{n-k,n}(alpha, v)^T = 0 for every k.
     """
     n = len(alpha)
-    GrsSpec(field.order, n, 0, tuple(alpha), tuple(u))  # validates inputs
     ops = field_ops(field)
     a = np.array(alpha, dtype=np.int64)
     diff = ops.sub(a[:, None], a[None, :])  # alpha_i - alpha_j
@@ -71,15 +52,6 @@ def grs_dual_multipliers(field: Field, alpha, u) -> tuple[int, ...]:
     for j in range(n):
         prod = ops.mul_scalar(prod, diff[:, j])
     return tuple(ops.inv(prod).tolist())
-
-
-def symplectic_form(field: Field, N: int) -> Mat:
-    """J = [[0, -I_N], [I_N, 0]], shape 2N x 2N."""
-    J = np.zeros((2 * N, 2 * N), dtype=np.int64)
-    i = np.arange(N)
-    J[i, N + i] = field.p - 1  # -1
-    J[N + i, i] = 1
-    return Mat(field, J)
 
 
 @dataclass(frozen=True)
@@ -115,14 +87,15 @@ class NSumBox:
 
 
 def is_valid_box(M: Mat) -> bool:
-    """Strong self-orthogonality: rank N and M J M^T = 0."""
+    """Strong self-orthogonality: rank N and M J M^T = 0.
+
+    For M = [L | R] with N x N blocks, M J M^T = R L^T - L R^T.
+    """
     if M.cols != 2 * M.rows:
         raise BoxError(f"expected N x 2N matrix, got {M.rows} x {M.cols}")
     N = M.rows
-    if M.rank() != N:
-        return False
-    J = symplectic_form(M.field, N)
-    return (M * J * M.transpose()).is_zero()
+    L, R = Mat._of(M.field, M.array[:, :N]), Mat._of(M.field, M.array[:, N:])
+    return M.rank() == N and L * R.transpose() == R * L.transpose()
 
 
 def is_half_mds(M: Mat) -> tuple[bool, tuple[int, ...] | None]:
@@ -139,11 +112,10 @@ def is_half_mds(M: Mat) -> tuple[bool, tuple[int, ...] | None]:
     if N > HALF_MDS_EXHAUSTIVE_MAX:
         raise BoxError(f"N = {N} exceeds the exhaustive bound {HALF_MDS_EXHAUSTIVE_MAX}")
     for mask in range(1, 1 << N):  # ascending bitmask = colex subset order
-        idx = [i + 1 for i in range(N) if mask >> i & 1]
-        cols = idx + [N + i for i in idx]
-        n = len(idx)
-        if M.select_columns(cols).rank() != min(2 * n, N):
-            return False, tuple(idx)
+        idx = [i for i in range(N) if mask >> i & 1]
+        pairs = Mat._of(M.field, M.array[:, idx + [N + i for i in idx]])
+        if pairs.rank() != min(2 * len(idx), N):
+            return False, tuple(i + 1 for i in idx)
     return True, None
 
 
@@ -163,7 +135,7 @@ def build_half_mds_box(N: int, field: Field) -> NSumBox:
     v = grs_dual_multipliers(field, alpha, u)
     k_top = (N + 1) // 2
     k_bot = N // 2
-    top = grs_matrix(field, GrsSpec(field.order, N, k_top, alpha, u))
-    bot = grs_matrix(field, GrsSpec(field.order, N, k_bot, alpha, v))
+    top = grs_matrix(field, alpha, u, k_top)
+    bot = grs_matrix(field, alpha, v, k_bot)
     M = block_diag(field, [top, bot])
     return NSumBox(N, field, M)

@@ -291,7 +291,7 @@ def _data_block(sch: CodingScheme, data) -> np.ndarray:
     """An R x K matrix or K R x 1 columns over F_q as a (K, R, 1) int array."""
     f, K, R = sch.ext.big, sch.problem.K, sch.R
     cols = list(data) if not isinstance(data, Mat) else [
-        data.select_columns([k + 1]) for k in range(data.cols)]
+        Mat._of(data.field, data.array[:, k:k + 1]) for k in range(data.cols)]
     if len(cols) != K or any((c.rows, c.cols, c.field) != (R, 1, f) for c in cols):
         raise SchemeError(f"data must be {R} x {K} over {f.name}")
     return np.stack([c.array for c in cols])
@@ -334,7 +334,7 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
     box = NSumBox(5, f, M)
     ch = assemble_channel(P, alloc, ext, ((0, box),))
     D = Mat(f, [list(row) for row in _REF_VDEC_ROWS])
-    precoders = tuple((D * m).inverse() for m in ch.mbar)
+    precoders = tuple((D * m).right_inverse() for m in ch.mbar)
     sch = CodingScheme(P, ext, alloc, ch, 4, precoders, D, seed=0)
     if not sch.certificate_ok():
         raise AssertionError("reference scheme certificate failed")

@@ -85,14 +85,6 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def inverse(f, a):
-    n = len(a)
-    grid, pivots, _ = echelon(f, hstack(a, identity(n)), reduced=True)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise MatrixError("singular matrix")
-    return [row[n:] for row in grid]
-
-
 def left_inverse(f, a, cols):
     grid, pivots, _ = echelon(f, hstack(a, identity(len(a))), reduced=True)
     if len([p for p in pivots if p < cols]) < cols:

@@ -77,7 +77,7 @@ def test_reference_scheme_exhaustive_and_determinants():
     # which over F_3 reads (1, 2, 1, 2)
     f3 = field_construct(3)
     sch3 = worked_reference_scheme(f3)
-    dets = [(sch3.decoder * m).det() for m in sch3.channel.mbar]
+    dets = [ref.det(f3, (sch3.decoder * m).data) for m in sch3.channel.mbar]
     assert dets == [1, 2, 1, 2]
     assert time.monotonic() - start < 10
 
@@ -163,7 +163,7 @@ def test_half_mds_construction_validity_suite():
     assert is_half_mds(m1) == (True, None)
     ok2, w2 = is_half_mds(m2)
     assert not ok2 and w2 is not None
-    assert m2.select_columns([2, 4]).rank() == 1
+    assert Mat(f2, m2.array[:, [1, 3]]).rank() == 1  # columns 2 and 4
 
 
 def test_oracle_agreement_200_instances():

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import os
 import re
+import signal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sumbox import build_scheme, capacity, lp, oracle, parse_problem, render_scheme, scheme
+from sumbox import (build_scheme, capacity, lp, model, oracle, parse_problem, render_scheme,
+                    scheme)
 from sumbox.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -61,6 +63,14 @@ def test_capacity_closed_form_symmetric(capsys):
                        "--closed-form", "symmetric")
     assert code == 0
     assert "5/6" in out
+
+
+def test_capacity_closed_form_symmetric_dsc(capsys):
+    code, out, err = run(capsys, "capacity", prob("sym-4-2-2.prob"),
+                         "--closed-form", "symmetric", "--dsc")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{prob('sym-4-2-2.prob')} symmetric S=4 alpha=2 beta=2: 5/6",
+                                f"{prob('sym-4-2-2.prob')} dsc-gain: 5/3"]
 
 
 def test_capacity_closed_form_symmetric_rejects_asymmetric(capsys):
@@ -369,6 +379,62 @@ def test_pivot_limit_is_a_guard(capsys, monkeypatch):
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 3)
     code, out, err = run(capsys, "capacity", prob("example.prob"))
     assert (code, out, err) == (3, "", "guard: pivot limit exceeded\n")
+
+
+class Overran(Exception):
+    pass
+
+
+def run_within(capsys, seconds, *argv):
+    """run(), interrupted by Overran once `seconds` of wall time have passed."""
+    def overran(*_):
+        raise Overran(f"sumbox {' '.join(argv)} still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_huge_field_prime_is_a_guard(tmp_path, capsys):
+    # 2^61 - 1 is prime; trial division on it would run for minutes
+    path = tmp_path / "big.prob"
+    path.write_text("field 2305843009213693951\nservers 2\nstream a: 1\nstream b: 2\n"
+                    "entangle full\n")
+    code, out, err = run_within(capsys, 1, "capacity", str(path))
+    assert (code, out) == (3, "")
+    assert err == "guard: field order 2305843009213693951^1 exceeds bound 1048576\n"
+
+
+def refuse_to_build(monkeypatch):
+    """Make every clique constructor behind a problem file or a per-server LP raise."""
+    def built(*_):
+        raise AssertionError("cliques built for an instance past the LP guard")
+    for name in ("full_clique", "singleton_cliques", "beta_cliques"):
+        monkeypatch.setattr(model, name, built)
+    for name in ("full_clique", "singleton_cliques"):
+        monkeypatch.setattr(capacity, name, built)
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("servers 1000000000000\nstream a: 1\nclique: 1\n", ["--closed-form", "unent"]),
+    ("servers 1000000000000\nstream a: 1\nclique: 1\n", ["--dsc"]),
+    ("servers 2000000\nstream a: 1\nclique: 1\n", ["--closed-form", "fullent"]),
+    ("servers 2000000\nstream a: 1\nentangle full\n", []),
+    ("servers 2000000\nstream a: 1\nentangle none\n", ["--closed-form", "unent"]),
+    ("servers 200\nstream a: 1\nentangle beta 2\n", []),
+    ("servers 100000\nstream a: 1\nentangle beta 3\n", []),
+], ids=["1e12-unent", "1e12-dsc", "2e6-fullent", "2e6-full", "2e6-none", "beta-2", "beta-3"])
+def test_oversized_instances_are_refused_before_building(tmp_path, capsys, monkeypatch,
+                                                         text, argv):
+    refuse_to_build(monkeypatch)
+    path = tmp_path / "big.prob"
+    path.write_text(text)
+    code, _, err = run_within(capsys, 1, "capacity", str(path), *argv)
+    assert code == 3
+    assert err.startswith("guard: ") and "LP variables" in err and "the guard 10000" in err
 
 
 @pytest.mark.parametrize("argv, opt", [

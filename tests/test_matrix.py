@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumbox.field import FieldError, field_construct
-from sumbox.matrix import Mat, MatrixError, block_diag, hstack
+import numpy as np
+
+from sumbox.matrix import Mat, MatrixError, block_diag
 
 F2 = field_construct(2)
 F8 = field_construct(2, 3)
@@ -17,8 +19,8 @@ def test_identity_and_zeros():
     I = Mat.identity(F8, 4)
     Z = Mat.zeros(F8, 4, 4)
     assert I * I == I
-    assert I + Z == I
-    assert Z.is_zero()
+    assert I * Z == Z
+    assert not Z.array.any()
 
 
 def test_mul_known_values():
@@ -27,42 +29,35 @@ def test_mul_known_values():
     assert (a * b).data == [[1, 1], [1, 0]]
 
 
-def test_rank_det_inverse():
+def test_square_right_inverse_is_two_sided():
     rng = random.Random(11)
     for f in (F2, F8, F9):
         for _ in range(20):
             m = Mat.random(f, 4, 4, rng)
-            r = m.rank()
-            if r == 4:
-                assert m.det() != 0
-                assert m * m.inverse() == Mat.identity(f, 4)
-                assert m.inverse() * m == Mat.identity(f, 4)
+            if m.rank() == 4:
+                assert m * m.right_inverse() == Mat.identity(f, 4)
+                assert m.right_inverse() * m == Mat.identity(f, 4)
             else:
-                assert m.det() == 0
                 with pytest.raises(MatrixError):
-                    m.inverse()
+                    m.right_inverse()
 
 
-def test_det_multiplicative():
-    rng = random.Random(5)
-    for _ in range(15):
-        a = Mat.random(F9, 3, 3, rng)
-        b = Mat.random(F9, 3, 3, rng)
-        assert (a * b).det() == F9._mul_direct(a.det(), b.det())
-
-
-def test_left_right_inverse():
+def test_right_inverse():
     rng = random.Random(3)
     # a random 2x4 over F_8 has full row rank with high probability
     for _ in range(10):
         m = Mat.random(F8, 2, 4, rng)
         if m.rank() < 2:
             continue
-        r = m.right_inverse()
-        assert m * r == Mat.identity(F8, 2)
-        t = m.transpose()
-        l = t.left_inverse()
-        assert l * t == Mat.identity(F8, 2)
+        assert m * m.right_inverse() == Mat.identity(F8, 2)
+
+
+def test_random_draws_row_major():
+    rng, again = random.Random(9), random.Random(9)
+    m = Mat.random(F9, 3, 4, rng)
+    assert m.data == [[again.randrange(9) for _ in range(4)] for _ in range(3)]
+    assert Mat.random(F9, 0, 4, rng).array.shape == (0, 4)
+    assert Mat.random(F9, 3, 0, rng).array.shape == (3, 0)
 
 
 def test_transpose_involution():
@@ -70,20 +65,9 @@ def test_transpose_involution():
     assert m.transpose().transpose() == m
 
 
-def test_select_columns_one_based():
-    m = Mat(F2, [[1, 0, 1], [0, 1, 1]])
-    s = m.select_columns([3, 1])
-    assert s.data == [[1, 1], [1, 0]]
-    with pytest.raises(MatrixError):
-        m.select_columns([1, 1])
-    with pytest.raises(MatrixError):
-        m.select_columns([0])
-
-
 def test_stacking():
     a = Mat(F2, [[1, 0]])
     b = Mat(F2, [[0, 1]])
-    assert hstack(a, b).data == [[1, 0, 0, 1]]
     d = block_diag(F2, [a, b])
     assert d.data == [[1, 0, 0, 0], [0, 0, 0, 1]]
 
@@ -163,18 +147,14 @@ def test_core_matches_reference(pr, rows, cols, k, full, seed):
     a = ref.mul(f, [[rng.randrange(f.order) for _ in range(inner)] for _ in range(rows)],
                 [[rng.randrange(f.order) for _ in range(cols)] for _ in range(inner)], cols)
     b = [[rng.randrange(f.order) for _ in range(k)] for _ in range(cols)]
-    m, mb = Mat(f, a, cols=cols), Mat(f, b, cols=k)
+    m = Mat(f, np.array(a, dtype=np.int64).reshape(rows, cols))
+    mb = Mat(f, np.array(b, dtype=np.int64).reshape(cols, k))
     prod = m * mb
     assert (prod.rows, prod.cols) == (rows, k) and prod.data == ref.mul(f, a, b, k)
     assert m.rank() == ref.rank(f, a)
-    if rows == cols:
-        assert m.det() == ref.det(f, a)
-        same_or_both_raise(m.inverse, lambda: ref.inverse(f, a), (rows, rows))
-    same_or_both_raise(m.left_inverse, lambda: ref.left_inverse(f, a, cols), (cols, rows))
     same_or_both_raise(m.right_inverse, lambda: ref.right_inverse(f, a, cols), (cols, rows))
-    idx = rng.sample(range(1, cols + 1), rng.randrange(cols + 1))
-    assert m.select_columns(idx).data == ref.select_columns(a, idx)
-    assert hstack(m, prod).data == ref.hstack(a, prod.data)
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows) and t.data == ref.transpose(a, cols)
     diag = block_diag(f, [m, mb])
     assert (diag.rows, diag.cols) == (rows + cols, cols + k)
     assert diag.data == ref.block_diag([(a, cols), (b, k)])
