@@ -21,7 +21,7 @@ from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
 from .field import (Field, FieldError, FieldOrderError, field_construct, parse_decimal,
                     parse_field_name)
 from .lp import PivotLimitExceeded
-from .model import Problem, ProblemError, beta_cliques, colex_subsets, parse_problem
+from .model import Problem, ProblemError, parse_problem
 from .oracle import (DECODE_BATCH, GuardExceeded, check_beta_star, check_identities,
                      check_lp_oracle, exhaustive_decode_check, tap_lines)
 from .scheme import (DEFAULT_SEED, Allocation, build_scheme, parse_scheme,
@@ -68,20 +68,38 @@ def _parse_d(token: str) -> Field:
         raise FieldError(f"--d expects a prime power, p^r or its value, got {token!r}") from None
 
 
+def _comb_capped(S: int, k: int, cap: int) -> int:
+    """comb(S, k), or cap + 1 once the running product passes cap: at most
+    cap + 1 steps on small integers, however large S is."""
+    count = 1
+    for i in range(min(k, S - k)):
+        count = count * (S - i) // (i + 1)  # comb(S, i + 1), increasing in i
+        if count > cap:
+            return cap + 1
+    return count
+
+
 def _detect_symmetric(P: Problem) -> tuple[int, int, int]:
-    """Recover (S, alpha, beta) from a fully symmetric instance or fail."""
+    """Recover (S, alpha, beta) from a fully symmetric instance or fail.
+
+    Every stream and clique is a subset of the S servers (Problem checks
+    this), so the distinct alpha-subsets in W are all of them exactly when
+    there are comb(S, alpha) of them, and likewise for E.  Only counts are
+    compared, so no subsets are enumerated and a huge S is refused at once."""
     S = P.S
     sizes = {len(w) for w in P.W}
     if len(sizes) != 1:
         raise ProblemError("streams are not uniformly replicated")
     alpha = sizes.pop()
-    if set(P.W) != set(colex_subsets(S, alpha)):
+    K = len(set(P.W))
+    if _comb_capped(S, alpha, K) != K:
         raise ProblemError("streams do not cover all alpha-subsets of servers")
     bsizes = {len(e) for e in P.E}
     if len(bsizes) != 1:
         raise ProblemError("cliques are not uniform")
     beta = bsizes.pop()
-    if set(P.E) != set(beta_cliques(S, beta)):
+    T = len(set(P.E))
+    if _comb_capped(S, beta, T) != T:
         raise ProblemError("cliques do not cover all beta-subsets of servers")
     return S, alpha, beta
 

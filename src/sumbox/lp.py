@@ -1,23 +1,31 @@
-"""Exact rational linear programming via a row-scaled fraction-free simplex.
+"""Exact rational LP by a row-scaled fraction-free simplex, condensed tableau.
 
 Solves  minimize c.x  subject to  A x <= b,  x >= 0  in exact arithmetic.
 
-The tableau is an integer matrix T whose last column holds a positive
-denominator d_i for each row: the rational tableau row i is T[i] / d_i.  A
-pivot on entry (r, s) keeps row r's integers and sets d_r = T[r,s]; every
-other row i with T[i,s] != 0 becomes T[r,s]*T[i] - T[i,s]*T[r], with
-d_i *= T[r,s].  Rows with a zero in the pivot column are not touched.  The
-row denominators cancel in the entering choice (one objective row) and in
-the ratio test (rhs_i / T[i,s] lies in one row), so the pivot sequence is
-the one a tableau with a common denominator would take.
+Variables j < n are the LP's, n+i is row i's slack (a surplus on a row
+negated into >= form) and n+m+k the k-th artificial.  The integer tableau T
+keeps only the nonbasic columns, in n + n_art slots (var[slot] names each
+slot's variable: at the start the LP's variables and the surpluses), then
+the rhs and a positive denominator d_i per row; the rational row i is
+T[i] / d_i.  A basic column, d_i in its own row and 0 elsewhere, is implied.
+
+A pivot on entry (r, s) swaps var[s] with row r's basic variable.  Row r
+keeps its integers and sets d_r = T[r,s]; every other row i with
+T[i,s] != 0 becomes T[r,s]*T[i] - T[i,s]*T[r], with d_i *= T[r,s].  Slot s
+then holds the leaving variable's column, d_r in row r and -T[i,s]*d_r in
+row i, which the same update yields when row r's slot s holds T[r,s] + d_r.
+A leaving artificial gets a zero column instead, and a zero column never
+enters.  Rows with a zero in the pivot column are not touched.  The row
+denominators cancel in the entering choice (one objective row) and in the
+ratio test (rhs_i / T[i,s] lies in one row), so the pivot sequence is the
+one a full tableau with a common denominator would take.
 
 Entries are kept small lazily: when an entry of the rows a pivot just
 updated passes _GCD_THRESHOLD, each of those rows is divided by the gcd of
-its entries and its denominator.  The tableau lives in an int64 numpy array
-whose entries stay at most _INT64_SAFE in magnitude, so a pivot's products
-cannot overflow; when an updated row still passes that bound after its gcd
-division, the tableau is promoted to an exact big-integer (object dtype)
-array and the run continues unchanged.  Only the updated rows are checked.
+its entries and its denominator.  An int64 tableau keeps its entries at most
+_INT64_SAFE in magnitude, so a pivot's products cannot overflow; when an
+updated row still passes that bound after its gcd division, the tableau is
+promoted to an exact big-integer (object dtype) array and the run goes on.
 
 Input contract: c, A and b hold integers only: Python or numpy ints, in
 lists or integer numpy arrays, with big ints in object arrays; A has shape
@@ -25,17 +33,24 @@ lists or integer numpy arrays, with big ints in object arrays; A has shape
 LpError.  The tableau starts as int64 when every entry is at most
 _INT64_SAFE in magnitude, and as an object (big-int) array otherwise.
 
-Dual: the final objective row holds the reduced costs c_j - (A^T y)_j, and
-slack j = n+i has cost 0 and column e_i, so y_i = -T[m, n+i] / d_m for every
-row i (rows negated into >= form included: their slack keeps its meaning
-s_i = b_i - A_i x).  At an optimum y <= 0, A^T y <= c and b.y equals the
-optimal value, which is read off the same row as -T[m, rhs] / d_m.
+Dual: the objective row m holds the reduced costs c_j - (A^T y)_j, and
+slack n+i has cost 0 and column e_i (a surplus keeps s_i = b_i - A_i x), so
+y_i = -T[m, slot of n+i] / d_m, or 0 when n+i is basic.  At an optimum
+y <= 0, A^T y <= c and b.y is the optimal value, -T[m, rhs] / d_m.
 
-Pivot rules: Dantzig (most negative reduced cost) by default, with
-deterministic index tie-breaks.  More than _DEGENERATE_RUN degenerate pivots
-in a row switch to Bland's rule, which holds until the objective strictly
-improves or phase 2 starts; each Bland stretch terminates and a strict
-improvement never revisits a basis, so the hybrid terminates.
+Pivot rules: Dantzig (most negative reduced cost) by default.  More than
+_DEGENERATE_RUN degenerate pivots in a row switch to Bland's rule until the
+objective strictly improves or phase 2 starts; each Bland stretch terminates
+and a strict improvement never revisits a basis, so the hybrid terminates.
+Ties go to the least variable index (never the slot), in the ratio test to
+the least index of the leaving variable.
+
+Phase 1 drives each artificial still basic in a row i out on the slot of
+least variable index with a nonzero in row i (negating the row, whose rhs
+is 0, when that entry is negative).  Such a slot always exists, so no row is
+redundant: row i of B^-1 is nonzero, a slack or surplus j with
+(B^-1)_ij != 0 has the tableau entry +-(B^-1)_ij in row i, and so is
+nonbasic, since a basic column is zero off its own row.
 """
 
 from __future__ import annotations
@@ -97,42 +112,33 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
            or Ab.min(initial=0) < -_INT64_SAFE or Ab.max(initial=0) > _INT64_SAFE)
 
     # rows with a negative rhs are negated into >= rows and get artificials
-    neg = Ab[:, n] < 0
-    art_rows = np.nonzero(neg)[0]
+    art_rows = np.nonzero(Ab[:, n] < 0)[0]
     n_art = len(art_rows)
-    art_cols = np.arange(n + m, n + m + n_art)
-
-    width = n + m + n_art + 2
-    rhs_col = width - 2
-    den_col = width - 1  # the row denominators d_i
+    nvar = n + m + n_art
+    slots = n + n_art
+    rhs_col, den_col = slots, slots + 1  # den_col holds the row denominators d_i
     # rows 0..m-1 constraints, row m real objective, row m+1 phase-1 objective
-    T = np.zeros((m + 2, width), dtype=object if big else np.int64)
+    T = np.zeros((m + 2, slots + 2), dtype=object if big else np.int64)
     T[:m, :n] = Ab[:, :n]
     T[:m, rhs_col] = Ab[:, n]
     T[art_rows] = -T[art_rows]
+    T[art_rows, np.arange(n, slots)] = -1  # the surplus of each >= row
     T[m, :n] = c_int
-    rows = np.arange(m)
-    T[rows, n + rows] = np.where(neg, -1, 1)  # surplus on >= rows, slack otherwise
-    T[art_rows, art_cols] = 1
-    basis = n + rows
-    basis[art_rows] = art_cols
-    basis = basis.tolist()
     # phase-1 objective: sum of artificials, reduced against the artificial basis
     T[m + 1] = -T[art_rows].sum(axis=0)
-    T[m + 1, art_cols] = 0
     T[:, den_col] = 1
     if T.dtype == np.int64 and max(T.max(), -T.min()) > _INT64_SAFE:
         T = T.astype(object)
+    var = np.concatenate([np.arange(n), n + art_rows])  # the variable in each slot
+    basis = n + np.arange(m)  # the basic variable of each row
+    basis[art_rows] = np.arange(n + m, nvar)
+    basis = basis.tolist()
 
     # Pivot scratch of T's shape, reused by every pivot: blocks allocated per
     # pivot map fresh pages whenever one outgrows the last (100k page faults
     # on a first (6,4,2) capacity LP), and one block of twice T's size left
     # later allocations on the heap once freed (+5.8 MB peak RSS on simulate).
     work = [np.empty_like(T), np.empty_like(T)]
-
-    enterable = np.ones(width, dtype=bool)
-    enterable[rhs_col:] = False
-    enterable[art_cols] = False  # artificials never (re-)enter
 
     bland = False
     degen_run = 0
@@ -144,8 +150,11 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
         piv = int(row[s])
         if piv <= 0:
             raise AssertionError(f"pivot entry {piv} is not positive")
-        row[den_col] = 0  # so that the update multiplies each d_i by piv
-        T[r, s] = 0       # so that row r is not among the rows updated
+        # the leaving variable's new column in row r: d_r, or 0 for an artificial
+        out = 0 if basis[r] >= n + m else int(row[den_col])
+        row[s] = piv + out  # so that the update puts -T[i,s]*out in each row i
+        row[den_col] = 0    # so that the update multiplies each d_i by piv
+        T[r, s] = 0         # so that row r is not among the rows updated
         nz = T[:, s].nonzero()[0]
         sub, prod = work[0][:len(nz)], work[1][:len(nz)]
         np.take(T, nz, axis=0, out=sub, mode="clip")
@@ -161,25 +170,25 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
             T = T.astype(object)
             work = [np.empty_like(T), np.empty_like(T)]
         T[nz] = sub
-        row[den_col] = piv
+        row[s], row[den_col] = out, piv
         T[r] = row
-        basis[r] = s
+        basis[r], var[s] = int(var[s]), basis[r]
         pivots += 1
 
-    def choose_entering(obj_row: int, active_cols: np.ndarray) -> int | None:
-        row = T[obj_row]
-        if bland:
-            neg = np.flatnonzero(active_cols & (row < 0))
-            return int(neg[0]) if len(neg) else None
-        vals = np.where(active_cols, row, 0)
-        s = int(vals.argmin())
-        return s if vals[s] < 0 else None
+    def choose_entering(obj_row: int) -> int | None:
+        row = T[obj_row, :slots]
+        if not slots:
+            return None
+        # ties go to the least variable index (module docstring)
+        key = np.where(row < 0, var, nvar) if bland else row * nvar + var
+        s = int(key.argmin())
+        return s if row[s] < 0 else None
 
-    def choose_leaving(s: int, nrows: int) -> int | None:
-        col = T[:nrows, s]
+    def choose_leaving(s: int) -> int | None:
+        col = T[:m, s]
         cand = (col > 0).nonzero()[0].tolist()
         col = col.tolist()
-        rhs = T[:nrows, rhs_col].tolist()
+        rhs = T[:m, rhs_col].tolist()
         best_i = None
         bn = bd = None  # best ratio bn/bd
         for i in cand:
@@ -193,7 +202,7 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
     def objective(obj_row: int) -> Fraction:
         return Fraction(-int(T[obj_row, rhs_col]), int(T[obj_row, den_col]))
 
-    def run_phase(obj_row: int, active_cols: np.ndarray, nrows: int):
+    def run_phase(obj_row: int):
         # Dantzig by default; a long degenerate run switches to Bland's rule,
         # which stays on only until the objective strictly improves (each
         # Bland stretch terminates on its own, and strict improvements can
@@ -206,10 +215,10 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
             if bland and objective(obj_row) != bland_ref:
                 bland = False
                 degen_run = 0
-            s = choose_entering(obj_row, active_cols)
+            s = choose_entering(obj_row)
             if s is None:
                 return
-            r = choose_leaving(s, nrows)
+            r = choose_leaving(s)
             if r is None:
                 raise LpUnbounded("LP is unbounded")
             if T[r, rhs_col] == 0:
@@ -223,35 +232,24 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
 
     # ---- phase 1 ----
     if n_art:
-        run_phase(m + 1, enterable, m)
+        run_phase(m + 1)
         if T[m + 1, rhs_col] != 0:
             raise LpInfeasible("no feasible point")
-        # drive any degenerate artificials out of the basis
-        art_set = set(art_cols.tolist())
-        drop_rows = []
+        # drive any degenerate artificials out of the basis (module docstring)
         for i in range(m):
-            if basis[i] in art_set:
-                s = None
-                for j in range(n + m):
-                    if enterable[j] and T[i, j] != 0:
-                        s = j
-                        break
-                if s is None:
-                    drop_rows.append(i)  # redundant row
-                    continue
+            if basis[i] >= n + m:
+                key = np.where(T[i, :slots] != 0, var, nvar)
+                s = int(key.argmin())
+                if key[s] == nvar:
+                    raise AssertionError(f"row {i} has no nonbasic entry to pivot on")
                 if T[i, s] < 0:
                     # rhs is 0 here, so negating the row is harmless
                     T[i, :den_col] = -T[i, :den_col]
                 pivot(i, s)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in set(drop_rows)]
-            T = np.vstack([T[keep, :], T[m:, :]])
-            basis = [basis[i] for i in keep]
-            m = len(keep)
 
     # ---- phase 2 ----
     T = T[:m + 1]  # the phase-1 objective is not needed any more
-    run_phase(m, enterable, m)
+    run_phase(m)
 
     rhs = T[:m, rhs_col].tolist()
     dens = T[:m, den_col].tolist()
@@ -259,6 +257,7 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(rhs[i], dens[i])
-    d_obj = int(T[m, den_col])
-    y = [Fraction(-v, d_obj) for v in T[m, n:n + len(b)].tolist()]
+    reduced = np.zeros(nvar, dtype=T.dtype)  # basic variables' reduced costs are 0
+    reduced[var] = T[m, :slots]
+    y = [Fraction(-v, int(T[m, den_col])) for v in reduced[n:n + m].tolist()]
     return objective(m), x, y

@@ -79,6 +79,22 @@ def test_capacity_closed_form_symmetric_rejects_asymmetric(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, sets", [
+    ("servers 2000000\nstream a: 1\nclique: 1\n", "streams"),
+    (f"servers 2000\nstream a: {' '.join(map(str, range(1, 2001)))}\n"
+     f"clique: {' '.join(map(str, range(1, 1001)))}\n", "cliques"),
+], ids=["2e6-streams", "comb-2000-1000-cliques"])
+def test_capacity_closed_form_symmetric_refuses_a_huge_instance_at_once(tmp_path, capsys,
+                                                                        text, sets):
+    # comb(S, 1) alpha-subsets, or comb(2000, 1000) beta-subsets, are counted,
+    # never enumerated
+    path = tmp_path / "big.prob"
+    path.write_text(text)
+    code, out, err = run_within(capsys, 1, "capacity", str(path), "--closed-form", "symmetric")
+    assert (code, out) == (2, "")
+    assert f"{sets} do not cover all" in err
+
+
 def test_capacity_missing_file(capsys):
     code, _, err = run(capsys, "capacity", prob("missing.prob"))
     assert code == 2

@@ -3,13 +3,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import lp_reference
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sumbox import lp
-from sumbox.capacity import capacity_lp
+from sumbox.capacity import capacity_fullent, capacity_lp, capacity_unent
 from sumbox.lp import LpError, LpInfeasible, LpUnbounded, solve_min
 from sumbox.model import parse_problem, symmetric_problem
+from sumbox.oracle import random_small_problem
 from sumbox.tables import table1_problems
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -50,9 +53,8 @@ def test_unbounded():
         solve_min([-1], [[-1]], [0])
 
 
-def test_degenerate_does_not_cycle():
-    # classic degenerate instance: many redundant tight constraints at origin
-    n = 6
+def degenerate_instance(n=6):
+    """Classic degenerate instance: many redundant tight constraints at the origin."""
     c = [-1] * n
     A = []
     b = []
@@ -65,7 +67,11 @@ def test_degenerate_does_not_cycle():
         b.append(1)
     A.append([1] * n)
     b.append(3)
-    val, _, _ = solve_min(c, A, b)
+    return c, A, b
+
+
+def test_degenerate_does_not_cycle():
+    val, _, _ = solve_min(*degenerate_instance())
     assert val == -3
 
 
@@ -155,14 +161,28 @@ def test_dual_reads_the_same_on_negated_rows():
     assert solve_min([-1], [[1]], [3]) == (-3, [3], [-1])
 
 
-@pytest.fixture(scope="module")
-def ladder_lps():
-    """((c, A, b), exact result) of every LP that capacity_lp solves on table
-    1, problems/*.prob and the symmetric cells with S <= 4."""
-    problems = [P for _, P, _ in table1_problems()]
-    problems += [parse_problem(p.read_text()) for p in sorted(PROBLEMS.glob("*.prob"))]
-    problems += [symmetric_problem(S, a, b)
-                 for S in range(1, 5) for a in range(1, S + 1) for b in range(1, S + 1)]
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+# Phase 1 ends with an artificial basic at value 0, and the entry it is
+# driven out on is negative, so both the drive-out and its row negation run.
+DRIVE_OUT = ([0, 2, 1, 1], [[1, 0, 1, -1], [2, 2, 0, -1], [0, 2, 1, -1], [0, 2, 1, 1]],
+             [-1, -1, -1, 1])
+
+
+def test_phase1_drives_a_degenerate_artificial_out_on_a_negated_row():
+    c, A, b = DRIVE_OUT
+    val, x, y = solve_min(c, A, b)
+    assert (val, x, y) == (1, [0, 0, 0, 1], [0, -1, 0, 0])
+    assert all(dot(row, x) <= bi for row, bi in zip(A, b)) and dot(c, x) == val
+    assert all(v <= 0 for v in y)
+    assert all(dot(col, y) <= cj for col, cj in zip(zip(*A), c))
+    assert dot(b, y) == val
+
+
+def recorded_lps(run) -> list:
+    """(c, A, b) of every LP that run() solves through sumbox.lp.solve_min."""
     solve, lps = lp.solve_min, []
 
     def record(c, A, b):
@@ -171,11 +191,76 @@ def ladder_lps():
 
     lp.solve_min = record
     try:
-        for P in problems:
-            capacity_lp(P)
+        run()
     finally:
         lp.solve_min = solve
-    return [(args, solve(*args)) for args in lps]
+    return lps
+
+
+def per_server_lps():
+    rng = random.Random(0)
+    for _ in range(100):
+        P = random_small_problem(rng)
+        capacity_unent(P)
+        capacity_fullent(P)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: [capacity_lp(P) for _, P, _ in table1_problems()],
+    lambda: [capacity_lp(symmetric_problem(S, a, b))
+             for S in range(1, 6) for a in range(1, S + 1) for b in range(1, S + 1)],
+    per_server_lps,
+], ids=["table1", "symmetric-s5", "per-server"])
+def test_condensed_tableau_takes_the_full_tableau_path(run):
+    # the same pivots give the same vertex: value, x and y are identical
+    lps = recorded_lps(run)
+    assert lps
+    for args in lps:
+        assert solve_min(*args) == lp_reference.solve_min(*args)
+
+
+def outcome(solve, c, A, b):
+    try:
+        return solve(c, A, b)
+    except (LpInfeasible, LpUnbounded) as e:
+        return type(e)
+
+
+@st.composite
+def degenerate_lps(draw):
+    """Small LPs with many zero and negative right-hand sides and duplicated rows."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                   st.integers(-2, 2)), min_size=1, max_size=5))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    rows = draw(st.permutations(rows))
+    c = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    return c, [list(r) for r, _ in rows], [bi for _, bi in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=degenerate_lps(), degenerate_run=st.sampled_from([lp._DEGENERATE_RUN, 0]))
+@example(case=degenerate_instance(), degenerate_run=lp._DEGENERATE_RUN)
+@example(case=degenerate_instance(), degenerate_run=0)
+@example(case=DRIVE_OUT, degenerate_run=lp._DEGENERATE_RUN)
+def test_degenerate_lps_take_the_full_tableau_path(case, degenerate_run):
+    # degenerate_run 0 switches to Bland's rule after the first degenerate pivot
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_DEGENERATE_RUN", degenerate_run)
+        mp.setattr(lp_reference, "_DEGENERATE_RUN", degenerate_run)
+        assert outcome(solve_min, *case) == outcome(lp_reference.solve_min, *case)
+
+
+@pytest.fixture(scope="module")
+def ladder_lps():
+    """((c, A, b), exact result) of every LP that capacity_lp solves on table
+    1, problems/*.prob and the symmetric cells with S <= 4."""
+    problems = [P for _, P, _ in table1_problems()]
+    problems += [parse_problem(p.read_text()) for p in sorted(PROBLEMS.glob("*.prob"))]
+    problems += [symmetric_problem(S, a, b)
+                 for S in range(1, 5) for a in range(1, S + 1) for b in range(1, S + 1)]
+    lps = recorded_lps(lambda: [capacity_lp(P) for P in problems])
+    return [(args, solve_min(*args)) for args in lps]
 
 
 def tableau_dtypes(run) -> list[list[str]]:
