@@ -171,11 +171,6 @@ def capacity_unent(P: Problem) -> CapacityResult:
     return _per_server_result(P, singleton_cliques(P.S), -_incidence(P))
 
 
-def dsc_gain(P: Problem) -> Fraction:
-    """Superdense-coding gain of P's entanglement over the unentangled baseline."""
-    return capacity_lp(P).capacity / capacity_unent(P).capacity
-
-
 def maximal_dsc_gain(P: Problem) -> Fraction:
     """Best possible gain for the replication map: min(2, 1/C_unent).
 

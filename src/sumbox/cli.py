@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
-                       capacity_symmetric, capacity_unent, dsc_gain)
+                       capacity_symmetric, capacity_unent)
 from .field import (Field, FieldError, FieldOrderError, field_construct, parse_decimal,
                     parse_field_name)
 from .lp import PivotLimitExceeded
@@ -125,8 +125,9 @@ def cmd_capacity(args) -> int:
         print(f"optimal cost: {res.optimal_cost}")
         witness = " ".join(str(v) for v in res.witness)
         print(f"witness: {witness}")
-    if args.dsc:
-        _emit(records, f"{args.file} dsc-gain", dsc_gain(P))
+    if args.dsc:  # the gain of P's entanglement over the unentangled baseline
+        lp_res = res if args.closed_form is None else capacity_lp(P)
+        _emit(records, f"{args.file} dsc-gain", lp_res.capacity / capacity_unent(P).capacity)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Field, FieldError, parse_decimal, parse_field_name
+from .field import Field, FieldError, parse_decimal
 from .vecops import field_ops
 
 
@@ -69,10 +69,6 @@ class Mat:
         return self.array.tolist()
 
     # -- constructors ----------------------------------------------------------
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls._of(field, np.zeros((rows, cols), dtype=np.int64))
-
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
         return cls._of(field, np.eye(n, dtype=np.int64))
@@ -130,7 +126,8 @@ class Mat:
             *digits.ravel().tolist())
 
     @classmethod
-    def from_text(cls, text: str, field: Field | None = None) -> "Mat":
+    def from_text(cls, text: str, field: Field) -> "Mat":
+        """Inverse of to_text for a matrix over field; the header must name it."""
         lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
         if not lines:
             raise MatrixError("empty matrix text")
@@ -139,15 +136,14 @@ class Mat:
             rows, cols = parse_decimal(rows), parse_decimal(cols)
         except ValueError:
             raise MatrixError(f"bad matrix header {lines[0]!r}") from None
-        f = field if field is not None else parse_field_name(name)
-        if f.name != name:
-            raise MatrixError(f"field mismatch: header {name}, expected {f.name}")
+        if field.name != name:
+            raise MatrixError(f"field mismatch: header {name}, expected {field.name}")
         body = lines[1:1 + rows] if cols else []
         if len(body) != rows and cols:
             raise MatrixError("row count mismatch")
         if any(ln.count("[") != cols for ln in body):
             raise MatrixError("row width mismatch")
-        return cls._of(f, _parse_entries(body, f).reshape(rows, cols))
+        return cls._of(field, _parse_entries(body, field).reshape(rows, cols))
 
 
 def _rref(field: Field, array: np.ndarray) -> tuple[np.ndarray, list[int]]:

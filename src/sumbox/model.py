@@ -35,8 +35,7 @@ class Problem:
     base_field: tuple[int, int] = (2, 1)  # (p, r)
 
     def __post_init__(self):
-        if self.S < 1:
-            raise ProblemError("need at least one server")
+        check_server_count(self.S)
         W = tuple(frozenset(w) for w in self.W)
         E = tuple(frozenset(e) for e in self.E)
         object.__setattr__(self, "W", W)
@@ -47,19 +46,12 @@ class Problem:
             raise ProblemError("need at least one clique (T >= 1)")
         for name, fam in (("stream", W), ("clique", E)):
             for sub in fam:
-                if not sub:
-                    raise ProblemError(f"empty {name} subset")
-                if not all(isinstance(s, int) and 1 <= s <= self.S for s in sub):
-                    raise ProblemError(f"{name} server index out of range 1..{self.S}")
+                check_subset(name, sub, self.S)
         names = self.stream_names or tuple(f"w{k+1}" for k in range(len(W)))
         if len(names) != len(W):
             raise ProblemError("stream name count mismatch")
         object.__setattr__(self, "stream_names", names)
-        p, r = self.base_field
-        if p > MAX_ORDER:  # before the trial division in is_prime(p)
-            raise FieldOrderError(f"field order {p}^{r} exceeds bound {MAX_ORDER}")
-        if not is_prime(p) or r < 1:
-            raise ProblemError(f"invalid base field ({p}, {r})")
+        check_base_field(*self.base_field)
 
     @property
     def K(self) -> int:
@@ -94,6 +86,27 @@ class Problem:
             raise ProblemError(f"cost tuple length {len(D)} != gamma {self.gamma}")
         it = iter(D)
         return [dict(zip(sorted(e), it)) for e in self.E]
+
+
+def check_server_count(S: int):
+    if S < 1:
+        raise ProblemError("need at least one server")
+
+
+def check_subset(name: str, sub, S: int):
+    """A stream's or clique's server subset is non-empty and within 1..S."""
+    if not sub:
+        raise ProblemError(f"empty {name} subset")
+    if not all(isinstance(s, int) and 1 <= s <= S for s in sub):
+        raise ProblemError(f"{name} server index out of range 1..{S}")
+
+
+def check_base_field(p: int, r: int):
+    """The data field (p, r) is F_{p^r} for a prime p and r >= 1."""
+    if p > MAX_ORDER:  # before the trial division in is_prime(p)
+        raise FieldOrderError(f"field order {p}^{r} exceeds bound {MAX_ORDER}")
+    if not is_prime(p) or r < 1:
+        raise ProblemError(f"invalid base field ({p}, {r})")
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +201,17 @@ def parse_problem(text: str) -> Problem:
     S = None
     streams: list[tuple[str, frozenset[int]]] = []
     cliques: list[frozenset[int]] = []
+    listed = []  # (lineno, "stream" or "clique", servers), checked once S is final
 
     def fail(lineno, msg):
         raise ProblemError(f"line {lineno}: {msg}")
+
+    def at(lineno, rule, *args):
+        """rule(*args), with a ProblemError it raises located at lineno."""
+        try:
+            return rule(*args)
+        except ProblemError as exc:
+            fail(lineno, exc)
 
     def ints(lineno, toks, msg):
         try:
@@ -208,10 +229,12 @@ def parse_problem(text: str) -> Problem:
             if len(toks) not in (2, 3):
                 fail(lineno, "expected: field <p> [<r>]")
             p, r = (ints(lineno, toks[1:], "field parameters must be integers") + [1])[:2]
+            at(lineno, check_base_field, p, r)
         elif head == "servers":
             if len(toks) != 2:
                 fail(lineno, "expected: servers <S>")
             (S,) = ints(lineno, toks[1:], "server count must be an integer")
+            at(lineno, check_server_count, S)
         elif head == "stream":
             if S is None:
                 fail(lineno, "servers line must come before streams")
@@ -223,14 +246,12 @@ def parse_problem(text: str) -> Problem:
             if not name:
                 fail(lineno, "stream needs a name")
             servers = frozenset(ints(lineno, idx.split(), "server indices must be integers"))
-            if not servers:
-                fail(lineno, "empty stream subset")
+            listed.append((lineno, "stream", servers))
             streams.append((name, servers))
         elif head == "clique:" or (head == "clique" and len(toks) > 1 and toks[1].startswith(":")):
             idx = line.partition(":")[2]
             servers = frozenset(ints(lineno, idx.split(), "server indices must be integers"))
-            if not servers:
-                fail(lineno, "empty clique subset")
+            listed.append((lineno, "clique", servers))
             cliques.append(servers)
         elif head == "entangle":
             if S is None:
@@ -252,11 +273,13 @@ def parse_problem(text: str) -> Problem:
             elif toks[1] == "none":
                 cliques.extend(singleton_cliques(S))
             else:
-                cliques.extend(beta_cliques(S, beta))
+                cliques.extend(at(lineno, beta_cliques, S, beta))
         else:
             fail(lineno, f"unknown directive {toks[0]!r}")
     if S is None:
         raise ProblemError("missing servers line")
+    for lineno, name, servers in listed:
+        at(lineno, check_subset, name, servers, S)
     if not streams:
         raise ProblemError("no streams defined")
     if not cliques:
@@ -264,10 +287,7 @@ def parse_problem(text: str) -> Problem:
     names = tuple(n for n, _ in streams)
     if len(set(names)) != len(names):
         raise ProblemError("duplicate stream names")
-    try:
-        return Problem(S, tuple(w for _, w in streams), tuple(cliques), names, (p, r))
-    except ProblemError as exc:
-        raise ProblemError(str(exc)) from None
+    return Problem(S, tuple(w for _, w in streams), tuple(cliques), names, (p, r))
 
 
 def render_problem(P: Problem) -> str:

@@ -5,12 +5,11 @@ F_q that is strongly self-orthogonal: rank(M) = N and M J M^T = 0 where J is
 the symplectic form [[0, -I], [I, 0]].  The boxes built here are also
 half-MDS — every subset of n paired (left, right) columns spans
 min(2n, N) dimensions — via a CSS-style assembly of a Generalized
-Reed-Solomon generator with the generator of its dual code.
+Reed-Solomon generator with the generator of its dual code.  A box is its
+transfer matrix: a Mat with N = M.rows, over the field M.field.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,36 +53,27 @@ def grs_dual_multipliers(field: Field, alpha, u) -> tuple[int, ...]:
     return tuple(ops.inv(prod).tolist())
 
 
-@dataclass(frozen=True)
-class NSumBox:
-    N: int
-    field: Field
-    M: Mat
+def box_to_text(M: Mat) -> str:
+    """The box text form: a "box N q" header, then the matrix."""
+    return f"box {M.rows} {M.field.order}\n" + M.to_text()
 
-    def __post_init__(self):
-        if self.M.rows != self.N or self.M.cols != 2 * self.N:
-            raise BoxError(f"transfer matrix must be {self.N} x {2*self.N}")
-        if self.M.field != self.field:
-            raise BoxError("field mismatch")
 
-    def to_text(self) -> str:
-        return f"box {self.N} {self.field.order}\n" + self.M.to_text()
-
-    @classmethod
-    def from_text(cls, text: str) -> "NSumBox":
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("box "):
-            raise BoxError("missing box header")
-        try:
-            _, n, order = lines[0].split()
-            n, order = parse_decimal(n), parse_decimal(order)
-        except ValueError:
-            raise BoxError(f"bad box header {lines[0]!r}") from None
-        M = Mat.from_text("\n".join(lines[1:]))
-        box = cls(n, M.field, M)
-        if M.field.order != order:
-            raise BoxError("field order mismatch in box header")
-        return box
+def box_from_text(text: str, field: Field) -> Mat:
+    """Inverse of box_to_text for a box over field; checks the header's N and q."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("box "):
+        raise BoxError("missing box header")
+    try:
+        _, n, order = lines[0].split()
+        n, order = parse_decimal(n), parse_decimal(order)
+    except ValueError:
+        raise BoxError(f"bad box header {lines[0]!r}") from None
+    M = Mat.from_text("\n".join(lines[1:]), field)
+    if M.rows != n or M.cols != 2 * n:
+        raise BoxError(f"transfer matrix must be {n} x {2*n}")
+    if order != field.order:
+        raise BoxError("field order mismatch in box header")
+    return M
 
 
 def is_valid_box(M: Mat) -> bool:
@@ -119,7 +109,7 @@ def is_half_mds(M: Mat) -> tuple[bool, tuple[int, ...] | None]:
     return True, None
 
 
-def build_half_mds_box(N: int, field: Field) -> NSumBox:
+def build_half_mds_box(N: int, field: Field) -> Mat:
     """CSS-style box: top block a GRS generator, bottom block its dual's.
 
     M = [[GRS_{ceil(N/2)}(alpha, u), 0], [0, GRS_{floor(N/2)}(alpha, v)]]
@@ -137,5 +127,4 @@ def build_half_mds_box(N: int, field: Field) -> NSumBox:
     k_bot = N // 2
     top = grs_matrix(field, alpha, u, k_top)
     bot = grs_matrix(field, alpha, v, k_bot)
-    M = block_diag(field, [top, bot])
-    return NSumBox(N, field, M)
+    return block_diag(field, [top, bot])

@@ -37,7 +37,7 @@ from .capacity import capacity_lp, common_denominator, in_region, stream_values
 from .field import Extension, Field, extend_field, field_construct, parse_decimal
 from .matrix import Mat, MatrixError, block_diag
 from .model import Problem, full_clique, parse_problem, render_problem
-from .nsumbox import NSumBox, build_half_mds_box, is_valid_box
+from .nsumbox import box_from_text, box_to_text, build_half_mds_box, is_valid_box
 from .vecops import field_ops
 
 
@@ -96,75 +96,65 @@ def allocation_from_lp(P: Problem, witness) -> Allocation:
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: `rows` holds numpy arrays
 class BigChannel:
-    problem: Problem
-    ext: Extension
-    boxes: tuple[tuple[int, NSumBox], ...]   # (t, box) for cliques with N_t > 0, ascending t
-    mbar: tuple[Mat, ...]                    # per stream k
-    rows: tuple[np.ndarray, ...]             # per k: stacked box-input row of each Mbar_k column
+    boxes: tuple[tuple[int, Mat], ...]   # (t, N_t x 2N_t box) for cliques with N_t > 0, ascending t
+    mbar: tuple[Mat, ...]                # per stream k
+    rows: tuple[np.ndarray, ...]         # per k: stacked box-input row of each Mbar_k column
 
     @property
     def n(self) -> int:
-        return sum(box.N for _, box in self.boxes)
+        return sum(M.rows for _, M in self.boxes)
 
 
-def build_big_channel(P: Problem, a: Allocation, d_field: Field, z: int) -> BigChannel:
-    """One half-MDS box per clique, stacked block-diagonally per stream."""
-    ext = extend_field(d_field, z)
+def build_big_channel(P: Problem, a: Allocation, field: Field) -> BigChannel:
+    """One half-MDS box over field per clique, stacked block-diagonally per stream."""
     sizes = [sum(c.values()) for c in P.split(a.counts)]  # N_t per clique
-    if ext.big.order < max(sizes):
-        raise SchemeError(f"coding field order {ext.big.order} < largest box size {max(sizes)}")
-    boxes = tuple((t, build_half_mds_box(n, ext.big)) for t, n in enumerate(sizes) if n > 0)
-    return assemble_channel(P, a, ext, boxes)
+    if field.order < max(sizes):
+        raise SchemeError(f"coding field order {field.order} < largest box size {max(sizes)}")
+    boxes = tuple((t, build_half_mds_box(n, field)) for t, n in enumerate(sizes) if n > 0)
+    return assemble_channel(P, a, field, boxes)
 
 
-def assemble_channel(P: Problem, a: Allocation, ext: Extension,
-                     boxes: tuple[tuple[int, NSumBox], ...]) -> BigChannel:
-    """Wire given per-clique boxes into the per-stream block channel: Mbar_k is
-    the columns rows[k] of the block-diagonal stack of the box matrices."""
+def assemble_channel(P: Problem, a: Allocation, field: Field,
+                     boxes: tuple[tuple[int, Mat], ...]) -> BigChannel:
+    """Wire given per-clique boxes over field into the per-stream block channel:
+    Mbar_k is the columns rows[k] of the block-diagonal stack of the boxes."""
     cliques = P.split(a.counts)
     expect = [(t, sum(c.values())) for t, c in enumerate(cliques) if any(c.values())]
-    if [(t, box.N) for t, box in boxes] != expect:
+    if [(t, M.rows) for t, M in boxes] != expect:
         raise SchemeError("boxes do not match the allocation's clique sizes")
-    for _, box in boxes:
-        if box.field != ext.big:
-            raise SchemeError("box field disagrees with the coding field")
-    stack = block_diag(ext.big, [box.M for _, box in boxes]).array
+    stack = block_diag(field, [M for _, M in boxes]).array
     rows = []
     for w in P.W:
         idx, start = [], 0
-        for t, box in boxes:
+        for t, M in boxes:
+            N = M.rows
             for s, n in cliques[t].items():  # left slots of s, then their paired right slots
                 if s in w:
-                    idx += [*range(start, start + n), *range(start + box.N, start + box.N + n)]
+                    idx += [*range(start, start + n), *range(start + N, start + N + n)]
                 start += n
-            start += box.N  # past the clique's right slots
+            start += N  # past the clique's right slots
         rows.append(np.array(idx, dtype=np.intp))
-    mbar = tuple(Mat._of(ext.big, stack[:, r]) for r in rows)
-    return BigChannel(P, ext, boxes, mbar, tuple(rows))
+    mbar = tuple(Mat._of(field, stack[:, r]) for r in rows)
+    return BigChannel(boxes, mbar, tuple(rows))
 
 
 _DECODER_DRAWS = 64
 
 
-def find_encoders(ch: BigChannel, R: int, seed: int):
+def find_encoders(P: Problem, ch: BigChannel, R: int, seed: int):
     """Sample a decoder D until every D . Mbar_k has full row rank R, then invert.
 
     Returns (precoders, D) with D . Mbar_k . precoders[k] = I_R for every k.
     Raises RetriesExhausted when the coding field is too small to hit a good
     D within _DECODER_DRAWS draws (raise z and rebuild).
     """
-    f = ch.ext.big
-    n = ch.n
-    for k, m in enumerate(ch.mbar):
+    f = ch.mbar[0].field
+    for name, m in zip(P.stream_names, ch.mbar):
         if m.rank() < R:
-            raise SchemeError(
-                f"R = {R} exceeds rank {m.rank()} of stream {ch.problem.stream_names[k]}")
+            raise SchemeError(f"R = {R} exceeds rank {m.rank()} of stream {name}")
     rng = random.Random(seed)
-    if R == 0:
-        D = Mat.zeros(f, 0, n)
-        return tuple(Mat.zeros(f, m.cols, 0) for m in ch.mbar), D
     for _ in range(_DECODER_DRAWS):
-        D = Mat.random(f, R, n, rng)
+        D = Mat.random(f, R, ch.n, rng)
         try:  # every D . Mbar_k has full row rank R exactly when it has a right inverse
             return tuple((D * m).right_inverse() for m in ch.mbar), D
         except MatrixError:
@@ -179,10 +169,14 @@ class CodingScheme:
     ext: Extension
     allocation: Allocation
     channel: BigChannel
-    R: int
     precoders: tuple[Mat, ...]
     decoder: Mat
     seed: int
+
+    @property
+    def R(self) -> int:
+        """F_q sums decoded per channel use."""
+        return self.decoder.rows
 
     @property
     def rate(self) -> Fraction:
@@ -230,16 +224,17 @@ def build_scheme(
             z_cur += 1
     last_err: Exception | None = None
     for _ in range(_MAX_Z_DOUBLINGS + 1):
-        ch = build_big_channel(P, allocation, d_field, z_cur)
+        ext = extend_field(d_field, z_cur)
+        ch = build_big_channel(P, allocation, ext.big)
         try:
-            precoders, D = find_encoders(ch, R, seed)
+            precoders, D = find_encoders(P, ch, R, seed)
         except RetriesExhausted as exc:
             if z is not None:
                 raise
             last_err = exc
             z_cur *= 2
             continue
-        sch = CodingScheme(P, ch.ext, allocation, ch, R, precoders, D, seed)
+        sch = CodingScheme(P, ext, allocation, ch, precoders, D, seed)
         if not sch.certificate_ok():
             raise AssertionError("scheme certificate failed")
         return sch
@@ -276,9 +271,9 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     for rows, pk, d in zip(ch.rows, sch.precoders, data):  # rows are distinct within a stream
         x[rows] = ops.add(x[rows], ops.matmul(pk.array, d))
     ys, start = [], 0
-    for _, box in ch.boxes:
-        ys.append(ops.matmul(box.M.array, x[start:start + 2 * box.N]))
-        start += 2 * box.N
+    for _, M in ch.boxes:
+        ys.append(ops.matmul(M.array, x[start:start + M.cols]))
+        start += M.cols
     return ops.matmul(sch.decoder.array, np.concatenate(ys))  # an allocation has a box
 
 
@@ -331,11 +326,10 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
     alloc = Allocation((1, 1, 1, 2))
     ext = extend_field(f, 1)
     M = Mat(f, [list(row) for row in _REF_M_ROWS])  # entries are 0/1 in any field
-    box = NSumBox(5, f, M)
-    ch = assemble_channel(P, alloc, ext, ((0, box),))
+    ch = assemble_channel(P, alloc, f, ((0, M),))
     D = Mat(f, [list(row) for row in _REF_VDEC_ROWS])
     precoders = tuple((D * m).right_inverse() for m in ch.mbar)
-    sch = CodingScheme(P, ext, alloc, ch, 4, precoders, D, seed=0)
+    sch = CodingScheme(P, ext, alloc, ch, precoders, D, seed=0)
     if not sch.certificate_ok():
         raise AssertionError("reference scheme certificate failed")
     return sch
@@ -359,9 +353,9 @@ def render_scheme(sch: CodingScheme) -> str:
     for (t, s), n in zip(sch.problem.cost_index(), sch.allocation.counts):
         out.append(f"{t + 1} {s} {n}")
     out.append("BOXES")
-    for t, box in sch.channel.boxes:
+    for t, M in sch.channel.boxes:
         out.append(f"clique {t + 1}")
-        out.append(box.to_text())
+        out.append(box_to_text(M))
     out.append("ENCODERS")
     for name, pk in zip(sch.problem.stream_names, sch.precoders):
         out.append(f"stream {name}")
@@ -411,11 +405,11 @@ def parse_scheme(text: str) -> CodingScheme:
     alloc = Allocation(tuple(n for _, _, n in layout))
     boxes = []
     for lbl, blk in _parse_labeled_blocks("\n".join(sections["BOXES"]), "clique"):
-        box = _located(f"BOXES clique {lbl}", NSumBox.from_text, blk)
-        if not is_valid_box(box.M):
+        M = _located(f"BOXES clique {lbl}", box_from_text, blk, ext.big)
+        if not is_valid_box(M):
             raise SchemeError(f"serialized box for clique {lbl} is not a valid box")
-        boxes.append((_ints("BOXES", "clique " + lbl, 1, skip=1)[0] - 1, box))
-    ch = assemble_channel(P, alloc, ext, tuple(boxes))
+        boxes.append((_ints("BOXES", "clique " + lbl, 1, skip=1)[0] - 1, M))
+    ch = assemble_channel(P, alloc, ext.big, tuple(boxes))
     enc_blocks = _parse_labeled_blocks("\n".join(sections["ENCODERS"]), "stream")
     if tuple(lbl for lbl, _ in enc_blocks) != P.stream_names:
         raise SchemeError("ENCODERS stream labels mismatch")
@@ -429,7 +423,7 @@ def parse_scheme(text: str) -> CodingScheme:
             raise SchemeError(f"ENCODERS stream {name} is {pk.rows}x{pk.cols}, expected "
                               f"{m.cols}x{D.rows} (its box columns x decoder rows)")
     (seed,) = _ints("SEED", " ".join(sections["SEED"]), 1)
-    return CodingScheme(P, ext, alloc, ch, D.rows, precoders, D, seed)
+    return CodingScheme(P, ext, alloc, ch, precoders, D, seed)
 
 
 def _ints(section: str, line: str, count: int, skip: int = 0) -> list[int]:

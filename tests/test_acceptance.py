@@ -151,10 +151,10 @@ def test_half_mds_construction_validity_suite():
         # smallest binary field admitting the construction, and one larger
         r_min = max(1, (N - 1).bit_length())
         for f in (field_construct(2, r_min), field_construct(2, r_min + 2)):
-            box = build_half_mds_box(N, f)
-            assert box.M.rows == N and box.M.cols == 2 * N
-            assert is_valid_box(box.M), (N, f.order)
-            ok, witness = is_half_mds(box.M)
+            M = build_half_mds_box(N, f)
+            assert M.rows == N and M.cols == 2 * N
+            assert is_valid_box(M), (N, f.order)
+            ok, witness = is_half_mds(M)
             assert ok, (N, f.order, witness)
     # the published discrimination example
     f2 = field_construct(2)

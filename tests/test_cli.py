@@ -11,6 +11,8 @@ import pytest
 from sumbox import (build_scheme, capacity, lp, model, oracle, parse_problem, render_scheme,
                     scheme)
 from sumbox.cli import main
+from sumbox.field import field_construct
+from sumbox.nsumbox import box_to_text, build_half_mds_box
 
 HERE = os.path.dirname(__file__)
 PROBLEMS = os.path.join(HERE, "..", "problems")
@@ -348,13 +350,18 @@ def test_scheme_built_on_d_field_checks(tmp_path, capsys):
     ("d 2 1", "EXTENSION line 'd 2 one': expected 2 integers"),
     ("z 7", "EXTENSION line 'z 7 1': expected 1 integer"),
     ("20240", "SEED line '2024O': expected 1 integer"),
+    # a valid box over F_64 in a scheme over F_128
+    ("box 5 128", "BOXES clique 1: field mismatch: header F64, expected F128"),
 ])
 def test_scheme_shape_errors_are_located(tmp_path, capsys, cmd, block, where):
     out_file = str(tmp_path / "example.scheme")
     run(capsys, "scheme", "build", prob("example.prob"), "--out", out_file)
     lines = (tmp_path / "example.scheme").read_text().splitlines()
     at = lines.index(block) + 1  # the matrix header "rows cols field"
-    if "bad entry" in where:
+    if "field mismatch" in where:
+        box = box_to_text(build_half_mds_box(5, field_construct(2, 6))).splitlines()
+        lines[at - 1:at - 1 + len(box)] = box
+    elif "bad entry" in where:
         at = next(i for i in range(at, len(lines)) if lines[i].startswith("["))
         lines[at] = "[9" + lines[at][2:]
     elif "'" in where:
@@ -383,7 +390,7 @@ def test_field_order_above_bound_is_a_guard(capsys):
 
 def test_z_search_past_the_bound_is_a_guard(capsys, monkeypatch):
     # every draw fails, so the z search doubles until the field passes MAX_ORDER
-    def no_decoder(ch, R, seed):
+    def no_decoder(P, ch, R, seed):
         raise scheme.RetriesExhausted("no full-rank decoder")
     monkeypatch.setattr(scheme, "find_encoders", no_decoder)
     code, out, err = run(capsys, "scheme", "build", prob("example.prob"))

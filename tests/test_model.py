@@ -72,6 +72,22 @@ def test_parse_refuses_malformed_integers(token, lineno, line, template, error):
         parse_problem("\n".join(lines))
 
 
+# the rules Problem checks, broken on a line of a problem file
+@pytest.mark.parametrize("lineno, line, bad, error", [
+    (1, "servers 4", "servers 0", "need at least one server"),
+    (6, "entangle full", "entangle beta 5", "clique size 5 out of range 1..4"),
+    (2, "stream a: 1 2", "stream a: 5", "stream server index out of range 1..4"),
+    (6, "entangle full", "clique: 0 1", "clique server index out of range 1..4"),
+    (7, "", "field 4", "invalid base field \\(4, 1\\)"),
+])
+def test_parse_locates_broken_rules(lineno, line, bad, error):
+    lines = EXAMPLE_TEXT.strip().splitlines()[1:] + [""]
+    assert lines[lineno - 1] == line
+    lines[lineno - 1] = bad
+    with pytest.raises(ProblemError, match=f"^line {lineno}: {error}$"):
+        parse_problem("\n".join(lines))
+
+
 def test_duplicate_stream_names_rejected():
     with pytest.raises(ProblemError):
         parse_problem("servers 2\nstream a: 1\nstream a: 2\nclique: 1 2\n")

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from sumbox.field import field_construct
 from sumbox.matrix import Mat
-from sumbox.nsumbox import (BoxError, NSumBox, build_half_mds_box,
-                            grs_dual_multipliers, grs_matrix, is_half_mds,
-                            is_valid_box)
+from sumbox.nsumbox import (BoxError, box_from_text, box_to_text,
+                            build_half_mds_box, grs_dual_multipliers, grs_matrix,
+                            is_half_mds, is_valid_box)
 from sumbox.vecops import field_ops
 
 F2 = field_construct(2)
@@ -56,7 +57,7 @@ def test_dual_orthogonality_all_k(p, r):
     for k in range(1, n):
         a = grs_matrix(f, alpha, u, k)
         b = grs_matrix(f, alpha, v, n - k)
-        assert a * b.transpose() == Mat.zeros(f, k, n - k)
+        assert not (a * b.transpose()).array.any()
 
 
 def test_identity_plus_symmetric_is_valid():
@@ -103,9 +104,10 @@ def test_build_small_boxes_certified():
         for f in (field_construct(2, max(1, (N - 1).bit_length())), F8):
             if f.order < N:
                 continue
-            box = build_half_mds_box(N, f)
-            assert is_valid_box(box.M)
-            ok, _ = is_half_mds(box.M)
+            M = build_half_mds_box(N, f)
+            assert (M.rows, M.cols, M.field) == (N, 2 * N, f)
+            assert is_valid_box(M)
+            ok, _ = is_half_mds(M)
             assert ok
 
 
@@ -116,21 +118,34 @@ def test_build_rejects_small_field():
 
 def test_box_eval_linearity_and_zero():
     rng = random.Random(8)
-    box = build_half_mds_box(4, F8)
+    M = build_half_mds_box(4, F8)
     add = field_ops(F8).add
-    assert box.M * Mat.zeros(F8, 8, 1) == Mat.zeros(F8, 4, 1)
+    assert not (M * Mat(F8, np.zeros((8, 1), dtype=np.int64))).array.any()
     for _ in range(10):
         x1 = Mat.random(F8, 8, 1, rng)
         x2 = Mat.random(F8, 8, 1, rng)
-        y = box.M * Mat(F8, add(x1.array, x2.array))
-        assert y.array.tolist() == add((box.M * x1).array, (box.M * x2).array).tolist()
+        y = M * Mat(F8, add(x1.array, x2.array))
+        assert y.array.tolist() == add((M * x1).array, (M * x2).array).tolist()
 
 
 def test_box_serialization_roundtrip():
-    box = build_half_mds_box(5, F8)
-    again = NSumBox.from_text(box.to_text())
-    assert again.N == 5
-    assert again.M == box.M
+    M = build_half_mds_box(5, F8)
+    text = box_to_text(M)
+    assert text.startswith("box 5 8\n5 10 F8\n")
+    assert box_from_text(text, F8) == M
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda t: t.split("\n", 1)[1], "missing box header"),
+    (lambda t: t.replace("box 5 8", "box 5"), "bad box header 'box 5'"),
+    (lambda t: t.replace("5 10 F8", "5 10 F16"), "field mismatch: header F16, expected F8"),
+    (lambda t: t.replace("box 5 8", "box 4 8"), "transfer matrix must be 4 x 8"),
+    (lambda t: t.replace("box 5 8", "box 5 16"), "field order mismatch in box header"),
+])
+def test_box_from_text_refusals(edit, error):
+    text = edit(box_to_text(build_half_mds_box(5, F8)))
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        box_from_text(text, F8)
 
 
 def test_half_mds_size_guard():

@@ -29,6 +29,7 @@ PINS = {
     'sym-4-2-2.prob': '7914e2db84f2b566ba7437082f01b5b5092e9a33783b5af17de68e8ba8f23782',
     'sym-4-2-2.prob --d 2^2': 'f24c880a0476562987301aed1aaa07a3b364d8f80964d868a20aa28b2d1dd18a',
     'example.prob --alloc 2,2,2,4': '3e322f3c8e6d6b4cac0d3af6b4b5179302a0d01f7e8ceb0861608e31f9f30c3a',
+    'example.prob --alloc 0,0,0,1': '79f86511b4537181cd56b510c6eb5eb820b2f51f4d6a3d65a91c898786330852',
     'sym-4-2-2.prob --z 17': '8d59c4404c8a679fd159de1d69da192bcc84c4502d2367886df98d09cac3fbc3',
     'symmetric 3 2 2': 'd278d33a3cc3786ea53822819c83aa864489d58be69ee5de76051a5b32523773',
     'symmetric 4 2 3': '08df4276c9235c4b85c1367bc05695e068eb60af0f8f45e1c06b5b695897ec82',
