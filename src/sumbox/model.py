@@ -195,13 +195,15 @@ def parse_problem(text: str) -> Problem:
     stream <name>: <i1> <i2> ...
     clique: <i1> <i2> ...
     entangle full | beta <b> | none
-    '#' starts a comment.
+    '#' starts a comment.  field, servers and entangle appear at most once,
+    entangle and clique lines exclude each other, and stream names are distinct.
     """
     p, r = 2, 1
     S = None
-    streams: list[tuple[str, frozenset[int]]] = []
+    streams: dict[str, frozenset[int]] = {}  # name -> servers, in file order
     cliques: list[frozenset[int]] = []
     listed = []  # (lineno, "stream" or "clique", servers), checked once S is final
+    first = {}  # directive -> line of its first use
 
     def fail(lineno, msg):
         raise ProblemError(f"line {lineno}: {msg}")
@@ -225,6 +227,15 @@ def parse_problem(text: str) -> Problem:
             continue
         toks = line.split()
         head = toks[0].lower()
+        if head == "clique" and len(toks) > 1 and toks[1].startswith(":"):
+            head = "clique:"
+        if head in ("field", "servers", "entangle") and head in first:
+            fail(lineno, f"repeated {head} line (first on line {first[head]})")
+        other = {"entangle": "clique:", "clique:": "entangle"}.get(head)
+        if other in first:
+            fail(lineno, f"{head.rstrip(':')} line conflicts with the "
+                         f"{other.rstrip(':')} line on line {first[other]}")
+        first.setdefault(head, lineno)
         if head == "field":
             if len(toks) not in (2, 3):
                 fail(lineno, "expected: field <p> [<r>]")
@@ -245,10 +256,12 @@ def parse_problem(text: str) -> Problem:
             name = name.strip()
             if not name:
                 fail(lineno, "stream needs a name")
+            if name in streams:
+                fail(lineno, f"duplicate stream name {name!r}")
             servers = frozenset(ints(lineno, idx.split(), "server indices must be integers"))
             listed.append((lineno, "stream", servers))
-            streams.append((name, servers))
-        elif head == "clique:" or (head == "clique" and len(toks) > 1 and toks[1].startswith(":")):
+            streams[name] = servers
+        elif head == "clique:":
             idx = line.partition(":")[2]
             servers = frozenset(ints(lineno, idx.split(), "server indices must be integers"))
             listed.append((lineno, "clique", servers))
@@ -284,10 +297,7 @@ def parse_problem(text: str) -> Problem:
         raise ProblemError("no streams defined")
     if not cliques:
         raise ProblemError("no cliques defined")
-    names = tuple(n for n, _ in streams)
-    if len(set(names)) != len(names):
-        raise ProblemError("duplicate stream names")
-    return Problem(S, tuple(w for _, w in streams), tuple(cliques), names, (p, r))
+    return Problem(S, tuple(streams.values()), tuple(cliques), tuple(streams), (p, r))
 
 
 def render_problem(P: Problem) -> str:

@@ -22,7 +22,8 @@ Stream k's matrix Mbar_k orders columns clique-major, then server-ascending,
 each server contributing its left columns then its right columns.  The box
 inputs of all cliques stack into one vector of length 2 * sum N_t, clique
 after clique; BigChannel.rows[k] gives the row of that vector that each
-column of Mbar_k feeds.
+column of Mbar_k feeds, so D . Mbar_k is the columns rows[k] of the one
+product of D with the block-diagonal stack of the boxes (BigChannel.through).
 """
 
 from __future__ import annotations
@@ -97,32 +98,37 @@ def allocation_from_lp(P: Problem, witness) -> Allocation:
 @dataclass(frozen=True, eq=False)  # no field-wise ==: `rows` holds numpy arrays
 class BigChannel:
     boxes: tuple[tuple[int, Mat], ...]   # (t, N_t x 2N_t box) for cliques with N_t > 0, ascending t
-    mbar: tuple[Mat, ...]                # per stream k
     rows: tuple[np.ndarray, ...]         # per k: stacked box-input row of each Mbar_k column
 
     @property
     def n(self) -> int:
         return sum(M.rows for _, M in self.boxes)
 
+    def through(self, D: Mat) -> tuple[Mat, ...]:
+        """D . Mbar_k for every stream k: the columns rows[k] of the one product
+        D . stack, where stack is the block-diagonal stack of the boxes."""
+        f = self.boxes[0][1].field  # an allocation has a box
+        prod = (D * block_diag(f, [M for _, M in self.boxes])).array
+        return tuple(Mat._of(f, prod[:, r]) for r in self.rows)
+
 
 def build_big_channel(P: Problem, a: Allocation, field: Field) -> BigChannel:
-    """One half-MDS box over field per clique, stacked block-diagonally per stream."""
+    """One half-MDS box over field per clique, wired into the per-stream channel."""
     sizes = [sum(c.values()) for c in P.split(a.counts)]  # N_t per clique
     if field.order < max(sizes):
         raise SchemeError(f"coding field order {field.order} < largest box size {max(sizes)}")
     boxes = tuple((t, build_half_mds_box(n, field)) for t, n in enumerate(sizes) if n > 0)
-    return assemble_channel(P, a, field, boxes)
+    return assemble_channel(P, a, boxes)
 
 
-def assemble_channel(P: Problem, a: Allocation, field: Field,
+def assemble_channel(P: Problem, a: Allocation,
                      boxes: tuple[tuple[int, Mat], ...]) -> BigChannel:
-    """Wire given per-clique boxes over field into the per-stream block channel:
-    Mbar_k is the columns rows[k] of the block-diagonal stack of the boxes."""
+    """Wire given per-clique boxes, all over one field, into the per-stream block
+    channel: Mbar_k is the columns rows[k] of the block-diagonal stack of the boxes."""
     cliques = P.split(a.counts)
     expect = [(t, sum(c.values())) for t, c in enumerate(cliques) if any(c.values())]
     if [(t, M.rows) for t, M in boxes] != expect:
         raise SchemeError("boxes do not match the allocation's clique sizes")
-    stack = block_diag(field, [M for _, M in boxes]).array
     rows = []
     for w in P.W:
         idx, start = [], 0
@@ -134,8 +140,7 @@ def assemble_channel(P: Problem, a: Allocation, field: Field,
                 start += n
             start += N  # past the clique's right slots
         rows.append(np.array(idx, dtype=np.intp))
-    mbar = tuple(Mat._of(field, stack[:, r]) for r in rows)
-    return BigChannel(boxes, mbar, tuple(rows))
+    return BigChannel(boxes, tuple(rows))
 
 
 _DECODER_DRAWS = 64
@@ -145,20 +150,21 @@ def find_encoders(P: Problem, ch: BigChannel, R: int, seed: int):
     """Sample a decoder D until every D . Mbar_k has full row rank R, then invert.
 
     Returns (precoders, D) with D . Mbar_k . precoders[k] = I_R for every k.
-    Raises RetriesExhausted when the coding field is too small to hit a good
-    D within _DECODER_DRAWS draws (raise z and rebuild).
+    When no draw succeeds, raises SchemeError if some Mbar_k has rank below R
+    (no decoder can exist), else RetriesExhausted: the coding field is too
+    small to hit a good D within _DECODER_DRAWS draws (raise z and rebuild).
     """
-    f = ch.mbar[0].field
-    for name, m in zip(P.stream_names, ch.mbar):
-        if m.rank() < R:
-            raise SchemeError(f"R = {R} exceeds rank {m.rank()} of stream {name}")
+    f = ch.boxes[0][1].field
     rng = random.Random(seed)
     for _ in range(_DECODER_DRAWS):
         D = Mat.random(f, R, ch.n, rng)
         try:  # every D . Mbar_k has full row rank R exactly when it has a right inverse
-            return tuple((D * m).right_inverse() for m in ch.mbar), D
+            return tuple(m.right_inverse() for m in ch.through(D)), D
         except MatrixError:
             continue
+    for name, m in zip(P.stream_names, ch.through(Mat.identity(f, ch.n))):
+        if m.rank() < R:
+            raise SchemeError(f"R = {R} exceeds rank {m.rank()} of stream {name}")
     raise RetriesExhausted(
         f"no full-rank decoder in {_DECODER_DRAWS} draws over F_{f.order}")
 
@@ -185,10 +191,8 @@ class CodingScheme:
 
     def certificate_ok(self) -> bool:
         ident = Mat.identity(self.ext.big, self.R)
-        return all(
-            self.decoder * m * p == ident
-            for m, p in zip(self.channel.mbar, self.precoders)
-        )
+        return all(m * p == ident
+                   for m, p in zip(self.channel.through(self.decoder), self.precoders))
 
 
 DEFAULT_SEED = 20240
@@ -326,9 +330,9 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
     alloc = Allocation((1, 1, 1, 2))
     ext = extend_field(f, 1)
     M = Mat(f, [list(row) for row in _REF_M_ROWS])  # entries are 0/1 in any field
-    ch = assemble_channel(P, alloc, f, ((0, M),))
+    ch = assemble_channel(P, alloc, ((0, M),))
     D = Mat(f, [list(row) for row in _REF_VDEC_ROWS])
-    precoders = tuple((D * m).right_inverse() for m in ch.mbar)
+    precoders = tuple(m.right_inverse() for m in ch.through(D))
     sch = CodingScheme(P, ext, alloc, ch, precoders, D, seed=0)
     if not sch.certificate_ok():
         raise AssertionError("reference scheme certificate failed")
@@ -409,7 +413,7 @@ def parse_scheme(text: str) -> CodingScheme:
         if not is_valid_box(M):
             raise SchemeError(f"serialized box for clique {lbl} is not a valid box")
         boxes.append((_ints("BOXES", "clique " + lbl, 1, skip=1)[0] - 1, M))
-    ch = assemble_channel(P, alloc, ext.big, tuple(boxes))
+    ch = assemble_channel(P, alloc, tuple(boxes))
     enc_blocks = _parse_labeled_blocks("\n".join(sections["ENCODERS"]), "stream")
     if tuple(lbl for lbl, _ in enc_blocks) != P.stream_names:
         raise SchemeError("ENCODERS stream labels mismatch")
@@ -418,10 +422,10 @@ def parse_scheme(text: str) -> CodingScheme:
     D = _located("DECODER", Mat.from_text, "\n".join(sections["DECODER"]), ext.big)
     if D.cols != ch.n:
         raise SchemeError(f"DECODER has {D.cols} columns, expected sum of N_t = {ch.n}")
-    for name, m, pk in zip(P.stream_names, ch.mbar, precoders):
-        if (pk.rows, pk.cols) != (m.cols, D.rows):
+    for name, r, pk in zip(P.stream_names, ch.rows, precoders):
+        if (pk.rows, pk.cols) != (len(r), D.rows):
             raise SchemeError(f"ENCODERS stream {name} is {pk.rows}x{pk.cols}, expected "
-                              f"{m.cols}x{D.rows} (its box columns x decoder rows)")
+                              f"{len(r)}x{D.rows} (its box columns x decoder rows)")
     (seed,) = _ints("SEED", " ".join(sections["SEED"]), 1)
     return CodingScheme(P, ext, alloc, ch, precoders, D, seed)
 

@@ -77,7 +77,7 @@ def test_reference_scheme_exhaustive_and_determinants():
     # which over F_3 reads (1, 2, 1, 2)
     f3 = field_construct(3)
     sch3 = worked_reference_scheme(f3)
-    dets = [ref.det(f3, (sch3.decoder * m).data) for m in sch3.channel.mbar]
+    dets = [ref.det(f3, m.data) for m in sch3.channel.through(sch3.decoder)]
     assert dets == [1, 2, 1, 2]
     assert time.monotonic() - start < 10
 

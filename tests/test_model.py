@@ -79,6 +79,10 @@ def test_parse_refuses_malformed_integers(token, lineno, line, template, error):
     (2, "stream a: 1 2", "stream a: 5", "stream server index out of range 1..4"),
     (6, "entangle full", "clique: 0 1", "clique server index out of range 1..4"),
     (7, "", "field 4", "invalid base field \\(4, 1\\)"),
+    (7, "", "servers 5", "repeated servers line \\(first on line 1\\)"),
+    (7, "", "entangle none", "repeated entangle line \\(first on line 6\\)"),
+    (7, "", "clique: 1 2", "clique line conflicts with the entangle line on line 6"),
+    (5, "stream d: 4", "stream a: 4", "duplicate stream name 'a'"),
 ])
 def test_parse_locates_broken_rules(lineno, line, bad, error):
     lines = EXAMPLE_TEXT.strip().splitlines()[1:] + [""]
@@ -86,6 +90,21 @@ def test_parse_locates_broken_rules(lineno, line, bad, error):
     lines[lineno - 1] = bad
     with pytest.raises(ProblemError, match=f"^line {lineno}: {error}$"):
         parse_problem("\n".join(lines))
+
+
+# conflicts that take more than one line of the example to show; the table
+# above covers the rest: the later line is named
+@pytest.mark.parametrize("text, lineno, error", [
+    ("field 2\nfield 3\nservers 2\nstream a: 1\nstream b: 2\nentangle full\n", 2,
+     "repeated field line \\(first on line 1\\)"),
+    ("servers 2\nstream a: 1\nstream b: 2\nclique: 1 2\nentangle none\n", 5,
+     "entangle line conflicts with the clique line on line 4"),
+    ("servers 2\nstream a: 1\nstream b: 2\nentangle none\nclique : 1 2\n", 5,
+     "clique line conflicts with the entangle line on line 4"),
+], ids=["field", "clique-then-entangle", "entangle-then-clique"])
+def test_parse_locates_repeated_and_conflicting_directives(text, lineno, error):
+    with pytest.raises(ProblemError, match=f"^line {lineno}: {error}$"):
+        parse_problem(text)
 
 
 def test_duplicate_stream_names_rejected():

@@ -6,14 +6,15 @@ import mat_reference as ref
 import numpy as np
 import pytest
 
-from sumbox.capacity import capacity_lp
+from sumbox.capacity import capacity_lp, capacity_symmetric
 from sumbox.field import field_construct
 from sumbox.matrix import Mat
 from sumbox.model import Problem, full_clique, parse_problem, symmetric_problem
 from sumbox.nsumbox import is_half_mds, is_valid_box
-from sumbox.scheme import (Allocation, SchemeError, allocation_from_lp,
-                           build_scheme, worked_reference_scheme, parse_scheme,
-                           rate_of_allocation, reference_problem,
+from sumbox.scheme import (Allocation, RetriesExhausted, SchemeError,
+                           allocation_from_lp, assemble_channel, build_scheme,
+                           find_encoders, worked_reference_scheme, parse_scheme,
+                           rate_numerator, rate_of_allocation, reference_problem,
                            render_scheme, simulate, simulate_batch, true_sum)
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -44,22 +45,60 @@ def mat_simulate(sch, cols):
 
 @pytest.mark.parametrize("source", sorted(f for f in os.listdir(PROBLEMS) if f.endswith(".prob"))
                          + [(5, 2, 3), (6, 2, 2)], ids=str)
-def test_mbar_is_the_stack_at_rows(source):
-    """Each Mbar_k is the columns rows[k] of the block-diagonal stack of the box
-    matrices, so the certificate and simulate_batch read one wiring table."""
+def test_through_is_the_product_with_the_stack_at_rows(source):
+    """through(D) is D . Mbar_k for every stream k, where Mbar_k is the columns
+    rows[k] of the block-diagonal stack of the box matrices, so the certificate
+    and simulate_batch read one wiring table."""
     if isinstance(source, tuple):
         P = symmetric_problem(*source)
     else:
         with open(os.path.join(PROBLEMS, source)) as fh:
             P = parse_problem(fh.read())
     sch = build_scheme(P)
-    ch = sch.channel
+    ch, f = sch.channel, sch.ext.big
     stack = ref.block_diag([(M.data, M.cols) for _, M in ch.boxes])
-    for m, rows in zip(ch.mbar, ch.rows):
+    D = Mat.random(f, 3, ch.n, random.Random(11))
+    for m, rows in zip(ch.through(D), ch.rows):
         rows = rows.tolist()
         assert len(set(rows)) == len(rows) and all(0 <= r < 2 * ch.n for r in rows)
-        assert m.data == ref.select_columns(stack, [r + 1 for r in rows])
+        mbar = ref.select_columns(stack, [r + 1 for r in rows])
+        assert m.data == ref.mul(f, D.data, mbar, len(rows))
     assert sch.certificate_ok()
+
+
+def test_rank_deficient_stream_is_named_after_the_search_fails():
+    # stream a reads box columns 1 and 3, which are equal: rank 1 < R = 2, so
+    # no decoder exists and the search ends in the rank diagnostic
+    P = Problem(2, (frozenset({1}), frozenset({2})), full_clique(2), ("a", "b"))
+    a = Allocation((1, 1))
+    M = Mat(field_construct(2), [[1, 0, 1, 1], [0, 1, 0, 1]])
+    ch = assemble_channel(P, a, ((0, M),))
+    with pytest.raises(SchemeError, match="^R = 2 exceeds rank 1 of stream a$") as exc:
+        find_encoders(P, ch, rate_numerator(P, a), seed=0)
+    assert not isinstance(exc.value, RetriesExhausted)
+
+
+def test_successful_encoder_search_computes_no_rank(monkeypatch):
+    def no_rank(self):
+        raise AssertionError("rank() called")
+    monkeypatch.setattr(Mat, "rank", no_rank)
+    assert build_scheme(reference_problem()).certificate_ok()
+
+
+def test_uniform_scheme_at_s7_reaches_capacity():
+    # (7, 3, 3): 35 streams, 35 three-server cliques, one qudit per (clique,
+    # server); every server feeds 15 streams, so the selections share columns
+    P = symmetric_problem(7, 3, 3)
+    sch = build_scheme(P, Allocation((1,) * P.gamma))
+    assert P.gamma == 105
+    assert sch.rate == capacity_symmetric(7, 3, 3) == Fraction(5, 7)
+    assert sch.certificate_ok()
+    f, B = sch.ext.big, 8
+    data = np.random.default_rng(7).integers(0, f.order, size=(P.K, sch.R, B), dtype=np.int64)
+    want = [[0] * B for _ in range(sch.R)]
+    for block in data.tolist():
+        want = [[ref.add(f, w, v) for w, v in zip(wrow, vrow)] for wrow, vrow in zip(want, block)]
+    assert simulate_batch(sch, data).tolist() == want
 
 
 def test_allocation_from_lp_reference():
@@ -99,10 +138,7 @@ def test_reference_determinants_over_f3():
     # alternating +1/-1 in stream order (1, 2, 1, 2 over F_3)
     f3 = field_construct(3)
     sch = worked_reference_scheme(f3)
-    dets = []
-    for k in range(sch.problem.K):
-        m = sch.decoder * sch.channel.mbar[k]
-        dets.append(ref.det(f3, m.data))
+    dets = [ref.det(f3, m.data) for m in sch.channel.through(sch.decoder)]
     assert dets == [1, 2, 1, 2]
 
 
