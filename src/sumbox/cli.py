@@ -18,8 +18,7 @@ import numpy as np
 
 from .capacity import (LpSizeError, capacity_fullent, capacity_lp,
                        capacity_symmetric, capacity_unent)
-from .field import (Field, FieldError, FieldOrderError, field_construct, parse_decimal,
-                    parse_field_name)
+from .field import FieldOrderError, parse_decimal
 from .lp import PivotLimitExceeded
 from .model import Problem, ProblemError, parse_problem
 from .oracle import (DECODE_BATCH, GuardExceeded, check_beta_star, check_identities,
@@ -53,19 +52,6 @@ def _int_option(option: str, token: str) -> int:
         return parse_decimal(token)
     except ValueError:
         raise ValueError(f"{option} expects an integer, got {token!r}") from None
-
-
-def _parse_d(token: str) -> Field:
-    """The data field named by --d: p^r, or its order."""
-    try:
-        if "^" in token:
-            p_str, r_str = token.split("^", 1)
-            return field_construct(_int_option("--d", p_str), _int_option("--d", r_str))
-        return parse_field_name("F" + token)
-    except FieldOrderError:
-        raise
-    except FieldError:
-        raise FieldError(f"--d expects a prime power, p^r or its value, got {token!r}") from None
 
 
 def _comb_capped(S: int, k: int, cap: int) -> int:
@@ -150,7 +136,6 @@ def cmd_tables(args) -> int:
 def cmd_scheme_build(args) -> int:
     seed = _int_option("--seed", args.seed)
     P = parse_problem(_read(args.file))
-    d_field = _parse_d(args.d) if args.d else None
     z = None if args.z in (None, "auto") else _int_option("--z", args.z)
     allocation = None
     if args.alloc:
@@ -159,7 +144,7 @@ def cmd_scheme_build(args) -> int:
             raise ProblemError(
                 f"--alloc expects {P.gamma} entries (clique-major, server-ascending)")
         allocation = Allocation(counts)
-    sch = build_scheme(P, allocation=allocation, d_field=d_field, z=z, seed=seed)
+    sch = build_scheme(P, allocation=allocation, z=z, seed=seed)
     text = render_scheme(sch)
     if args.out:
         with open(args.out, "w") as fh:
@@ -269,7 +254,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_b = ssub.add_parser("build", help="build a capacity-achieving scheme")
     p_b.add_argument("file")
     p_b.add_argument("--out", help="output scheme file (default: stdout)")
-    p_b.add_argument("--d", help="data field as p^r or order (default: field in file)")
     p_b.add_argument("--z", default="auto", help="extension degree or 'auto'")
     p_b.add_argument("--seed", default=str(DEFAULT_SEED))
     p_b.add_argument("--alloc", help="comma-separated box counts, clique-major order")

@@ -211,34 +211,6 @@ def field_construct(p: int, r: int = 1) -> Field:
     return Field(p, r)
 
 
-def parse_field_name(token: str) -> Field:
-    """Inverse of Field.name: 'F8' -> the canonical field of order 8."""
-    if not token.startswith("F"):
-        raise FieldError(f"bad field token {token!r}")
-    try:
-        order = parse_decimal(token[1:])
-    except ValueError:
-        raise FieldError(f"bad field token {token!r}") from None
-    if order < 2:
-        raise FieldError(f"bad field order {order}")
-    if order > MAX_ORDER:
-        raise FieldOrderError(f"field order {order} exceeds bound {MAX_ORDER}")
-    # factor the prime power
-    p = None
-    for f in range(2, order + 1):
-        if order % f == 0:
-            p = f
-            break
-    r = 0
-    n = order
-    while n > 1:
-        if n % p:
-            raise FieldError(f"{order} is not a prime power")
-        n //= p
-        r += 1
-    return field_construct(p, r)
-
-
 # ---------------------------------------------------------------------------
 # extensions
 

@@ -29,7 +29,7 @@ product of D with the block-diagonal stack of the boxes (BigChannel.through).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -202,11 +202,10 @@ _MAX_Z_DOUBLINGS = 6
 def build_scheme(
     P: Problem,
     allocation: Allocation | None = None,
-    d_field: Field | None = None,
     z: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> CodingScheme:
-    """Assemble a certified scheme; allocation defaults to the LP witness.
+    """A certified scheme over P's data field; allocation defaults to the LP witness.
 
     z defaults to the smallest value with d^z above both the largest box size
     and 4*K*R (headroom for the randomized decoder search), doubling on
@@ -215,8 +214,7 @@ def build_scheme(
     """
     if seed < 0:
         raise SchemeError(f"seed must be non-negative, got {seed}")
-    if d_field is None:
-        d_field = P.data_field()
+    d_field = P.data_field()
     if allocation is None:
         allocation = allocation_from_lp(P, capacity_lp(P).witness)
     R = rate_numerator(P, allocation)
@@ -323,10 +321,11 @@ def reference_problem() -> Problem:
 def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
     """The hard-coded worked 5-sum-box scheme: rate 4/5, decoder V_dec.
 
-    Valid over any field (entries are 0/±1); defaults to F_2.
+    Valid over any field (entries are 0/±1); defaults to F_2.  Its problem's
+    data field is d_field, so a rendered file reads back.
     """
     f = d_field if d_field is not None else field_construct(2)
-    P = reference_problem()
+    P = replace(reference_problem(), base_field=(f.p, f.r))
     alloc = Allocation((1, 1, 1, 2))
     ext = extend_field(f, 1)
     M = Mat(f, [list(row) for row in _REF_M_ROWS])  # entries are 0/1 in any field
@@ -345,7 +344,7 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
 
 def render_scheme(sch: CodingScheme) -> str:
     out = ["PROBLEM", render_problem(sch.problem).rstrip("\n")]
-    base = sch.ext.base  # the data field the scheme was built on
+    base = sch.ext.base  # the PROBLEM's data field, restated
     out += [
         "EXTENSION",
         f"d {base.p} {base.r}",
@@ -372,6 +371,7 @@ def render_scheme(sch: CodingScheme) -> str:
 
 
 _SECTIONS = ("PROBLEM", "EXTENSION", "ALLOCATION", "BOXES", "ENCODERS", "DECODER", "SEED")
+_EXTENSION_KEYS = ("d", "z", "base_modulus", "big_modulus")
 
 
 def parse_scheme(text: str) -> CodingScheme:
@@ -380,6 +380,8 @@ def parse_scheme(text: str) -> CodingScheme:
     for line in text.splitlines():
         if line.strip() in _SECTIONS:
             cur = line.strip()
+            if cur in sections:
+                raise SchemeError(f"repeated section {cur}")
             sections[cur] = []
         elif cur is not None:
             sections[cur].append(line)
@@ -390,16 +392,21 @@ def parse_scheme(text: str) -> CodingScheme:
             raise SchemeError(f"missing section {need}")
     P = _located("PROBLEM", parse_problem, "\n".join(sections["PROBLEM"]))
     ext_kv = {}
-    for line in sections["EXTENSION"]:
-        if line.strip():
-            key, _, val = line.strip().partition(" ")
-            ext_kv[key] = val
-    for key in ("d", "z", "base_modulus", "big_modulus"):
+    for line in filter(str.strip, sections["EXTENSION"]):
+        key, _, val = line.strip().partition(" ")
+        if key not in _EXTENSION_KEYS or key in ext_kv:
+            raise SchemeError(f"EXTENSION line {line.strip()!r}: "
+                              f"{'repeated' if key in ext_kv else 'unknown'} key")
+        ext_kv[key] = val
+    for key in _EXTENSION_KEYS:
         if key not in ext_kv:
             raise SchemeError(f"EXTENSION section has no '{key}' line")
-    p, r = _ints("EXTENSION", "d " + ext_kv["d"], 2, skip=1)
+    d = _ints("EXTENSION", "d " + ext_kv["d"], 2, skip=1)
+    if tuple(d) != P.base_field:  # d restates the PROBLEM's field; it may not name another
+        raise SchemeError("EXTENSION 'd {} {}' is not the PROBLEM field 'field {} {}'"
+                          .format(*d, *P.base_field))
     (z,) = _ints("EXTENSION", "z " + ext_kv["z"], 1, skip=1)
-    ext = extend_field(field_construct(p, r), z)
+    ext = extend_field(P.data_field(), z)
     for key, field in (("base_modulus", ext.base), ("big_modulus", ext.big)):
         if ext_kv[key].replace(" ", "") != ",".join(map(str, field.modulus)):
             raise SchemeError(f"{key.replace('_', ' ')} mismatch")

@@ -256,32 +256,18 @@ def test_scheme_check_missing_extension_key(tmp_path, capsys, key):
     assert f"no '{key}' line" in err
 
 
-def test_scheme_build_d_flag(capsys):
-    code, power, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^2")
-    assert code == 0
-    code, order, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "4")
-    assert code == 0
-    assert power == order
-    assert "base_modulus 1,1,1\n" in power  # F_4, not the file's F_2
-    code, _, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^x")
-    assert code == 2
-    assert err.startswith("error:")
-
-
-@pytest.mark.parametrize("option, value", [
-    ("--z", "x"), ("--alloc", "1,x"), ("--d", "x^2"), ("--d", "2^x"),
-])
+@pytest.mark.parametrize("option, value", [("--z", "x"), ("--alloc", "1,x")])
 def test_scheme_build_names_a_non_integer_option(capsys, option, value):
     code, out, err = run(capsys, "scheme", "build", prob("example.prob"), option, value)
     assert (code, out) == (2, "")
     assert err == f"error: {option} expects an integer, got 'x'\n"
 
 
-@pytest.mark.parametrize("value", ["x", "6", "1", "6^1", "2^0"])
-def test_scheme_build_names_a_bad_d_field(capsys, value):
-    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", value)
+def test_scheme_build_has_no_data_field_option(capsys):
+    # the problem file's `field p r` line is the one place that sets the data field
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^2")
     assert (code, out) == (2, "")
-    assert err == f"error: --d expects a prime power, p^r or its value, got {value!r}\n"
+    assert "unrecognized arguments: --d 2^2" in err
 
 
 # int() takes each of these tokens, as 16 or 4; an option must be ASCII digits
@@ -289,21 +275,12 @@ MALFORMED_INTEGERS = ["1_6", "+4", " 4", "\u0664"]
 
 
 @pytest.mark.parametrize("token", MALFORMED_INTEGERS)
-@pytest.mark.parametrize("option, template", [
-    ("--z", "{}"), ("--alloc", "1,1,1,{}"), ("--d", "2^{}"), ("--d", "{}^2"),
-])
+@pytest.mark.parametrize("option, template", [("--z", "{}"), ("--alloc", "1,1,1,{}")])
 def test_scheme_build_refuses_malformed_integer_options(capsys, token, option, template):
     code, out, err = run(capsys, "scheme", "build", prob("example.prob"),
                          option, template.format(token))
     assert (code, out) == (2, "")
     assert err == f"error: {option} expects an integer, got {token!r}\n"
-
-
-@pytest.mark.parametrize("token", MALFORMED_INTEGERS)
-def test_scheme_build_refuses_a_malformed_d_order(capsys, token):
-    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", token)
-    assert (code, out) == (2, "")
-    assert err == f"error: --d expects a prime power, p^r or its value, got {token!r}\n"
 
 
 @pytest.mark.parametrize("token", ["1_6", "+4", "\u0664"])
@@ -316,22 +293,84 @@ def test_capacity_refuses_a_malformed_integer_in_the_file(tmp_path, capsys, toke
     assert "server count must be an integer" in err
 
 
-@pytest.mark.parametrize("value", ["2^21", "2097152"])
-def test_d_field_above_the_bound_is_a_guard(capsys, value):
-    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--d", value)
+def problem_over(tmp_path, field_line):
+    """example.prob with its `field` line replaced, written under tmp_path."""
+    path = tmp_path / "example-d.prob"
+    path.write_text(Path(prob("example.prob")).read_text().replace("field 2\n", field_line + "\n"))
+    return str(path)
+
+
+# p^r above the bound with a small p: the problem file reads, only a build needs the field
+@pytest.mark.parametrize("p, r", [(2, 21), (3, 13), (1031, 2)])
+def test_d_field_above_the_bound_is_a_guard(tmp_path, capsys, p, r):
+    path = problem_over(tmp_path, f"field {p} {r}")
+    code, out, _ = run(capsys, "capacity", path)  # the LP needs no field
+    assert (code, out.splitlines()[0]) == (0, f"{path} capacity: 4/5")
+    code, out, err = run(capsys, "scheme", "build", path)
     assert (code, out) == (3, "")
-    assert err.startswith("guard: field order ")
+    assert err.startswith(f"guard: field order {p}^{r} exceeds bound 1048576")
+
+
+@pytest.mark.parametrize("line, error", [
+    ("field x", "field parameters must be integers"),
+    ("field 6", "invalid base field (6, 1)"),
+    ("field 1", "invalid base field (1, 1)"),
+    ("field 6 1", "invalid base field (6, 1)"),
+    ("field 2 0", "invalid base field (2, 0)"),
+])
+def test_scheme_build_names_a_bad_field_line(tmp_path, capsys, line, error):
+    code, out, err = run(capsys, "scheme", "build", problem_over(tmp_path, line))
+    assert (code, out, err) == (2, "", f"error: line 2: {error}\n")
+
+
+# the EXTENSION d line restates the PROBLEM field line; the scheme codes over it
+@pytest.mark.parametrize("line, p, r", [("field 2", 2, 1), ("field 2 2", 2, 2),
+                                        ("field 3", 3, 1)])
+def test_scheme_build_codes_over_the_problem_field(tmp_path, capsys, line, p, r):
+    code, out, _ = run(capsys, "scheme", "build", problem_over(tmp_path, line))
+    assert code == 0
+    assert f"\nfield {p} {r}\n" in out and f"\nd {p} {r}\n" in out
+    sch = scheme.parse_scheme(out)
+    assert (sch.ext.base.p, sch.ext.base.r) == (p, r)
 
 
 def test_scheme_built_on_d_field_checks(tmp_path, capsys):
-    out_file = str(tmp_path / "d4.scheme")
-    code, _, _ = run(capsys, "scheme", "build", prob("example.prob"), "--d", "2^2",
-                     "--out", out_file)
+    out_file = tmp_path / "d4.scheme"
+    code, _, _ = run(capsys, "scheme", "build", problem_over(tmp_path, "field 2 2"),
+                     "--out", str(out_file))
     assert code == 0
-    assert "d 2 2\n" in Path(out_file).read_text()  # the data field used, not the file's F_2
-    code, out, _ = run(capsys, "scheme", "check", out_file)
+    text = out_file.read_text()
+    assert "field 2 2\n" in text and "d 2 2\n" in text  # the file's F_4, stated in both
+    code, out, _ = run(capsys, "scheme", "check", str(out_file))
     assert code == 0
     assert "certificate: OK" in out
+    # the d line restates the PROBLEM field; a scheme whose two disagree is refused
+    out_file.write_text(text.replace("field 2 2\n", "field 2 1\n"))
+    code, out, err = run(capsys, "scheme", "check", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == "error: EXTENSION 'd 2 2' is not the PROBLEM field 'field 2 1'\n"
+
+
+@pytest.mark.parametrize("section", ["SEED", "DECODER", "EXTENSION"])
+def test_scheme_check_refuses_a_repeated_section(tmp_path, capsys, example_scheme, section):
+    lines = example_scheme.splitlines(keepends=True)
+    start = lines.index(section + "\n")
+    end = next((i for i in range(start + 1, len(lines))
+                if lines[i].rstrip() in scheme._SECTIONS), len(lines))
+    bad = tmp_path / "bad.scheme"
+    bad.write_text(example_scheme + "".join(lines[start:end]))  # the section once more
+    code, out, err = run(capsys, "scheme", "check", str(bad))
+    assert (code, out, err) == (2, "", f"error: repeated section {section}\n")
+
+
+@pytest.mark.parametrize("line, why", [("foo bar", "unknown"), ("z 8", "repeated"),
+                                       ("d 2 1", "repeated")])
+def test_scheme_check_refuses_an_unknown_or_repeated_extension_key(tmp_path, capsys,
+                                                                   example_scheme, line, why):
+    bad = tmp_path / "bad.scheme"
+    bad.write_text(example_scheme.replace("ALLOCATION\n", f"{line}\nALLOCATION\n"))
+    code, out, err = run(capsys, "scheme", "check", str(bad))
+    assert (code, out, err) == (2, "", f"error: EXTENSION line {line!r}: {why} key\n")
 
 
 @pytest.mark.parametrize("cmd", ["check", "simulate"])

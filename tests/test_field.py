@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumbox.field import FieldError, field_construct, parse_field_name, is_prime
+from sumbox.field import FieldError, field_construct, is_prime, parse_decimal
 from sumbox.vecops import field_ops
 
 
@@ -11,6 +11,27 @@ def test_is_prime():
     primes = [2, 3, 5, 7, 11, 13, 101]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in [0, 1, 4, 6, 9, 15, 100])
+
+
+def test_parse_decimal_reads_ascii_digits():
+    assert [parse_decimal(t) for t in ("0", "7", "007", "1048576")] == [0, 7, 7, 1048576]
+
+
+# int() takes a sign, underscores, blanks and non-ASCII digits; an integer
+# token of a command line, problem file or scheme file is ASCII digits only
+@pytest.mark.parametrize("token", ["1_6", "+4", " 4", "4 ", "\u0664", "", "-1", "x", "4.0"])
+def test_parse_decimal_refuses_malformed_tokens(token):
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        parse_decimal(token)
+
+
+@pytest.mark.parametrize("p, r, error", [
+    (6, 1, "p = 6 is not prime"), (1, 1, "p = 1 is not prime"),
+    (4, 1, "p = 4 is not prime"), (2, 0, "r = 0 must be >= 1"),
+])
+def test_field_construct_refuses_a_non_prime_power(p, r, error):
+    with pytest.raises(FieldError, match=error):
+        field_construct(p, r)
 
 
 def test_prime_field_basics():
@@ -35,22 +56,6 @@ def test_canonical_modulus_f8():
     # low-to-high coefficient order
     f = field_construct(2, 3)
     assert f.modulus == (1, 0, 1, 1)
-
-
-def test_parse_field_name():
-    assert parse_field_name("F8").order == 8
-    assert parse_field_name("F9").p == 3
-    with pytest.raises(FieldError):
-        parse_field_name("F12")
-    with pytest.raises(FieldError):
-        parse_field_name("8")
-
-
-# int() reads each of these as 16 or 4; only ASCII digits name an order
-@pytest.mark.parametrize("token", ["F1_6", "F+4", "F 4", "F\u0664"])
-def test_parse_field_name_refuses_malformed_orders(token):
-    with pytest.raises(FieldError, match="bad field token"):
-        parse_field_name(token)
 
 
 def test_element_coeffs_roundtrip():

@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mat_reference as ref
@@ -181,8 +182,8 @@ def test_build_scheme_single_stream():
 
 
 def test_build_scheme_disjoint_data_rate_one():
-    P = Problem(2, (frozenset({1}), frozenset({2})), full_clique(2))
-    sch = build_scheme(P, d_field=field_construct(3))
+    P = Problem(2, (frozenset({1}), frozenset({2})), full_clique(2), base_field=(3, 1))
+    sch = build_scheme(P)
     assert sch.rate == 1
     assert len(sch.channel.boxes) == 1
 
@@ -194,8 +195,8 @@ def test_build_scheme_symmetric_4_1_2():
 
 
 def test_build_scheme_odd_characteristic():
-    P = reference_problem()
-    sch = build_scheme(P, d_field=field_construct(3))
+    P = replace(reference_problem(), base_field=(3, 1))
+    sch = build_scheme(P)
     assert sch.rate == Fraction(4, 5)
     rng = random.Random(9)
     for _ in range(50):
@@ -204,8 +205,8 @@ def test_build_scheme_odd_characteristic():
 
 
 def test_simulate_batch_matches_simulate():
-    for d_field in (None, field_construct(3)):
-        sch = build_scheme(reference_problem(), d_field=d_field)
+    for base_field in ((2, 1), (3, 1)):
+        sch = build_scheme(replace(reference_problem(), base_field=base_field))
         f = sch.ext.big
         rng = random.Random(31)
         B = 40
