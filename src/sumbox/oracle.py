@@ -212,9 +212,13 @@ def exhaustive_decode_check(sch: CodingScheme) -> OracleReport:
     name = f"exhaustive decode ({total} realizations, q={q}, K={K}, R={R})"
     for lo in range(0, total, DECODE_BATCH):
         hi = min(lo + DECODE_BATCH, total)
-        # realization idx has data[k, i] = base-q digit k*R + i of idx
+        # realization idx has data[k, i] = base-q digit k*R + i of idx,
+        # peeled off lowest first by one scalar divmod per digit
         idx = np.arange(lo, hi, dtype=np.int64)
-        data = (idx // q ** np.arange(K * R, dtype=np.int64)[:, None] % q).reshape(K, R, hi - lo)
+        data = np.empty((K * R, hi - lo), dtype=np.int64)
+        for j in range(K * R):
+            idx, data[j] = np.divmod(idx, q)
+        data = data.reshape(K, R, hi - lo)
         got = simulate_batch(sch, data)
         want = ops.sum(data)
         if not np.array_equal(got, want):

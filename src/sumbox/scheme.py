@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -189,6 +190,18 @@ class CodingScheme:
         """Decoded F_q sums per downloaded qudit (z cancels between the two)."""
         return Fraction(self.R, self.allocation.total)
 
+    @cached_property
+    def live_precoders(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per stream k, (rows, P): the nonzero rows P of precoders[k] and the
+        box-input rows they feed.  A zero row adds 0 to its box input, so
+        simulation multiplies only these.  Kept on this object, so a scheme
+        made by dataclasses.replace derives its own."""
+        out = []
+        for rows, pk in zip(self.channel.rows, self.precoders):
+            live = pk.array.any(axis=1)
+            out.append((rows[live], pk.array[live]))
+        return tuple(out)
+
     def certificate_ok(self) -> bool:
         ident = Mat.identity(self.ext.big, self.R)
         return all(m * p == ident
@@ -262,7 +275,8 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     """Vectorized simulate over many data realizations at once.
 
     `data` has shape (K, R, B) with int-encoded F_q entries; returns the
-    (R, B) decoded block, one column per realization.
+    (R, B) decoded block, one column per realization.  Each stream is
+    precoded by the nonzero rows of its precoder only (live_precoders).
     """
     ops = field_ops(sch.ext.big)
     K, R, B = data.shape
@@ -270,8 +284,8 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
         raise SchemeError(f"batch shape {data.shape} does not match (K={sch.problem.K}, R={sch.R})")
     ch = sch.channel
     x = np.zeros((2 * ch.n, B), dtype=ops.dtype)  # all box inputs, clique after clique
-    for rows, pk, d in zip(ch.rows, sch.precoders, data):  # rows are distinct within a stream
-        x[rows] = ops.add(x[rows], ops.matmul(pk.array, d))
+    for (rows, pk), d in zip(sch.live_precoders, data):  # rows are distinct within a stream
+        x[rows] = ops.add(x[rows], ops.matmul(pk, d))
     ys, start = [], 0
     for _, M in ch.boxes:
         ys.append(ops.matmul(M.array, x[start:start + M.cols]))

@@ -6,6 +6,8 @@ Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
 is one lookup exp[log a + log b] in the zero-padded tables of `_tables`, and
 addition is XOR in characteristic 2 and digit-wise otherwise; a prime field
 multiplies and adds mod p.  An inverse is a lookup in a table of q entries.
+The log table is uint16 when the largest log sum 4(q-1) is below 2^16, that
+is for q <= 2^14, and intp above; exp is uint16 for q <= 2^16, uint32 above.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     log[a] is the discrete log of a != 0 to the smallest primitive element
     and log[0] = 2(q-1); exp holds two periods of the powers and zeros up
     to index 4(q-1), so exp[log a + log b] = a*b for every a and b, 0
-    included.  digits[a] lists a's base-p digits (odd p only)."""
+    included.  log is uint16 when that largest sum 4(q-1) fits in 16 bits
+    (q <= 2^14), so a product adds 2-byte logs; intp above that.  digits[a]
+    lists a's base-p digits (odd p only)."""
     p, r, q = field.p, field.r, field.order
     n = q - 1
     a = np.arange(q, dtype=np.int64)
@@ -54,7 +58,7 @@ def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     powers = powers[:n]
     exp = np.zeros(4 * n + 1, dtype=np.uint16 if q <= 1 << 16 else np.uint32)
     exp[:n] = exp[n:2 * n] = powers
-    log = np.full(q, 2 * n, dtype=np.intp)
+    log = np.full(q, 2 * n, dtype=np.uint16 if 4 * n < 1 << 16 else np.intp)
     log[powers] = np.arange(n)
     return exp, log, digits
 
@@ -69,7 +73,8 @@ class VecOps:
             self._powers = self.p ** np.arange(self.r, dtype=np.int64)
             self.dtype = self._exp.dtype  # of what matmul returns
             n = field.order - 1
-            self._inv = self._exp[(n - self._log) % n]  # g^(n - log a) = 1/a
+            self._inv = np.zeros_like(self._exp, shape=field.order)
+            self._inv[1:] = self._exp[n - self._log[1:]]  # g^(n - log a) = 1/a, n - log a >= 1
         else:
             # a product of two elements fits; odd p stays signed so sub can go negative
             self.dtype = np.dtype(np.uint8) if self.p == 2 else np.dtype(np.int64)
@@ -80,7 +85,7 @@ class VecOps:
                 if e & 1:
                     self._inv = self._inv * base % self.p
                 base, e = base * base % self.p, e >> 1
-        self._inv[0] = 0
+            self._inv[0] = 0
 
     def inv(self, a):
         """1/a for a nonzero element or array of them; 0 maps to 0."""

@@ -15,7 +15,7 @@ from sumbox.oracle import (GuardExceeded, OracleReport, _linearized_rows,
                            exhaustive_decode_check, lp_vertex_enum,
                            named_instances, random_small_problem, tap_lines)
 from sumbox.scheme import (build_scheme, worked_reference_scheme,
-                           reference_problem)
+                           reference_problem, simulate, true_sum)
 
 
 def dfs_vertex_enum(P):
@@ -203,6 +203,44 @@ def test_exhaustive_decode_guard():
     sch = build_scheme(reference_problem())  # q = 128, K*R = 16
     with pytest.raises(GuardExceeded):
         exhaustive_decode_check(sch)
+
+
+def test_exhaustive_decode_enumerates_in_digit_order(monkeypatch):
+    # batches of 7 cross the base-q digit boundaries and leave a partial last
+    # batch (256 = 36 * 7 + 4); realization idx has data[k, i] = digit k*R + i
+    P = Problem(2, (frozenset({1}), frozenset({2})), full_clique(2), ("a", "b"))
+    sch = build_scheme(P, z=2)
+    q, K, R = sch.ext.big.order, P.K, sch.R
+    assert (q, K * R) == (4, 4)
+    seen, run = [], oracle.simulate_batch
+
+    def record(s, data):
+        seen.append(data.copy())
+        return run(s, data)
+
+    monkeypatch.setattr(oracle, "DECODE_BATCH", 7)
+    monkeypatch.setattr(oracle, "simulate_batch", record)
+    assert exhaustive_decode_check(sch).agree
+    assert [d.shape[2] for d in seen] == [7] * 36 + [4]
+    idx = np.arange(q ** (K * R))
+    want = (idx // q ** np.arange(K * R)[:, None] % q).reshape(K, R, -1)
+    assert np.array_equal(np.concatenate(seen, axis=2), want)
+    # stream b's last datum (digit 3) goes through a corrupted precoder column:
+    # the counterexample is the first failing realization, inside a later batch
+    f = sch.ext.big
+    rows = [list(r) for r in sch.precoders[1].data]
+    rows[0][1] = ref.add(f, rows[0][1], 1)
+    bad = dataclasses.replace(sch, precoders=(sch.precoders[0], Mat(f, rows)))
+
+    def cols(i):
+        return [Mat(f, want[k, :, i:i + 1]) for k in range(K)]
+
+    first = next(i for i in range(len(idx)) if simulate(bad, cols(i)) != true_sum(bad, cols(i)))
+    assert first == q ** 3  # 64 = 9 * 7 + 1
+    rep = exhaustive_decode_check(bad)
+    assert not rep.agree
+    assert rep.counterexample == want[:, :, first].tolist()
+    assert rep.main_value == [row[0] for row in simulate(bad, cols(first)).data]
 
 
 def test_exhaustive_decode_detects_corrupted_decoder():

@@ -222,6 +222,32 @@ def test_simulate_batch_matches_simulate():
             assert simulate(sch, cols) == want
 
 
+@pytest.mark.parametrize("P, z", [(symmetric_problem(5, 2, 3), 10),
+                                  (replace(symmetric_problem(4, 2, 2), base_field=(3, 1)), None)],
+                         ids=["5-2-3-q1024", "4-2-2-F3"])
+def test_simulate_batch_skips_zero_precoder_rows(P, z):
+    # every precoder here has more rows than R, and some of them are zero:
+    # simulate_batch multiplies only the others and must still match the
+    # per-element reference on every column
+    sch = build_scheme(P, z=z)
+    f, K, R, B = sch.ext.big, P.K, sch.R, 6
+    assert all(pk.rows > R for pk in sch.precoders)
+    zero = [np.flatnonzero(~pk.array.any(axis=1)) for pk in sch.precoders]
+    assert all(len(rows) for rows in zero)
+    data = np.random.default_rng(23).integers(0, f.order, size=(K, R, B), dtype=np.int64)
+    cols = [[Mat(f, data[k, :, b:b + 1]) for k in range(K)] for b in range(B)]
+    out = simulate_batch(sch, data)
+    assert out.T.tolist() == [[row[0] for row in mat_simulate(sch, c).data] for c in cols]
+    # a zero row made nonzero in a copy of the scheme reaches that copy's
+    # output: the live rows come from the scheme's own precoders
+    rows = [list(r) for r in sch.precoders[0].data]
+    rows[zero[0][0]][0] = ref.add(f, rows[zero[0][0]][0], 1)
+    bad = replace(sch, precoders=(Mat(f, rows),) + sch.precoders[1:])
+    want = np.hstack([true_sum(bad, c).array for c in cols])
+    assert np.array_equal(out, want)
+    assert not np.array_equal(simulate_batch(bad, data), want)
+
+
 def test_simulate_rejects_bad_shapes():
     sch = worked_reference_scheme()
     f = sch.ext.big

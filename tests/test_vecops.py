@@ -13,6 +13,10 @@ from sumbox.vecops import VecOps, field_ops
 # F_2, F_3, F_4, F_9, F_2^11 and F_2^17 (past the old 2^16 table bound)
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 11), (2, 17)]
 
+# F_2^14 is the largest order whose log sums, up to 4(q-1) = 65532, fit in
+# uint16; F_2^15 keeps intp logs; F_3^8 has uint16 logs in odd characteristic
+LOG_BOUNDARY = [(2, 14), (2, 15), (3, 8)]
+
 # matmul's block size, shrunk so that batches on both sides of a chunk
 # boundary stay small enough for the per-element reference
 SMALL_CHUNK = 12
@@ -53,24 +57,32 @@ def test_sum_and_add_match_field(pr, n, seed):
                                              for x, y in zip(a[0], a[-1])]
 
 
-def test_tables_cover_every_order():
-    # the largest field: every nonzero element is a power of the generator,
-    # and the zero-padded tables multiply by 0 without a mask
-    f = field_construct(2, 20)
+@pytest.mark.parametrize("pr", [(2, 20)] + LOG_BOUNDARY)
+def test_tables_cover_every_order(pr):
+    # every nonzero element is a power of the generator, the zero-padded
+    # tables multiply by 0 without a mask, and the log table is uint16
+    # exactly when the largest log sum 4(q-1) fits in it
+    f = field_construct(*pr)
     ops = VecOps(f)
     exp, log = ops._exp, ops._log
-    n = f.order - 1
-    assert np.array_equal(np.sort(exp[:n]), np.arange(1, f.order))
+    q, n = f.order, f.order - 1
+    assert (log.dtype == np.uint16) == (4 * n < 1 << 16)
+    assert np.array_equal(np.sort(exp[:n]), np.arange(1, q))
     assert log[0] == 2 * n and not exp[2 * n:].any()
     rng = random.Random(5)
-    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(200)] + [(0, 7), (9, 0)]
+    pairs = ([(rng.randrange(q), rng.randrange(q)) for _ in range(200)]
+             + [(0, 7), (9, 0), (0, 0), (n, 0), (n, n)])
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
     assert ops.mul_scalar(a, b).tolist() == [f._mul_direct(x, y) for x, y in pairs]
+    A = [[rng.randrange(q) for _ in range(3)] for _ in range(3)] + [[0, n, 0]]
+    X = [[rng.randrange(q) for _ in range(4)] for _ in range(2)] + [[0, n, n, 1]]
+    got = ops.matmul(np.array(A, dtype=np.int64), np.array(X, dtype=np.int64))
+    assert got.tolist() == ref.mul(f, A, X, 4)
 
 
-@pytest.mark.parametrize("pr", FIELDS + [(67, 1)])
+@pytest.mark.parametrize("pr", FIELDS + [(67, 1)] + LOG_BOUNDARY)
 def test_inv_is_the_fermat_inverse(pr):
-    # every nonzero element (a sample of F_2^17), against a^(q-2) by squaring
+    # every nonzero element (a sample past q = 2^11), against a^(q-2) by squaring
     f = field_construct(*pr)
     q = f.order
     a = range(1, q) if q <= 1 << 11 else random.Random(7).sample(range(1, q), 300)
