@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -170,6 +171,25 @@ def find_encoders(P: Problem, ch: BigChannel, R: int, seed: int):
         f"no full-rank decoder in {_DECODER_DRAWS} draws over F_{f.order}")
 
 
+@dataclass(frozen=True, eq=False)  # no field-wise ==: it holds numpy arrays
+class SimulationPlan:
+    """A scheme's three stages as stacked products (simulate_batch).
+
+    Box inputs are in grouped box order: the boxes sorted by size N (then by
+    clique), so the boxes of one size read consecutive rows."""
+    precoders: np.ndarray          # (K, L, R): each stream's nonzero precoder rows, zero-padded
+    gather: np.ndarray             # (F, 2n): the rows of the flat (K*L + 1, B) precoded block
+                                   # that feed each box input; row K*L is all zero and pads
+    boxes: tuple[np.ndarray, ...]  # one (g, N, 2N) stack per distinct box size N, ascending
+    decoder: np.ndarray            # (R, n): the decoder's columns in grouped box order
+
+
+def _columns_first(a: np.ndarray) -> np.ndarray:
+    """a, stored column by column: VecOps.matmul reads a matrix columns first,
+    and a contiguous view is the faster read."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
 @dataclass(frozen=True)
 class CodingScheme:
     problem: Problem
@@ -191,16 +211,33 @@ class CodingScheme:
         return Fraction(self.R, self.allocation.total)
 
     @cached_property
-    def live_precoders(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per stream k, (rows, P): the nonzero rows P of precoders[k] and the
-        box-input rows they feed.  A zero row adds 0 to its box input, so
-        simulation multiplies only these.  Kept on this object, so a scheme
-        made by dataclasses.replace derives its own."""
-        out = []
-        for rows, pk in zip(self.channel.rows, self.precoders):
-            live = pk.array.any(axis=1)
-            out.append((rows[live], pk.array[live]))
-        return tuple(out)
+    def plan(self) -> SimulationPlan:
+        """simulate_batch's stage arrays, derived once per scheme object (a
+        scheme made by dataclasses.replace derives its own).  A precoder's
+        zero rows add 0 to their box inputs, so only its nonzero rows are
+        multiplied; within one stream they feed distinct box inputs, so each
+        input gathers at most one row per stream."""
+        ch, K, R = self.channel, self.problem.K, self.R
+        live = [pk.array.any(axis=1) for pk in self.precoders]
+        L = max(int(m.sum()) for m in live)
+        precoders = np.zeros((K, L, R), dtype=np.int64)
+        feeds: list[list[int]] = [[] for _ in range(2 * ch.n)]  # per box input, channel order
+        for k, (rows, pk, m) in enumerate(zip(ch.rows, self.precoders, live)):
+            precoders[k, :m.sum()] = pk.array[m]
+            for j, row in enumerate(rows[m].tolist()):
+                feeds[row].append(k * L + j)
+        sizes = [M.rows for _, M in ch.boxes]
+        order = sorted(range(len(sizes)), key=sizes.__getitem__)  # grouped box order
+        starts = np.cumsum([0] + sizes)  # box i: outputs starts[i]:starts[i + 1], inputs twice that
+        inputs = [r for i in order for r in range(2 * starts[i], 2 * starts[i + 1])]
+        outputs = [c for i in order for c in range(starts[i], starts[i + 1])]
+        gather = np.full((max(map(len, feeds)), 2 * ch.n), K * L, dtype=np.intp)
+        for i, row in enumerate(inputs):
+            gather[:len(feeds[row]), i] = feeds[row]
+        boxes = tuple(np.stack([ch.boxes[i][1].array for i in group])
+                      for _, group in groupby(order, key=sizes.__getitem__))
+        return SimulationPlan(_columns_first(precoders), gather, tuple(map(_columns_first, boxes)),
+                              _columns_first(self.decoder.array[:, outputs]))
 
     def certificate_ok(self) -> bool:
         ident = Mat.identity(self.ext.big, self.R)
@@ -268,44 +305,67 @@ def simulate(sch: CodingScheme, data) -> Mat:
     the entrywise sum of the stream columns by the scheme certificate.
     This is simulate_batch on a batch of one.
     """
-    return Mat(sch.ext.big, simulate_batch(sch, _data_block(sch, data)))
+    return Mat._of(sch.ext.big, simulate_batch(sch, _data_block(sch, data)))
 
 
 def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     """Vectorized simulate over many data realizations at once.
 
-    `data` has shape (K, R, B) with int-encoded F_q entries; returns the
-    (R, B) decoded block, one column per realization.  Each stream is
-    precoded by the nonzero rows of its precoder only (live_precoders).
+    `data` is a (K, R, B) integer array of F_q elements; returns the (R, B)
+    decoded block, one column per realization.  The scheme's plan
+    (CodingScheme.plan) runs it as stacked products: every stream precoded at
+    once, (K, L, R) by (K, R, B); the precoded rows summed into the box
+    inputs by one gather and one field sum; one product per distinct box
+    size; and one decoder product.  An entry outside 0..q-1 raises
+    SchemeError naming its (stream, row, column), counted from 0.
     """
-    ops = field_ops(sch.ext.big)
-    K, R, B = data.shape
-    if K != sch.problem.K or R != sch.R:
+    ops, q = field_ops(sch.ext.big), sch.ext.big.order
+    data = np.asarray(data)
+    if data.ndim != 3 or data.shape[:2] != (sch.problem.K, sch.R):
         raise SchemeError(f"batch shape {data.shape} does not match (K={sch.problem.K}, R={sch.R})")
-    ch = sch.channel
-    x = np.zeros((2 * ch.n, B), dtype=ops.dtype)  # all box inputs, clique after clique
-    for (rows, pk), d in zip(sch.live_precoders, data):  # rows are distinct within a stream
-        x[rows] = ops.add(x[rows], ops.matmul(pk, d))
-    ys, start = [], 0
-    for _, M in ch.boxes:
-        ys.append(ops.matmul(M.array, x[start:start + M.cols]))
-        start += M.cols
-    return ops.matmul(sch.decoder.array, np.concatenate(ys))  # an allocation has a box
+    if data.dtype.kind not in "iu":
+        raise SchemeError(f"data must be an integer array, not {data.dtype}")
+    # one pass: a negative entry, read as uint64, is at least 2^63 > q
+    unsigned = data if data.dtype.kind == "u" else data.astype(np.int64, copy=False).view(np.uint64)
+    if data.size and unsigned.max() >= q:
+        k, i, b = np.argwhere((data < 0) | (data >= q))[0]
+        raise SchemeError(f"data entry {data[k, i, b]} at (stream {sch.problem.stream_names[k]}, "
+                          f"row {i}, column {b}) is not an element of {sch.ext.big.name}")
+    plan, B = sch.plan, data.shape[2]
+    K, L, _ = plan.precoders.shape
+    # the result outlives the stage arrays, so it is allocated before them:
+    # they then free one run of the heap, not holes around it
+    decoded = np.empty((sch.R, B), dtype=ops.dtype)
+    pre = np.empty((K * L + 1, B), dtype=ops.dtype)  # row K * L stays zero
+    pre[-1] = 0
+    ops.matmul(plan.precoders, data, out=pre[:-1].reshape(K, L, B))
+    x = ops.sum(pre.take(plan.gather, axis=0))
+    y = np.empty((plan.decoder.shape[1], B), dtype=ops.dtype)  # box outputs, in the plan's order
+    start = 0
+    for M in plan.boxes:
+        g, N, width = M.shape
+        ops.matmul(M, x[2 * start:2 * start + g * width].reshape(g, width, B),
+                   out=y[start:start + g * N].reshape(g, N, B))
+        start += g * N
+    return ops.matmul(plan.decoder, y, out=decoded)
 
 
 def true_sum(sch: CodingScheme, data) -> Mat:
     """The R x 1 entrywise sum of the stream columns, as simulate takes them."""
-    return Mat(sch.ext.big, field_ops(sch.ext.big).sum(_data_block(sch, data)))
+    return Mat._of(sch.ext.big, field_ops(sch.ext.big).sum(_data_block(sch, data)))
 
 
 def _data_block(sch: CodingScheme, data) -> np.ndarray:
     """An R x K matrix or K R x 1 columns over F_q as a (K, R, 1) int array."""
     f, K, R = sch.ext.big, sch.problem.K, sch.R
-    cols = list(data) if not isinstance(data, Mat) else [
-        Mat._of(data.field, data.array[:, k:k + 1]) for k in range(data.cols)]
-    if len(cols) != K or any((c.rows, c.cols, c.field) != (R, 1, f) for c in cols):
-        raise SchemeError(f"data must be {R} x {K} over {f.name}")
-    return np.stack([c.array for c in cols])
+    if isinstance(data, Mat):
+        if data.field == f and data.array.shape == (R, K):
+            return data.array.T[:, :, None]
+    else:
+        cols = list(data)
+        if len(cols) == K and all(c.field == f and c.array.shape == (R, 1) for c in cols):
+            return np.array([c.array for c in cols])
+    raise SchemeError(f"data must be {R} x {K} over {f.name}")
 
 
 # ---------------------------------------------------------------------------

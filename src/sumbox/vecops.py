@@ -2,6 +2,8 @@
 
 The one F_q arithmetic: `Mat` multiplies, eliminates and serialises on these
 kernels, boxes are built on them, and simulation runs its batches on them.
+`VecOps.matmul` multiplies a stack of matrices by a stack of batches, one
+product per stack entry, in one call; a plain matrix product is a stack of one.
 Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
 is one lookup exp[log a + log b] in the zero-padded tables of `_tables`, and
 addition is XOR in characteristic 2 and digit-wise otherwise; a prime field
@@ -122,26 +124,41 @@ class VecOps:
         c, a = np.asarray(c, self.dtype), np.asarray(a, self.dtype)
         return c & a if self.p == 2 else (c * a) % self.p
 
-    def matmul(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """A (rows x cols) applied to X of shape (cols, B) -> (rows, B) of dtype.
+    def matmul(self, A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A stack of G products: A (G, rows, cols) times X (G, cols, B) -> (G, rows, B),
+        written to `out` if given, else to a new array of dtype.  A 2-D
+        product, A (rows, cols) times X (cols, B) -> (rows, B), is the case G = 1.
 
-        Products come in blocks of at most CHUNK_ELEMS (matrix columns, rows,
-        batch columns), summed over matrix columns: one block for a small
-        batch, one per matrix column and batch slice for a large one."""
-        rows, cols = A.shape
-        if X.shape[0] != cols:
-            raise FieldError(f"batch shape {X.shape} does not match {cols} columns")
-        B = X.shape[1]
-        At = A.T[:, :, None]
+        Products come in blocks of at most CHUNK_ELEMS (matrix columns, stacked
+        matrices, rows, batch columns), summed over matrix columns: one block
+        for a small batch, one per matrix column, stacked matrix and batch
+        slice for a large one."""
+        shapes, flat = (A.shape, X.shape), A.ndim == 2
+        if flat:
+            A, X = A[None], X[None]
+        G, rows, cols = A.shape
+        if X.ndim != 3 or X.shape[:2] != (G, cols):
+            raise FieldError("batch shape {1} does not match matrix shape {0}".format(*shapes))
+        B = X.shape[2]
+        At = A.transpose(2, 0, 1)[..., None]  # (cols, G, rows, 1)
+        Xt = X.transpose(1, 0, 2)[:, :, None]  # (cols, G, 1, B)
         width = max(1, min(B, CHUNK_ELEMS // max(1, rows)))
-        depth = max(1, CHUNK_ELEMS // (max(1, rows) * width))
-        out = np.empty((rows, B), dtype=self.dtype)
-        for lo in range(0, B, width):
-            Xs = X[:, None, lo:lo + width]
-            acc = self.sum(self.mul_scalar(At[:depth], Xs[:depth]))
-            for j in range(depth, cols, depth):
-                acc = self.add(acc, self.sum(self.mul_scalar(At[j:j + depth], Xs[j:j + depth])))
-            out[:, lo:lo + width] = acc
+        stack = max(1, min(G, CHUNK_ELEMS // (max(1, rows) * width)))
+        depth = max(1, CHUNK_ELEMS // (max(1, stack * rows) * width))
+        if out is None:
+            out = np.empty((rows, B) if flat else (G, rows, B), dtype=self.dtype)
+        dest = out[None] if flat else out
+        if depth >= cols and stack == G and width == B:  # one block
+            dest[...] = self.sum(self.mul_scalar(At, Xt))
+            return out
+        for g in range(0, G, stack):
+            Ag, Xg = At[:, g:g + stack], Xt[:, g:g + stack]
+            for lo in range(0, B, width):
+                Xs = Xg[..., lo:lo + width]
+                acc = self.sum(self.mul_scalar(Ag[:depth], Xs[:depth]))
+                for j in range(depth, cols, depth):
+                    acc = self.add(acc, self.sum(self.mul_scalar(Ag[j:j + depth], Xs[j:j + depth])))
+                dest[g:g + stack, :, lo:lo + width] = acc
         return out
 
 

@@ -2,11 +2,13 @@ import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import mat_reference as ref
 import numpy as np
 import pytest
 
+from sumbox import vecops
 from sumbox.capacity import capacity_lp, capacity_symmetric
 from sumbox.field import field_construct
 from sumbox.matrix import Mat
@@ -222,30 +224,89 @@ def test_simulate_batch_matches_simulate():
             assert simulate(sch, cols) == want
 
 
+def _example(name):
+    with open(os.path.join(PROBLEMS, name)) as fh:
+        return parse_problem(fh.read())
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (lambda: build_scheme(_example("example-beta3.prob")), [2, 4, 2]),
+    (lambda: build_scheme(_example("example-unent.prob")), [1, 1, 1, 2]),
+    (lambda: build_scheme(symmetric_problem(5, 2, 3)), [6, 4, 2, 4, 2, 2]),
+    (lambda: build_scheme(_example("example.prob"), Allocation((0, 0, 0, 1))), [1]),
+    (lambda: build_scheme(replace(reference_problem(), base_field=(3, 1))), [5]),
+    (worked_reference_scheme, [5]),
+], ids=["beta3", "unent", "5-2-3", "R0", "F3", "reference"])
+def test_simulate_batch_matches_mat_simulate(make, sizes):
+    # unequal box sizes, no decoded sum (R = 0), odd characteristic and the
+    # F_2 worked scheme, for B = 0, 1 and a batch that crosses the (shrunk)
+    # block size of every product
+    sch = make()
+    f, K, R = sch.ext.big, sch.problem.K, sch.R
+    assert [M.rows for _, M in sch.channel.boxes] == sizes
+    rng = np.random.default_rng(41)
+    for B in (0, 1, 13):
+        data = rng.integers(0, f.order, size=(K, R, B))
+        with mock.patch.object(vecops, "CHUNK_ELEMS", 12):
+            out = simulate_batch(sch, data)
+        assert out.shape == (R, B)
+        for b in range(B):
+            cols = [Mat(f, data[k, :, b:b + 1]) for k in range(K)]
+            assert out[:, b].tolist() == [row[0] for row in mat_simulate(sch, cols).data]
+
+
 @pytest.mark.parametrize("P, z", [(symmetric_problem(5, 2, 3), 10),
                                   (replace(symmetric_problem(4, 2, 2), base_field=(3, 1)), None)],
                          ids=["5-2-3-q1024", "4-2-2-F3"])
 def test_simulate_batch_skips_zero_precoder_rows(P, z):
     # every precoder here has more rows than R, and some of them are zero:
-    # simulate_batch multiplies only the others and must still match the
-    # per-element reference on every column
+    # the plan stacks only the others, R per stream, and simulate_batch must
+    # still match the per-element reference on every column
     sch = build_scheme(P, z=z)
     f, K, R, B = sch.ext.big, P.K, sch.R, 6
     assert all(pk.rows > R for pk in sch.precoders)
     zero = [np.flatnonzero(~pk.array.any(axis=1)) for pk in sch.precoders]
     assert all(len(rows) for rows in zero)
+    assert sch.plan.precoders.shape == (K, R, R)
+    for pk, live in zip(sch.precoders, sch.plan.precoders):
+        assert live.tolist() == [row for row in pk.array.tolist() if any(row)]
     data = np.random.default_rng(23).integers(0, f.order, size=(K, R, B), dtype=np.int64)
     cols = [[Mat(f, data[k, :, b:b + 1]) for k in range(K)] for b in range(B)]
     out = simulate_batch(sch, data)
     assert out.T.tolist() == [[row[0] for row in mat_simulate(sch, c).data] for c in cols]
     # a zero row made nonzero in a copy of the scheme reaches that copy's
-    # output: the live rows come from the scheme's own precoders
+    # output: the copy derives its own plan, with R + 1 rows for stream 0
+    # and a zero row padding every other stream
     rows = [list(r) for r in sch.precoders[0].data]
     rows[zero[0][0]][0] = ref.add(f, rows[zero[0][0]][0], 1)
     bad = replace(sch, precoders=(Mat(f, rows),) + sch.precoders[1:])
+    assert bad.plan is not sch.plan and bad.plan.precoders.shape == (K, R + 1, R)
     want = np.hstack([true_sum(bad, c).array for c in cols])
     assert np.array_equal(out, want)
-    assert not np.array_equal(simulate_batch(bad, data), want)
+    got = simulate_batch(bad, data)
+    assert got.T.tolist() == [[row[0] for row in mat_simulate(bad, c).data] for c in cols]
+    assert not np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint8])
+def test_simulate_batch_refuses_entries_outside_the_field(dtype):
+    # example.prob decodes over F_128: -1 is no element (a table lookup would
+    # read it as 127) and neither is 128
+    sch = build_scheme(_example("example.prob"))
+    q, K, R = sch.ext.big.order, sch.problem.K, sch.R
+    assert q == 128
+    data = np.random.default_rng(5).integers(0, q, size=(K, R, 9)).astype(dtype)
+    want = simulate_batch(sch, data)
+    assert np.array_equal(want, simulate_batch(sch, data.astype(np.int64)))
+    bad_values = [128, 255] if dtype == np.uint8 else [-1, 128, -129]
+    for v in bad_values:
+        bad = data.copy()
+        bad[2, 1, 7] = v
+        with pytest.raises(SchemeError, match=rf"^data entry {v} at \(stream c, row 1, "
+                                              rf"column 7\) is not an element of F128$"):
+            simulate_batch(sch, bad)
+    with pytest.raises(SchemeError, match="integer array"):
+        simulate_batch(sch, data.astype(float))
 
 
 def test_simulate_rejects_bad_shapes():

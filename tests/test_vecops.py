@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumbox import vecops
-from sumbox.field import field_construct
+from sumbox.field import FieldError, field_construct
 from sumbox.vecops import VecOps, field_ops
 
 # F_2, F_3, F_4, F_9, F_2^11 and F_2^17 (past the old 2^16 table bound)
@@ -37,6 +37,40 @@ def test_matmul_matches_mat_product(pr, rows, cols, batch, seed):
         got = VecOps(f).matmul(np.array(A, dtype=np.int64).reshape(rows, cols), X)
     assert got.shape == (rows, B)
     assert got.tolist() == ref.mul(f, A, X.tolist(), B)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 3), (3, 2)]), st.sampled_from([1, 3]),
+       st.integers(0, 4), st.integers(0, 3),
+       st.sampled_from(["0", "1", "chunk-1", "chunk", "chunk+1"]), st.integers(0, 2**32))
+def test_stacked_matmul_is_one_product_per_matrix(pr, G, rows, cols, batch, seed):
+    # A (G, rows, cols) times X (G, cols, B) equals the G separate 2-D
+    # products, over F_2, F_3, F_8 and F_9, for empty row, column and batch
+    # axes and for batches on both sides of a block boundary
+    f = field_construct(*pr)
+    rng = np.random.default_rng(seed)
+    chunk = SMALL_CHUNK // max(1, rows)  # batch columns per block of one matrix
+    B = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[batch]
+    A = rng.integers(0, f.order, size=(G, rows, cols))
+    X = rng.integers(0, f.order, size=(G, cols, B))
+    ops = VecOps(f)
+    with mock.patch.object(vecops, "CHUNK_ELEMS", SMALL_CHUNK):
+        got = ops.matmul(A, X)
+        each = [ops.matmul(A[g], X[g]) for g in range(G)]
+        out = np.full((G, rows, B), 1, dtype=ops.dtype)
+        assert ops.matmul(A, X, out=out) is out
+    assert got.shape == (G, rows, B) and got.dtype == ops.dtype
+    for g in range(G):
+        want = ref.mul(f, A[g].tolist(), X[g].tolist(), B)
+        assert got[g].tolist() == each[g].tolist() == out[g].tolist() == want
+
+
+def test_matmul_refuses_mismatched_shapes():
+    ops = VecOps(field_construct(2))
+    for A, X in ((np.zeros((2, 3)), np.zeros((2, 4))), (np.zeros((2, 2, 3)), np.zeros((3, 3, 4))),
+                 (np.zeros((2, 3)), np.zeros((1, 3, 4)))):
+        with pytest.raises(FieldError, match="does not match matrix shape"):
+            ops.matmul(A.astype(np.int64), X.astype(np.int64))
 
 
 @settings(max_examples=40, deadline=None)
