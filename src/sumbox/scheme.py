@@ -175,13 +175,16 @@ def find_encoders(P: Problem, ch: BigChannel, R: int, seed: int):
 class SimulationPlan:
     """A scheme's three stages as stacked products (simulate_batch).
 
-    Box inputs are in grouped box order: the boxes sorted by size N (then by
-    clique), so the boxes of one size read consecutive rows."""
-    precoders: np.ndarray          # (K, L, R): each stream's nonzero precoder rows, zero-padded
-    gather: np.ndarray             # (F, 2n): the rows of the flat (K*L + 1, B) precoded block
-                                   # that feed each box input; row K*L is all zero and pads
-    boxes: tuple[np.ndarray, ...]  # one (g, N, 2N) stack per distinct box size N, ascending
-    decoder: np.ndarray            # (R, n): the decoder's columns in grouped box order
+    The box stage runs on blocks: a box whose off-diagonal halves are zero
+    (a half-MDS box is block_diag(top, bottom)) is its two diagonal blocks,
+    any other box one block, and a block without rows is dropped.  Box inputs
+    and outputs are in grouped block order: the blocks sorted by shape (then
+    by clique), so the blocks of one shape read consecutive rows."""
+    precoders: np.ndarray           # (K, L, R): each stream's nonzero precoder rows, zero-padded
+    gather: np.ndarray              # (F, inputs): the rows of the flat (K*L + 1, B) precoded block
+                                    # that feed each block input; row K*L is all zero and pads
+    blocks: tuple[np.ndarray, ...]  # one (g, rows, cols) stack per distinct block shape, ascending
+    decoder: np.ndarray             # (R, n): the decoder's columns in grouped block order
 
 
 def _columns_first(a: np.ndarray) -> np.ndarray:
@@ -226,17 +229,23 @@ class CodingScheme:
             precoders[k, :m.sum()] = pk.array[m]
             for j, row in enumerate(rows[m].tolist()):
                 feeds[row].append(k * L + j)
-        sizes = [M.rows for _, M in ch.boxes]
-        order = sorted(range(len(sizes)), key=sizes.__getitem__)  # grouped box order
-        starts = np.cumsum([0] + sizes)  # box i: outputs starts[i]:starts[i + 1], inputs twice that
-        inputs = [r for i in order for r in range(2 * starts[i], 2 * starts[i + 1])]
-        outputs = [c for i in order for c in range(starts[i], starts[i + 1])]
-        gather = np.full((max(map(len, feeds)), 2 * ch.n), K * L, dtype=np.intp)
+        blocks, start = [], 0  # (matrix, first output, first input) in the stacked boxes
+        for _, M in ch.boxes:
+            N, k, a = M.rows, (M.rows + 1) // 2, M.array
+            if a[:k, N:].any() or a[k:, :N].any():
+                blocks.append((a, start, 2 * start))
+            else:
+                blocks += [(a[:k, :N], start, 2 * start), (a[k:, N:], start + k, 2 * start + N)]
+            start += N
+        blocks = sorted((b for b in blocks if len(b[0])), key=lambda b: b[0].shape)
+        inputs = [r for a, _, i in blocks for r in range(i, i + a.shape[1])]
+        outputs = [c for a, o, _ in blocks for c in range(o, o + len(a))]
+        gather = np.full((max(map(len, feeds)), len(inputs)), K * L, dtype=np.intp)
         for i, row in enumerate(inputs):
             gather[:len(feeds[row]), i] = feeds[row]
-        boxes = tuple(np.stack([ch.boxes[i][1].array for i in group])
-                      for _, group in groupby(order, key=sizes.__getitem__))
-        return SimulationPlan(_columns_first(precoders), gather, tuple(map(_columns_first, boxes)),
+        stacks = tuple(np.stack([a for a, _, _ in group])
+                       for _, group in groupby(blocks, key=lambda b: b[0].shape))
+        return SimulationPlan(_columns_first(precoders), gather, tuple(map(_columns_first, stacks)),
                               _columns_first(self.decoder.array[:, outputs]))
 
     def certificate_ok(self) -> bool:
@@ -315,8 +324,9 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     decoded block, one column per realization.  The scheme's plan
     (CodingScheme.plan) runs it as stacked products: every stream precoded at
     once, (K, L, R) by (K, R, B); the precoded rows summed into the box
-    inputs by one gather and one field sum; one product per distinct box
-    size; and one decoder product.  An entry outside 0..q-1 raises
+    inputs by one gather and one field sum; one product per distinct shape
+    of box block (a half-MDS box is two blocks, its zero halves skipped);
+    and one decoder product.  An entry outside 0..q-1 raises
     SchemeError naming its (stream, row, column), counted from 0.
     """
     ops, q = field_ops(sch.ext.big), sch.ext.big.order
@@ -341,12 +351,11 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
     ops.matmul(plan.precoders, data, out=pre[:-1].reshape(K, L, B))
     x = ops.sum(pre.take(plan.gather, axis=0))
     y = np.empty((plan.decoder.shape[1], B), dtype=ops.dtype)  # box outputs, in the plan's order
-    start = 0
-    for M in plan.boxes:
-        g, N, width = M.shape
-        ops.matmul(M, x[2 * start:2 * start + g * width].reshape(g, width, B),
-                   out=y[start:start + g * N].reshape(g, N, B))
-        start += g * N
+    i = o = 0  # first block input and output of the next stack
+    for M in plan.blocks:
+        g, rows, cols = M.shape
+        ops.matmul(M, x[i:i + g * cols].reshape(g, cols, B), out=y[o:o + g * rows].reshape(g, rows, B))
+        i, o = i + g * cols, o + g * rows
     return ops.matmul(plan.decoder, y, out=decoded)
 
 

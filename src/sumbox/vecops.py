@@ -148,9 +148,6 @@ class VecOps:
         if out is None:
             out = np.empty((rows, B) if flat else (G, rows, B), dtype=self.dtype)
         dest = out[None] if flat else out
-        if depth >= cols and stack == G and width == B:  # one block
-            dest[...] = self.sum(self.mul_scalar(At, Xt))
-            return out
         for g in range(0, G, stack):
             Ag, Xg = At[:, g:g + stack], Xt[:, g:g + stack]
             for lo in range(0, B, width):

@@ -229,21 +229,26 @@ def _example(name):
         return parse_problem(fh.read())
 
 
-@pytest.mark.parametrize("make, sizes", [
-    (lambda: build_scheme(_example("example-beta3.prob")), [2, 4, 2]),
-    (lambda: build_scheme(_example("example-unent.prob")), [1, 1, 1, 2]),
-    (lambda: build_scheme(symmetric_problem(5, 2, 3)), [6, 4, 2, 4, 2, 2]),
-    (lambda: build_scheme(_example("example.prob"), Allocation((0, 0, 0, 1))), [1]),
-    (lambda: build_scheme(replace(reference_problem(), base_field=(3, 1))), [5]),
-    (worked_reference_scheme, [5]),
+@pytest.mark.parametrize("make, sizes, blocks", [
+    (lambda: build_scheme(_example("example-beta3.prob")), [2, 4, 2], [(4, 1, 2), (2, 2, 4)]),
+    (lambda: build_scheme(_example("example-unent.prob")), [1, 1, 1, 2], [(3, 1, 1), (2, 1, 2)]),
+    (lambda: build_scheme(symmetric_problem(5, 2, 3)), [6, 4, 2, 4, 2, 2],
+     [(6, 1, 2), (4, 2, 4), (2, 3, 6)]),
+    (lambda: build_scheme(_example("example.prob"), Allocation((0, 0, 0, 1))), [1], [(1, 1, 1)]),
+    (lambda: build_scheme(replace(reference_problem(), base_field=(3, 1))), [5],
+     [(1, 2, 5), (1, 3, 5)]),
+    (worked_reference_scheme, [5], [(1, 5, 10)]),
 ], ids=["beta3", "unent", "5-2-3", "R0", "F3", "reference"])
-def test_simulate_batch_matches_mat_simulate(make, sizes):
+def test_simulate_batch_matches_mat_simulate(make, sizes, blocks):
     # unequal box sizes, no decoded sum (R = 0), odd characteristic and the
     # F_2 worked scheme, for B = 0, 1 and a batch that crosses the (shrunk)
-    # block size of every product
+    # block size of every product.  A half-MDS box is multiplied as its two
+    # diagonal blocks (N = 1: one, its other block has no rows); the worked
+    # scheme's box is not block-diagonal and stays whole.
     sch = make()
     f, K, R = sch.ext.big, sch.problem.K, sch.R
     assert [M.rows for _, M in sch.channel.boxes] == sizes
+    assert [M.shape for M in sch.plan.blocks] == blocks
     rng = np.random.default_rng(41)
     for B in (0, 1, 13):
         data = rng.integers(0, f.order, size=(K, R, B))
@@ -253,6 +258,29 @@ def test_simulate_batch_matches_mat_simulate(make, sizes):
         for b in range(B):
             cols = [Mat(f, data[k, :, b:b + 1]) for k in range(K)]
             assert out[:, b].tolist() == [row[0] for row in mat_simulate(sch, cols).data]
+
+
+@pytest.mark.parametrize("half", ["top right", "bottom left"])
+def test_simulate_batch_keeps_a_box_whole_when_its_off_diagonal_is_nonzero(half):
+    # example-beta3's N = 4 box with one entry set outside its diagonal
+    # blocks is multiplied whole, and that entry reaches the output
+    sch = build_scheme(_example("example-beta3.prob"))
+    f, K, R, ch = sch.ext.big, sch.problem.K, sch.R, sch.channel
+    (t, M), = [box for box in ch.boxes if box[1].rows == 4]
+    a = M.array.copy()
+    if half == "top right":
+        a[0, 4] = ref.add(f, int(a[0, 4]), 1)
+    else:
+        a[3, 0] = ref.add(f, int(a[3, 0]), 1)
+    boxes = tuple((t, Mat(f, a)) if box[1] is M else box for box in ch.boxes)
+    bad = replace(sch, channel=replace(ch, boxes=boxes))
+    assert [S.shape for S in bad.plan.blocks] == [(4, 1, 2), (1, 4, 8)]
+    data = np.random.default_rng(43).integers(0, f.order, size=(K, R, 13))
+    with mock.patch.object(vecops, "CHUNK_ELEMS", 12):
+        got = simulate_batch(bad, data)
+    cols = [[Mat(f, data[k, :, b:b + 1]) for k in range(K)] for b in range(13)]
+    assert got.T.tolist() == [[row[0] for row in mat_simulate(bad, c).data] for c in cols]
+    assert not np.array_equal(got, simulate_batch(sch, data))
 
 
 @pytest.mark.parametrize("P, z", [(symmetric_problem(5, 2, 3), 10),
