@@ -166,7 +166,7 @@ def _rref(field: Field, array: np.ndarray) -> tuple[np.ndarray, list[int]]:
         row = ops.mul_scalar(ops.inv(a[piv, col]), a[piv])
         # clear the column in every row, the pivot row too, then put the
         # scaled pivot row at prow and the old row prow (zero there) at piv
-        a[...] = ops.sub(a, ops.mul_scalar(a[:, col, None], row))
+        a[...] = ops.add(a, ops.mul_scalar(a[:, col, None], ops.mul_scalar(field.p - 1, row)))
         a[piv] = a[prow]
         a[prow] = row
         pivots.append(col)

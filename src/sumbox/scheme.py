@@ -49,7 +49,7 @@ class SchemeError(ValueError):
 
 
 class RetriesExhausted(SchemeError):
-    """Encoder search failed; the coding field is too small — raise z."""
+    """The decoder search failed at the chosen z; build again with a larger z."""
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,13 @@ def find_encoders(P: Problem, ch: BigChannel, R: int, seed: int):
     """Sample a decoder D until every D . Mbar_k has full row rank R, then invert.
 
     Returns (precoders, D) with D . Mbar_k . precoders[k] = I_R for every k.
-    When no draw succeeds, raises SchemeError if some Mbar_k has rank below R
-    (no decoder can exist), else RetriesExhausted: the coding field is too
-    small to hit a good D within _DECODER_DRAWS draws (raise z and rebuild).
+    Over q > 4*K*R (build_scheme's default z) a draw fails for some stream
+    with probability at most K*R/q < 1/4, since rank Mbar_k >= R makes an
+    R x R minor of D . Mbar_k a nonzero polynomial of degree R in D
+    (Schwartz-Zippel); all _DECODER_DRAWS draws fail with probability below
+    2^-128.  When no draw succeeds, raises SchemeError if some Mbar_k has
+    rank below R (no decoder can exist), else RetriesExhausted: the coding
+    field is too small for the search (pass a larger z).
     """
     f = ch.boxes[0][1].field
     rng = random.Random(seed)
@@ -167,8 +171,8 @@ def find_encoders(P: Problem, ch: BigChannel, R: int, seed: int):
     for name, m in zip(P.stream_names, ch.through(Mat.identity(f, ch.n))):
         if m.rank() < R:
             raise SchemeError(f"R = {R} exceeds rank {m.rank()} of stream {name}")
-    raise RetriesExhausted(
-        f"no full-rank decoder in {_DECODER_DRAWS} draws over F_{f.order}")
+    raise RetriesExhausted(f"no full-rank decoder in {_DECODER_DRAWS} draws over "
+                           f"F_{f.order}; pass a larger --z")
 
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: it holds numpy arrays
@@ -255,7 +259,6 @@ class CodingScheme:
 
 
 DEFAULT_SEED = 20240
-_MAX_Z_DOUBLINGS = 6
 
 
 def build_scheme(
@@ -266,9 +269,13 @@ def build_scheme(
 ) -> CodingScheme:
     """A certified scheme over P's data field; allocation defaults to the LP witness.
 
-    z defaults to the smallest value with d^z above both the largest box size
-    and 4*K*R (headroom for the randomized decoder search), doubling on
-    retry exhaustion.  The seed is non-negative, like every integer a scheme
+    z defaults to the smallest value with q = d^z above both the largest box
+    size N_t and 4*K*R.  Each decoder draw then fails for some stream with
+    probability at most K*R/q < 1/4 (Schwartz-Zippel: an R x R minor of
+    D . Mbar_k is a nonzero polynomial of degree R in D), so all of
+    find_encoders' draws fail with probability below 2^-128.  The field,
+    channel and decoder search run once; a failed search raises
+    RetriesExhausted.  The seed is non-negative, like every integer a scheme
     file holds, so every built scheme can be read back.
     """
     if seed < 0:
@@ -277,29 +284,18 @@ def build_scheme(
     if allocation is None:
         allocation = allocation_from_lp(P, capacity_lp(P).witness)
     R = rate_numerator(P, allocation)
-    bound = max(*(sum(c.values()) for c in P.split(allocation.counts)), 4 * P.K * R)
-    z_cur = z
     if z is None:
-        z_cur = 1
-        while d_field.order ** z_cur <= bound:
-            z_cur += 1
-    last_err: Exception | None = None
-    for _ in range(_MAX_Z_DOUBLINGS + 1):
-        ext = extend_field(d_field, z_cur)
-        ch = build_big_channel(P, allocation, ext.big)
-        try:
-            precoders, D = find_encoders(P, ch, R, seed)
-        except RetriesExhausted as exc:
-            if z is not None:
-                raise
-            last_err = exc
-            z_cur *= 2
-            continue
-        sch = CodingScheme(P, ext, allocation, ch, precoders, D, seed)
-        if not sch.certificate_ok():
-            raise AssertionError("scheme certificate failed")
-        return sch
-    raise RetriesExhausted(f"encoder search failed up to z = {z_cur}: {last_err}")
+        bound = max(*(sum(c.values()) for c in P.split(allocation.counts)), 4 * P.K * R)
+        z = 1
+        while d_field.order ** z <= bound:
+            z += 1
+    ext = extend_field(d_field, z)
+    ch = build_big_channel(P, allocation, ext.big)
+    precoders, D = find_encoders(P, ch, R, seed)
+    sch = CodingScheme(P, ext, allocation, ch, precoders, D, seed)
+    if not sch.certificate_ok():
+        raise AssertionError("scheme certificate failed")
+    return sch
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +305,9 @@ def build_scheme(
 def simulate(sch: CodingScheme, data) -> Mat:
     """One big-channel use: encode per server, evaluate boxes, decode.
 
-    `data` is an R x K matrix (one column per stream) or a list of K
-    R x 1 columns over F_q.  Returns the R x 1 decoded column, which equals
-    the entrywise sum of the stream columns by the scheme certificate.
+    `data` is a list of K R x 1 columns over F_q, one per stream.  Returns
+    the R x 1 decoded column, which equals the entrywise sum of the stream
+    columns by the scheme certificate.
     This is simulate_batch on a batch of one.
     """
     return Mat._of(sch.ext.big, simulate_batch(sch, _data_block(sch, data)))
@@ -360,21 +356,17 @@ def simulate_batch(sch: CodingScheme, data) -> np.ndarray:
 
 
 def true_sum(sch: CodingScheme, data) -> Mat:
-    """The R x 1 entrywise sum of the stream columns, as simulate takes them."""
+    """The R x 1 entrywise sum of the K stream columns, as simulate takes them."""
     return Mat._of(sch.ext.big, field_ops(sch.ext.big).sum(_data_block(sch, data)))
 
 
 def _data_block(sch: CodingScheme, data) -> np.ndarray:
-    """An R x K matrix or K R x 1 columns over F_q as a (K, R, 1) int array."""
+    """A list or tuple of K R x 1 columns over F_q as a (K, R, 1) int array."""
     f, K, R = sch.ext.big, sch.problem.K, sch.R
-    if isinstance(data, Mat):
-        if data.field == f and data.array.shape == (R, K):
-            return data.array.T[:, :, None]
-    else:
-        cols = list(data)
-        if len(cols) == K and all(c.field == f and c.array.shape == (R, 1) for c in cols):
-            return np.array([c.array for c in cols])
-    raise SchemeError(f"data must be {R} x {K} over {f.name}")
+    if (isinstance(data, (list, tuple)) and len(data) == K
+            and all(c.field == f and c.array.shape == (R, 1) for c in data)):
+        return np.array([c.array for c in data])
+    raise SchemeError(f"data must be {K} columns {R} x 1 over {f.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ product per stack entry, in one call; a plain matrix product is a stack of one.
 Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
 is one lookup exp[log a + log b] in the zero-padded tables of `_tables`, and
 addition is XOR in characteristic 2 and digit-wise otherwise; a prime field
-multiplies and adds mod p.  An inverse is a lookup in a table of q entries.
+multiplies and adds mod p.  Subtraction adds the negative: a - b is
+add(a, mul_scalar(p - 1, b)), as -1 = p - 1 in F_p.  An inverse is a lookup
+in a table of q entries.
 The log table is uint16 when the largest log sum 4(q-1) is below 2^16, that
 is for q <= 2^14, and intp above; exp is uint16 for q <= 2^16, uint32 above.
 """
@@ -78,7 +80,7 @@ class VecOps:
             self._inv = np.zeros_like(self._exp, shape=field.order)
             self._inv[1:] = self._exp[n - self._log[1:]]  # g^(n - log a) = 1/a, n - log a >= 1
         else:
-            # a product of two elements fits; odd p stays signed so sub can go negative
+            # a product of two elements fits
             self.dtype = np.dtype(np.uint8) if self.p == 2 else np.dtype(np.int64)
             # a^(p-2) = 1/a, by squaring over all of F_p at once
             base, e = np.arange(self.p, dtype=np.int64), self.p - 2
@@ -99,13 +101,6 @@ class VecOps:
         if self.r == 1:
             return (a + b) % self.p
         return (np.add(self._digits[a], self._digits[b], dtype=np.int64) % self.p) @ self._powers
-
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.r == 1:
-            return np.subtract(a, b, dtype=np.int64) % self.p
-        return (np.subtract(self._digits[a], self._digits[b], dtype=np.int64) % self.p) @ self._powers
 
     def sum(self, a: np.ndarray) -> np.ndarray:
         """Field sum of `a` over its first axis."""

@@ -427,14 +427,34 @@ def test_field_order_above_bound_is_a_guard(capsys):
     assert err.startswith("guard: field order 2^21 exceeds bound 1048576")
 
 
-def test_z_search_past_the_bound_is_a_guard(capsys, monkeypatch):
-    # every draw fails, so the z search doubles until the field passes MAX_ORDER
-    def no_decoder(P, ch, R, seed):
-        raise scheme.RetriesExhausted("no full-rank decoder")
-    monkeypatch.setattr(scheme, "find_encoders", no_decoder)
+def count_calls(monkeypatch, *names):
+    """Wrap each named function of sumbox.scheme; returns its call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(scheme, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(scheme, name, counted)
+    return calls
+
+
+def test_failed_decoder_search_is_an_error_without_a_retry(capsys, monkeypatch):
+    # with no draws, find_encoders raises RetriesExhausted (every stream has
+    # rank >= R); build_scheme builds no second channel at a larger z
+    monkeypatch.setattr(scheme, "_DECODER_DRAWS", 0)
+    calls = count_calls(monkeypatch, "build_big_channel", "find_encoders")
     code, out, err = run(capsys, "scheme", "build", prob("example.prob"))
-    assert (code, out) == (3, "")
-    assert err.startswith("guard: field order 2^") and "exceeds bound 1048576" in err
+    assert (code, out) == (2, "")
+    assert err == "error: no full-rank decoder in 0 draws over F_128; pass a larger --z\n"
+    assert calls == {"build_big_channel": 1, "find_encoders": 1}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(PROBLEMS) if n.endswith(".prob")))
+def test_a_build_makes_one_channel_and_one_decoder_search(capsys, monkeypatch, name):
+    calls = count_calls(monkeypatch, "build_big_channel", "find_encoders")
+    code, _, err = run(capsys, "scheme", "build", prob(name))
+    assert (code, err) == (0, "")
+    assert calls == {"build_big_channel": 1, "find_encoders": 1}
 
 
 def test_pivot_limit_is_a_guard(capsys, monkeypatch):

@@ -343,15 +343,14 @@ def test_simulate_rejects_bad_shapes():
     good = random_data(sch, random.Random(2))
     bad_inputs = (good[:-1], [Mat(f, [[1], [0], [1]])] + good[1:],
                   [Mat(field_construct(3), [[1], [0], [1], [1]])] + good[1:],
-                  Mat(f, np.zeros((sch.R, sch.problem.K + 1), dtype=np.int64)))
+                  Mat(f, np.zeros((sch.R, sch.problem.K + 1), dtype=np.int64)),
+                  # the same columns as one R x K matrix: simulate takes columns only
+                  Mat(f, [[c.data[i][0] for c in good] for i in range(sch.R)]))
     for bad in bad_inputs:
         for fn in (simulate, true_sum):
             with pytest.raises(SchemeError):
                 fn(sch, bad)
-    # the R x K matrix form carries the same columns
-    as_matrix = Mat(f, [[c.data[i][0] for c in good] for i in range(sch.R)])
-    assert simulate(sch, as_matrix) == simulate(sch, good) == mat_simulate(sch, good)
-    assert true_sum(sch, as_matrix) == true_sum(sch, good)
+    assert simulate(sch, good) == mat_simulate(sch, good)
 
 
 @pytest.mark.parametrize("field_line", ["field 2 2", "field 3 2"])
