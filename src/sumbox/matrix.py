@@ -102,18 +102,11 @@ class Mat:
 
     # -- elimination ------------------------------------------------------------
     def rank(self) -> int:
-        return len(_rref(self.field, self.array)[1])
+        return np.count_nonzero(field_ops(self.field).rref(self.array[None])[1] < self.cols)
 
     def right_inverse(self) -> "Mat":
-        """V with self * V = I_rows; requires full row rank.
-
-        Eliminates [self^T | I]: its first rows(self) rows end as [I | V^T].
-        """
-        m = self.rows
-        a, pivots = _rref(self.field, np.hstack([self.array.T, np.eye(self.cols, dtype=np.int64)]))
-        if sum(p < m for p in pivots) < m:
-            raise MatrixError("rank deficient: no right inverse")
-        return Mat._of(self.field, a[:m, m:].T)
+        """V with self * V = I_rows; requires full row rank."""
+        return right_inverses([self])[0]
 
     # -- serialization -------------------------------------------------------------
     def to_text(self) -> str:
@@ -146,31 +139,28 @@ class Mat:
         return cls._of(field, _parse_entries(body, field).reshape(rows, cols))
 
 
-def _rref(field: Field, array: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a copy of array, and its pivot columns.
+def right_inverses(mats: Sequence[Mat]) -> tuple[Mat, ...]:
+    """V_k with mats[k] * V_k = I for every k, from one VecOps.rref per distinct
+    field and shape; a MatrixError if any of them has rank below its row count.
 
-    Pivot choice: first nonzero entry scanning rows top-down within each
-    column, columns left to right; the form itself is unique.
+    Eliminates [A^T | I] for each A: its first rows(A) rows end as [I | V^T].
     """
-    ops = field_ops(field)
-    a = array.copy()
-    pivots = []
-    for col in range(a.shape[1]):
-        prow = len(pivots)
-        if prow == a.shape[0]:
-            break
-        below = a[prow:, col].nonzero()[0]
-        if not below.size:
-            continue
-        piv = prow + int(below[0])
-        row = ops.mul_scalar(ops.inv(a[piv, col]), a[piv])
-        # clear the column in every row, the pivot row too, then put the
-        # scaled pivot row at prow and the old row prow (zero there) at piv
-        a[...] = ops.add(a, ops.mul_scalar(a[:, col, None], ops.mul_scalar(field.p - 1, row)))
-        a[piv] = a[prow]
-        a[prow] = row
-        pivots.append(col)
-    return a, pivots
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(mats):
+        groups.setdefault((m.field, m.rows, m.cols), []).append(k)
+    out: list = [None] * len(mats)
+    for (field, m, n), ks in groups.items():
+        ops = field_ops(field)
+        aug = np.zeros((len(ks), n, m + n), dtype=ops.dtype)
+        aug[:, :, :m] = np.stack([mats[k].array.T for k in ks])
+        aug[:, :, m:] = np.eye(n, dtype=ops.dtype)
+        a, lead = ops.rref(aug)
+        del aug  # rref's working copy is all that is read from here on
+        if ((lead[:, :m] < m).sum(axis=1) < m).any():
+            raise MatrixError("rank deficient: no right inverse")
+        for k, v in zip(ks, a[:, :m, m:]):
+            out[k] = Mat._of(field, v.T)
+    return tuple(out)
 
 
 def _parse_entries(body: list[str], f: Field) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .capacity import capacity_lp, common_denominator, in_region, stream_values
 from .field import Extension, Field, extend_field, field_construct, parse_decimal
-from .matrix import Mat, MatrixError, block_diag
+from .matrix import Mat, MatrixError, block_diag, right_inverses
 from .model import Problem, full_clique, parse_problem, render_problem
 from .nsumbox import box_from_text, box_to_text, build_half_mds_box, is_valid_box
 from .vecops import field_ops
@@ -115,11 +115,13 @@ class BigChannel:
 
 
 def build_big_channel(P: Problem, a: Allocation, field: Field) -> BigChannel:
-    """One half-MDS box over field per clique, wired into the per-stream channel."""
+    """One half-MDS box over field per clique, wired into the per-stream channel.
+    A box depends only on its size and field, so cliques of one size share it."""
     sizes = [sum(c.values()) for c in P.split(a.counts)]  # N_t per clique
     if field.order < max(sizes):
         raise SchemeError(f"coding field order {field.order} < largest box size {max(sizes)}")
-    boxes = tuple((t, build_half_mds_box(n, field)) for t, n in enumerate(sizes) if n > 0)
+    made = {n: build_half_mds_box(n, field) for n in set(sizes) if n > 0}
+    boxes = tuple((t, made[n]) for t, n in enumerate(sizes) if n > 0)
     return assemble_channel(P, a, boxes)
 
 
@@ -165,12 +167,20 @@ def find_encoders(P: Problem, ch: BigChannel, R: int, seed: int):
     for _ in range(_DECODER_DRAWS):
         D = Mat.random(f, R, ch.n, rng)
         try:  # every D . Mbar_k has full row rank R exactly when it has a right inverse
-            return tuple(m.right_inverse() for m in ch.through(D)), D
+            return right_inverses(ch.through(D)), D
         except MatrixError:
             continue
-    for name, m in zip(P.stream_names, ch.through(Mat.identity(f, ch.n))):
-        if m.rank() < R:
-            raise SchemeError(f"R = {R} exceeds rank {m.rank()} of stream {name}")
+    # every stream's rank from one elimination: zero columns, which leave a
+    # rank as it is, pad the Mbar_k to one width
+    mbar = [m.array for m in ch.through(Mat.identity(f, ch.n))]
+    width = max(m.shape[1] for m in mbar)
+    stack = np.zeros((len(mbar), ch.n, width), dtype=np.int64)
+    for s, m in zip(stack, mbar):
+        s[:, :m.shape[1]] = m
+    ranks = (field_ops(f).rref(stack)[1] < width).sum(axis=1).tolist()
+    for name, rank in zip(P.stream_names, ranks):
+        if rank < R:
+            raise SchemeError(f"R = {R} exceeds rank {rank} of stream {name}")
     raise RetriesExhausted(f"no full-rank decoder in {_DECODER_DRAWS} draws over "
                            f"F_{f.order}; pass a larger --z")
 
@@ -253,9 +263,28 @@ class CodingScheme:
                               _columns_first(self.decoder.array[:, outputs]))
 
     def certificate_ok(self) -> bool:
-        ident = Mat.identity(self.ext.big, self.R)
-        return all(m * p == ident
-                   for m, p in zip(self.channel.through(self.decoder), self.precoders))
+        """D . Mbar_k . P_k = I_R for every stream k, from one stacked product per
+        distinct shape of P_k.  A P_k that does not fit D . Mbar_k raises the
+        MatrixError that Mat * Mat raises."""
+        groups: dict[tuple[int, int], list[tuple[Mat, Mat]]] = {}
+        for m, p in zip(self.channel.through(self.decoder), self.precoders):
+            if m.field != p.field:
+                raise MatrixError("field mismatch")
+            if m.cols != p.rows:
+                raise MatrixError(f"dimension mismatch in mul: "
+                                  f"{m.rows}x{m.cols} by {p.rows}x{p.cols}")
+            groups.setdefault(p.array.shape, []).append((m, p))
+        if self.decoder.field != self.ext.big:
+            return False
+        ops, ident = field_ops(self.ext.big), np.eye(self.R, dtype=np.int64)
+        for (_, cols), pairs in groups.items():
+            if cols != self.R:
+                return False
+            ms = np.array([m.array for m, _ in pairs], dtype=ops.dtype)
+            ps = np.array([p.array for _, p in pairs], dtype=ops.dtype)
+            if not (ops.matmul(ms, ps) == ident).all():
+                return False
+        return True
 
 
 DEFAULT_SEED = 20240
@@ -406,8 +435,7 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
     M = Mat(f, [list(row) for row in _REF_M_ROWS])  # entries are 0/1 in any field
     ch = assemble_channel(P, alloc, ((0, M),))
     D = Mat(f, [list(row) for row in _REF_VDEC_ROWS])
-    precoders = tuple(m.right_inverse() for m in ch.through(D))
-    sch = CodingScheme(P, ext, alloc, ch, precoders, D, seed=0)
+    sch = CodingScheme(P, ext, alloc, ch, right_inverses(ch.through(D)), D, seed=0)
     if not sch.certificate_ok():
         raise AssertionError("reference scheme certificate failed")
     return sch
@@ -489,12 +517,14 @@ def parse_scheme(text: str) -> CodingScheme:
     if [(t - 1, s) for t, s, _ in layout] != P.cost_index():
         raise SchemeError("allocation entries do not match the instance's (t, s) layout")
     alloc = Allocation(tuple(n for _, _, n in layout))
-    boxes = []
+    boxes, read = [], {}  # read: box text -> its checked Mat, shared by equal texts
     for lbl, blk in _parse_labeled_blocks("\n".join(sections["BOXES"]), "clique"):
-        M = _located(f"BOXES clique {lbl}", box_from_text, blk, ext.big)
-        if not is_valid_box(M):
-            raise SchemeError(f"serialized box for clique {lbl} is not a valid box")
-        boxes.append((_ints("BOXES", "clique " + lbl, 1, skip=1)[0] - 1, M))
+        if blk not in read:
+            M = _located(f"BOXES clique {lbl}", box_from_text, blk, ext.big)
+            if not is_valid_box(M):
+                raise SchemeError(f"serialized box for clique {lbl} is not a valid box")
+            read[blk] = M
+        boxes.append((_ints("BOXES", "clique " + lbl, 1, skip=1)[0] - 1, read[blk]))
     ch = assemble_channel(P, alloc, tuple(boxes))
     enc_blocks = _parse_labeled_blocks("\n".join(sections["ENCODERS"]), "stream")
     if tuple(lbl for lbl, _ in enc_blocks) != P.stream_names:

@@ -4,6 +4,8 @@ The one F_q arithmetic: `Mat` multiplies, eliminates and serialises on these
 kernels, boxes are built on them, and simulation runs its batches on them.
 `VecOps.matmul` multiplies a stack of matrices by a stack of batches, one
 product per stack entry, in one call; a plain matrix product is a stack of one.
+`VecOps.rref`, the one Gaussian elimination, reduces a stack of matrices the
+same way.
 Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
 is one lookup exp[log a + log b] in the zero-padded tables of `_tables`, and
 addition is XOR in characteristic 2 and digit-wise otherwise; a prime field
@@ -152,6 +154,82 @@ class VecOps:
                     acc = self.add(acc, self.sum(self.mul_scalar(Ag[j:j + depth], Xs[j:j + depth])))
                 dest[g:g + stack, :, lo:lo + width] = acc
         return out
+
+    def rref(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced row echelon forms of a stack a (G, rows, cols) of matrices, in
+        dtype, and lead (G, rows): each row's pivot column, or cols for a zero
+        row, so a member's rank is its count of lead < cols.
+
+        Each member pivots on the first nonzero entry at or below its next
+        pivot row, columns left to right.  The members are eliminated together,
+        in stack slices of at most CHUNK_ELEMS elements; a slice of one member
+        keeps its pivot rows in Python ints, which cost less than index arrays."""
+        a = np.array(a, dtype=self.dtype)
+        G, rows, cols = a.shape
+        lead = np.empty((G, rows), dtype=np.intp)
+        lead.fill(cols)
+        step = max(1, CHUNK_ELEMS // max(1, rows * cols))
+        for g in range(0, G, step):
+            if step == 1 or g == G - 1:  # a slice of one member
+                self._eliminate_one(a[g], lead[g])
+            else:
+                self._eliminate(a[g:g + step], lead[g:g + step])
+        return a, lead
+
+    def _eliminate_one(self, a: np.ndarray, lead: np.ndarray):
+        """rref of one matrix a (rows, cols) in place."""
+        rows, cols = a.shape
+        prow = 0  # the next pivot row
+        for col in range(cols):
+            if prow == rows:
+                break
+            below = a[prow:, col].nonzero()[0]
+            if not below.size:
+                continue
+            piv = prow + int(below[0])
+            row = self._clear(a, col, self.inv(a[piv, col]), a[piv, col:])
+            a[piv] = a[prow]  # the cleared pivot row is all zero
+            a[prow, col:] = row
+            lead[prow] = col
+            prow += 1
+
+    def _eliminate(self, a: np.ndarray, lead: np.ndarray):
+        """rref of every member of a stack a (G, rows, cols) in place."""
+        G, rows, cols = a.shape
+        k = np.zeros(G, dtype=np.intp)  # each member's next pivot row
+        members, index = np.arange(G), np.arange(rows)
+        for col in range(cols):
+            if (k == rows).all():
+                break
+            below = (a[:, :, col] != 0) & (index >= k[:, None])
+            piv = below.argmax(axis=1)
+            g = members[below[members, piv]]  # the members that pivot in col
+            if not g.size:
+                continue
+            piv, kg = piv[g], k[g]
+            pivot = a[g, piv, col:]
+            if g.size == G:
+                row = self._clear(a, col, self.inv(pivot[:, :1]), pivot)
+            else:
+                live = a[g, :, col:]
+                row = self._clear(live, 0, self.inv(pivot[:, :1]), pivot)
+                a[g, :, col:] = live
+            a[g, piv] = a[g, kg]
+            a[g, kg, col:] = row
+            lead[g, kg] = col
+            k[g] += 1
+
+    def _clear(self, a: np.ndarray, col: int, inv, pivot: np.ndarray) -> np.ndarray:
+        """Scale the pivot row (..., cols - col), a row of a (..., rows, cols)
+        from column col on, by inv = 1/its first entry, and subtract its
+        multiples from every row of a, the pivot row too, so that column col
+        becomes zero; returns the scaled row.  Left of col the pivot row is
+        zero, so those columns are not touched.  -1 = p - 1, which is 1 in
+        characteristic 2."""
+        row = self.mul_scalar(inv, pivot)
+        neg = row if self.p == 2 else self.mul_scalar(self.p - 1, row)
+        a[..., col:] = self.add(a[..., col:], self.mul_scalar(a[..., col, None], neg[..., None, :]))
+        return row
 
 
 def field_ops(field: Field) -> VecOps:

@@ -1,5 +1,6 @@
 import random
 import re
+from unittest import mock
 
 import mat_reference as ref
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from sumbox.field import FieldError, field_construct
 import numpy as np
 
-from sumbox.matrix import Mat, MatrixError, block_diag
+from sumbox.matrix import Mat, MatrixError, block_diag, right_inverses
+from sumbox import vecops
+from sumbox.vecops import field_ops
 
 F2 = field_construct(2)
 F8 = field_construct(2, 3)
@@ -165,3 +168,56 @@ def test_core_matches_reference(pr, rows, cols, k, full, seed):
     text = m.to_text()
     assert text == ref.to_text(f, a, cols)
     assert Mat.from_text(text, f) == m
+
+
+# one field per kernel dtype: F_2 (uint8), F_8 and F_256 (uint16), F_2^17
+# (uint32), and F_3 and F_9 (odd characteristic)
+KERNEL_FIELDS = [(2, 1), (2, 3), (2, 8), (2, 17), (3, 1), (3, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                                min_size=1, max_size=2),
+       st.integers(1, 4), st.booleans(), st.integers(0, 2**32))
+def test_stacked_elimination_matches_reference(pr, shapes, G, sliced, seed):
+    """VecOps.rref on a stack of G members per shape, each of full rank or
+    rank deficient at random, whole or (sliced) in slices of two members and a
+    last slice of one, and right_inverses on all members of every shape at
+    once, in shuffled order: each member gets the reference's reduced form,
+    pivots, rank and right inverse, and right_inverses raises MatrixError
+    exactly when some member has no right inverse."""
+    f = field_construct(*pr)
+    ops = field_ops(f)
+    rng = random.Random(seed)
+    mats = []
+    for rows, cols in shapes:
+        grids = []
+        for _ in range(G):
+            inner = rng.choice([min(rows, cols), rng.randrange(min(rows, cols) + 1)])
+            grids.append(ref.mul(f, [[rng.randrange(f.order) for _ in range(inner)] for _ in range(rows)],
+                                 [[rng.randrange(f.order) for _ in range(cols)] for _ in range(inner)],
+                                 cols))
+        stack = np.array(grids, dtype=np.int64).reshape(G, rows, cols)
+        with mock.patch.object(vecops, "CHUNK_ELEMS", 2 * rows * cols if sliced else vecops.CHUNK_ELEMS):
+            reduced, lead = ops.rref(stack)
+        assert reduced.dtype == ops.dtype and lead.shape == (G, rows)
+        for grid, a, pivots_of_rows, m in zip(grids, reduced, lead, stack):
+            want, pivots, _ = ref.echelon(f, grid, reduced=True)
+            assert a.tolist() == want
+            assert pivots_of_rows.tolist() == pivots + [cols] * (rows - len(pivots))
+            assert Mat(f, m).rank() == len(pivots)
+            mats.append((grid, Mat(f, m)))
+    rng.shuffle(mats)
+    want = []
+    for grid, m in mats:
+        try:
+            want.append(ref.right_inverse(f, grid, m.cols))
+        except MatrixError:
+            want.append(None)
+    if None in want:
+        with pytest.raises(MatrixError):
+            right_inverses([m for _, m in mats])
+    else:
+        got = right_inverses([m for _, m in mats])
+        assert [(v.rows, v.cols) for v in got] == [(m.cols, m.rows) for _, m in mats]
+        assert [v.data for v in got] == want

@@ -6,6 +6,7 @@ import sys
 import textwrap
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+SYM_4_2_2 = os.path.join(os.path.dirname(__file__), "..", "problems", "sym-4-2-2.prob")
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:
@@ -67,3 +68,23 @@ def test_scheme_certificate_check_survives_optimize():
     """)
     assert proc.returncode == 0, proc.stderr
     assert "certificate failed" in proc.stdout
+
+
+def test_stacked_certificate_check_survives_optimize():
+    # sym-4-2-2's six 12 x 10 precoders are checked by one stacked product;
+    # a changed entry in any one of them fails the certificate
+    proc = run_optimized(f"""
+        from dataclasses import replace
+        from sumbox.matrix import Mat
+        from sumbox.model import parse_problem
+        from sumbox.scheme import build_scheme
+        with open({SYM_4_2_2!r}) as fh:
+            sch = build_scheme(parse_problem(fh.read()))
+        print(sch.certificate_ok())
+        a = sch.precoders[4].array.copy()
+        a[3, 2] ^= 1
+        bad = sch.precoders[:4] + (Mat(sch.ext.big, a),) + sch.precoders[5:]
+        print(replace(sch, precoders=bad).certificate_ok())
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]

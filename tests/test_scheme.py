@@ -11,7 +11,7 @@ import pytest
 from sumbox import vecops
 from sumbox.capacity import capacity_lp, capacity_symmetric
 from sumbox.field import field_construct
-from sumbox.matrix import Mat
+from sumbox.matrix import Mat, MatrixError
 from sumbox.model import Problem, full_clique, parse_problem, symmetric_problem
 from sumbox.nsumbox import is_half_mds, is_valid_box
 from sumbox.scheme import (Allocation, RetriesExhausted, SchemeError,
@@ -81,11 +81,29 @@ def test_rank_deficient_stream_is_named_after_the_search_fails():
     assert not isinstance(exc.value, RetriesExhausted)
 
 
+def test_rank_diagnostic_names_the_first_stream_below_r():
+    # stream b reads all four box columns (rank 2), stream a only server 1's
+    # equal columns 1 and 3 (rank 1): the streams' Mbar_k differ in width
+    P = Problem(2, (frozenset({1, 2}), frozenset({1})), full_clique(2), ("b", "a"))
+    a = Allocation((1, 1))
+    M = Mat(field_construct(2), [[1, 0, 1, 1], [0, 1, 0, 1]])
+    ch = assemble_channel(P, a, ((0, M),))
+    with pytest.raises(SchemeError, match="^R = 2 exceeds rank 1 of stream a$"):
+        find_encoders(P, ch, rate_numerator(P, a), seed=0)
+
+
 def test_successful_encoder_search_computes_no_rank(monkeypatch):
+    # the search eliminates only [(D . Mbar_k)^T | I] stacks, whose width is
+    # R plus their height; the rank diagnostic would eliminate Mbar_k stacks
     def no_rank(self):
         raise AssertionError("rank() called")
     monkeypatch.setattr(Mat, "rank", no_rank)
-    assert build_scheme(reference_problem()).certificate_ok()
+    shapes = []
+    rref = vecops.VecOps.rref
+    monkeypatch.setattr(vecops.VecOps, "rref", lambda self, a: shapes.append(a.shape) or rref(self, a))
+    sch = build_scheme(reference_problem())
+    assert sch.certificate_ok()
+    assert shapes and all(cols == sch.R + rows for _, rows, cols in shapes)
 
 
 def test_uniform_scheme_at_s7_reaches_capacity():
@@ -404,6 +422,53 @@ def test_two_sum_reduction_fixture():
     for _ in range(50):
         data = random_data(sch, rng)
         assert simulate(sch, data) == true_sum(sch, data)
+
+
+def sym_4_2_2():
+    with open(os.path.join(PROBLEMS, "sym-4-2-2.prob")) as fh:
+        return build_scheme(parse_problem(fh.read()))
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (sym_4_2_2, [2, 2, 2, 2, 2, 2]),
+    (lambda: build_scheme(symmetric_problem(5, 2, 3)), [6, 4, 2, 4, 2, 2]),
+], ids=["sym-4-2-2", "sym-5-2-3"])
+def test_cliques_of_one_size_share_one_box(make, sizes):
+    """A build makes one box per distinct clique size, and a parse reads one
+    per distinct box text: cliques of one size hold the same Mat."""
+    sch = make()
+    for s in (sch, parse_scheme(render_scheme(sch))):
+        boxes = [M for _, M in s.channel.boxes]
+        assert [M.rows for M in boxes] == sizes
+        assert [boxes[sizes.index(n)] is M for n, M in zip(sizes, boxes)] == [True] * len(sizes)
+
+
+@pytest.mark.parametrize("cliques, named", [((3,), 3), ((1, 2, 3, 4, 5, 6), 1), ((5, 6), 5)])
+def test_an_invalid_box_is_named_by_its_first_clique(cliques, named):
+    # sym-4-2-2's six boxes are one N = 2 box; zeroing the top-left entry of
+    # some of them leaves rank 2 but breaks M J M^T = 0
+    lines = render_scheme(sym_4_2_2()).splitlines()
+    for t in cliques:
+        row = lines.index(f"clique {t}") + 3  # past the box and matrix headers
+        assert lines[row].startswith("[1,0,0,0,0,0,0,0] ")
+        lines[row] = "[0" + lines[row][2:]
+    with pytest.raises(SchemeError, match=f"^serialized box for clique {named} is not a valid box$"):
+        parse_scheme("\n".join(lines) + "\n")
+
+
+def test_certificate_checks_every_member_of_a_stacked_group():
+    # sym-4-2-2's six precoders are all 12 x 10, so one stacked product checks them
+    sch = sym_4_2_2()
+    assert len({p.array.shape for p in sch.precoders}) == 1 and sch.certificate_ok()
+    f = sch.ext.big
+    for k in range(len(sch.precoders)):
+        a = sch.precoders[k].array.copy()
+        a[3, 2] = ref.add(f, int(a[3, 2]), 1)
+        bad = sch.precoders[:k] + (Mat(f, a),) + sch.precoders[k + 1:]
+        assert not replace(sch, precoders=bad).certificate_ok()
+    short = (Mat._of(f, sch.precoders[0].array[1:]),) + sch.precoders[1:]
+    with pytest.raises(MatrixError, match="^dimension mismatch in mul: 10x12 by 11x10$"):
+        replace(sch, precoders=short).certificate_ok()
 
 
 def test_scheme_serialization_roundtrip():
