@@ -90,11 +90,7 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------------------
     def __mul__(self, other: "Mat") -> "Mat":
-        if self.field != other.field:
-            raise MatrixError("field mismatch")
-        if self.cols != other.rows:
-            raise MatrixError(f"dimension mismatch in mul: "
-                              f"{self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        check_mul(self, other)
         return Mat._of(self.field, field_ops(self.field).matmul(self.array, other.array))
 
     def transpose(self) -> "Mat":
@@ -102,11 +98,19 @@ class Mat:
 
     # -- elimination ------------------------------------------------------------
     def rank(self) -> int:
-        return np.count_nonzero(field_ops(self.field).rref(self.array[None])[1] < self.cols)
+        return len(field_ops(self.field).rref(self.array[None])[1][0])
 
     def right_inverse(self) -> "Mat":
-        """V with self * V = I_rows; requires full row rank."""
-        return right_inverses([self])[0]
+        """V with self * V = I_rows; requires full row rank.
+
+        Eliminates [self^T | I]: its first rows(self) rows end as [I | V^T].
+        """
+        m = self.rows
+        aug = np.hstack([self.array.T, np.eye(self.cols, dtype=np.int64)])
+        (a,), (pivots,) = field_ops(self.field).rref(aug[None])
+        if sum(p < m for p in pivots) < m:
+            raise MatrixError("rank deficient: no right inverse")
+        return Mat._of(self.field, a[:m, m:].T)
 
     # -- serialization -------------------------------------------------------------
     def to_text(self) -> str:
@@ -139,28 +143,12 @@ class Mat:
         return cls._of(field, _parse_entries(body, field).reshape(rows, cols))
 
 
-def right_inverses(mats: Sequence[Mat]) -> tuple[Mat, ...]:
-    """V_k with mats[k] * V_k = I for every k, from one VecOps.rref per distinct
-    field and shape; a MatrixError if any of them has rank below its row count.
-
-    Eliminates [A^T | I] for each A: its first rows(A) rows end as [I | V^T].
-    """
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(mats):
-        groups.setdefault((m.field, m.rows, m.cols), []).append(k)
-    out: list = [None] * len(mats)
-    for (field, m, n), ks in groups.items():
-        ops = field_ops(field)
-        aug = np.zeros((len(ks), n, m + n), dtype=ops.dtype)
-        aug[:, :, :m] = np.stack([mats[k].array.T for k in ks])
-        aug[:, :, m:] = np.eye(n, dtype=ops.dtype)
-        a, lead = ops.rref(aug)
-        del aug  # rref's working copy is all that is read from here on
-        if ((lead[:, :m] < m).sum(axis=1) < m).any():
-            raise MatrixError("rank deficient: no right inverse")
-        for k, v in zip(ks, a[:, :m, m:]):
-            out[k] = Mat._of(field, v.T)
-    return tuple(out)
+def check_mul(a: Mat, b: Mat):
+    """Raise MatrixError unless a * b is defined: one field, and a.cols == b.rows."""
+    if a.field != b.field:
+        raise MatrixError("field mismatch")
+    if a.cols != b.rows:
+        raise MatrixError(f"dimension mismatch in mul: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
 
 
 def _parse_entries(body: list[str], f: Field) -> np.ndarray:

@@ -45,7 +45,7 @@ def grs_dual_multipliers(field: Field, alpha, u) -> tuple[int, ...]:
     n = len(alpha)
     ops = field_ops(field)
     a = np.array(alpha, dtype=np.int64)
-    diff = ops.add(a[:, None], ops.mul_scalar(field.p - 1, a[None, :]))  # alpha_i - alpha_j
+    diff = ops.add(a[:, None], ops.neg(a[None, :]))  # alpha_i - alpha_j
     np.fill_diagonal(diff, 1)
     prod = np.array(u, dtype=np.int64)
     for j in range(n):

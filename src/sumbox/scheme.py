@@ -38,7 +38,7 @@ import numpy as np
 
 from .capacity import capacity_lp, common_denominator, in_region, stream_values
 from .field import Extension, Field, extend_field, field_construct, parse_decimal
-from .matrix import Mat, MatrixError, block_diag, right_inverses
+from .matrix import Mat, MatrixError, block_diag, check_mul
 from .model import Problem, full_clique, parse_problem, render_problem
 from .nsumbox import box_from_text, box_to_text, build_half_mds_box, is_valid_box
 from .vecops import field_ops
@@ -167,19 +167,11 @@ def find_encoders(P: Problem, ch: BigChannel, R: int, seed: int):
     for _ in range(_DECODER_DRAWS):
         D = Mat.random(f, R, ch.n, rng)
         try:  # every D . Mbar_k has full row rank R exactly when it has a right inverse
-            return right_inverses(ch.through(D)), D
+            return tuple(m.right_inverse() for m in ch.through(D)), D
         except MatrixError:
             continue
-    # every stream's rank from one elimination: zero columns, which leave a
-    # rank as it is, pad the Mbar_k to one width
-    mbar = [m.array for m in ch.through(Mat.identity(f, ch.n))]
-    width = max(m.shape[1] for m in mbar)
-    stack = np.zeros((len(mbar), ch.n, width), dtype=np.int64)
-    for s, m in zip(stack, mbar):
-        s[:, :m.shape[1]] = m
-    ranks = (field_ops(f).rref(stack)[1] < width).sum(axis=1).tolist()
-    for name, rank in zip(P.stream_names, ranks):
-        if rank < R:
+    for name, m in zip(P.stream_names, ch.through(Mat.identity(f, ch.n))):
+        if (rank := m.rank()) < R:
             raise SchemeError(f"R = {R} exceeds rank {rank} of stream {name}")
     raise RetriesExhausted(f"no full-rank decoder in {_DECODER_DRAWS} draws over "
                            f"F_{f.order}; pass a larger --z")
@@ -265,24 +257,18 @@ class CodingScheme:
     def certificate_ok(self) -> bool:
         """D . Mbar_k . P_k = I_R for every stream k, from one stacked product per
         distinct shape of P_k.  A P_k that does not fit D . Mbar_k raises the
-        MatrixError that Mat * Mat raises."""
+        MatrixError of Mat * Mat."""
         groups: dict[tuple[int, int], list[tuple[Mat, Mat]]] = {}
         for m, p in zip(self.channel.through(self.decoder), self.precoders):
-            if m.field != p.field:
-                raise MatrixError("field mismatch")
-            if m.cols != p.rows:
-                raise MatrixError(f"dimension mismatch in mul: "
-                                  f"{m.rows}x{m.cols} by {p.rows}x{p.cols}")
+            check_mul(m, p)
             groups.setdefault(p.array.shape, []).append((m, p))
         if self.decoder.field != self.ext.big:
             return False
         ops, ident = field_ops(self.ext.big), np.eye(self.R, dtype=np.int64)
-        for (_, cols), pairs in groups.items():
-            if cols != self.R:
-                return False
-            ms = np.array([m.array for m, _ in pairs], dtype=ops.dtype)
-            ps = np.array([p.array for _, p in pairs], dtype=ops.dtype)
-            if not (ops.matmul(ms, ps) == ident).all():
+        for pairs in groups.values():
+            prod = ops.matmul(np.array([m.array for m, _ in pairs], dtype=ops.dtype),
+                              np.array([p.array for _, p in pairs], dtype=ops.dtype))
+            if prod.shape[1:] != ident.shape or not (prod == ident).all():
                 return False
         return True
 
@@ -435,7 +421,8 @@ def worked_reference_scheme(d_field: Field | None = None) -> CodingScheme:
     M = Mat(f, [list(row) for row in _REF_M_ROWS])  # entries are 0/1 in any field
     ch = assemble_channel(P, alloc, ((0, M),))
     D = Mat(f, [list(row) for row in _REF_VDEC_ROWS])
-    sch = CodingScheme(P, ext, alloc, ch, right_inverses(ch.through(D)), D, seed=0)
+    precoders = tuple(m.right_inverse() for m in ch.through(D))
+    sch = CodingScheme(P, ext, alloc, ch, precoders, D, seed=0)
     if not sch.certificate_ok():
         raise AssertionError("reference scheme certificate failed")
     return sch

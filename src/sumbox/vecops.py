@@ -4,14 +4,14 @@ The one F_q arithmetic: `Mat` multiplies, eliminates and serialises on these
 kernels, boxes are built on them, and simulation runs its batches on them.
 `VecOps.matmul` multiplies a stack of matrices by a stack of batches, one
 product per stack entry, in one call; a plain matrix product is a stack of one.
-`VecOps.rref`, the one Gaussian elimination, reduces a stack of matrices the
-same way.
+`VecOps.rref`, the one Gaussian elimination, reduces a stack of matrices, one
+member after another.
 Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
 is one lookup exp[log a + log b] in the zero-padded tables of `_tables`, and
 addition is XOR in characteristic 2 and digit-wise otherwise; a prime field
 multiplies and adds mod p.  Subtraction adds the negative: a - b is
-add(a, mul_scalar(p - 1, b)), as -1 = p - 1 in F_p.  An inverse is a lookup
-in a table of q entries.
+add(a, neg(b)).  A negative and an inverse are lookups in tables of q
+entries.
 The log table is uint16 when the largest log sum 4(q-1) is below 2^16, that
 is for q <= 2^14, and intp above; exp is uint16 for q <= 2^16, uint32 above.
 """
@@ -92,10 +92,16 @@ class VecOps:
                     self._inv = self._inv * base % self.p
                 base, e = base * base % self.p, e >> 1
             self._inv[0] = 0
+        # -a = (p - 1) a, as -1 = p - 1 in F_p
+        self._neg = None if self.p == 2 else self.mul_scalar(self.p - 1, np.arange(field.order))
 
     def inv(self, a):
         """1/a for a nonzero element or array of them; 0 maps to 0."""
         return self._inv[a]
+
+    def neg(self, a):
+        """-a for an element or array of them: a itself in characteristic 2."""
+        return a if self.p == 2 else self._neg[a]
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
@@ -155,81 +161,37 @@ class VecOps:
                 dest[g:g + stack, :, lo:lo + width] = acc
         return out
 
-    def rref(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
         """Reduced row echelon forms of a stack a (G, rows, cols) of matrices, in
-        dtype, and lead (G, rows): each row's pivot column, or cols for a zero
-        row, so a member's rank is its count of lead < cols.
+        dtype, and each member's pivot columns, whose count is its rank.
 
         Each member pivots on the first nonzero entry at or below its next
-        pivot row, columns left to right.  The members are eliminated together,
-        in stack slices of at most CHUNK_ELEMS elements; a slice of one member
-        keeps its pivot rows in Python ints, which cost less than index arrays."""
+        pivot row, columns left to right; the form itself is unique.  A pivot
+        row is zero left of its pivot column, so only the columns from there on
+        are updated."""
         a = np.array(a, dtype=self.dtype)
-        G, rows, cols = a.shape
-        lead = np.empty((G, rows), dtype=np.intp)
-        lead.fill(cols)
-        step = max(1, CHUNK_ELEMS // max(1, rows * cols))
-        for g in range(0, G, step):
-            if step == 1 or g == G - 1:  # a slice of one member
-                self._eliminate_one(a[g], lead[g])
-            else:
-                self._eliminate(a[g:g + step], lead[g:g + step])
-        return a, lead
-
-    def _eliminate_one(self, a: np.ndarray, lead: np.ndarray):
-        """rref of one matrix a (rows, cols) in place."""
-        rows, cols = a.shape
-        prow = 0  # the next pivot row
-        for col in range(cols):
-            if prow == rows:
-                break
-            below = a[prow:, col].nonzero()[0]
-            if not below.size:
-                continue
-            piv = prow + int(below[0])
-            row = self._clear(a, col, self.inv(a[piv, col]), a[piv, col:])
-            a[piv] = a[prow]  # the cleared pivot row is all zero
-            a[prow, col:] = row
-            lead[prow] = col
-            prow += 1
-
-    def _eliminate(self, a: np.ndarray, lead: np.ndarray):
-        """rref of every member of a stack a (G, rows, cols) in place."""
-        G, rows, cols = a.shape
-        k = np.zeros(G, dtype=np.intp)  # each member's next pivot row
-        members, index = np.arange(G), np.arange(rows)
-        for col in range(cols):
-            if (k == rows).all():
-                break
-            below = (a[:, :, col] != 0) & (index >= k[:, None])
-            piv = below.argmax(axis=1)
-            g = members[below[members, piv]]  # the members that pivot in col
-            if not g.size:
-                continue
-            piv, kg = piv[g], k[g]
-            pivot = a[g, piv, col:]
-            if g.size == G:
-                row = self._clear(a, col, self.inv(pivot[:, :1]), pivot)
-            else:
-                live = a[g, :, col:]
-                row = self._clear(live, 0, self.inv(pivot[:, :1]), pivot)
-                a[g, :, col:] = live
-            a[g, piv] = a[g, kg]
-            a[g, kg, col:] = row
-            lead[g, kg] = col
-            k[g] += 1
-
-    def _clear(self, a: np.ndarray, col: int, inv, pivot: np.ndarray) -> np.ndarray:
-        """Scale the pivot row (..., cols - col), a row of a (..., rows, cols)
-        from column col on, by inv = 1/its first entry, and subtract its
-        multiples from every row of a, the pivot row too, so that column col
-        becomes zero; returns the scaled row.  Left of col the pivot row is
-        zero, so those columns are not touched.  -1 = p - 1, which is 1 in
-        characteristic 2."""
-        row = self.mul_scalar(inv, pivot)
-        neg = row if self.p == 2 else self.mul_scalar(self.p - 1, row)
-        a[..., col:] = self.add(a[..., col:], self.mul_scalar(a[..., col, None], neg[..., None, :]))
-        return row
+        rows, cols = a.shape[1:]
+        leads = []
+        for m in a:
+            pivots = []
+            for col in range(cols):
+                prow = len(pivots)
+                if prow == rows:
+                    break
+                below = m[prow:, col].nonzero()[0]
+                if not below.size:
+                    continue
+                piv = prow + int(below[0])
+                live = m[:, col:]
+                row = self.mul_scalar(self.inv(m[piv, col]), live[piv])
+                # clear the column in every row, the pivot row too, then put the
+                # scaled pivot row at prow and the old row prow (zero there) at piv
+                live[...] = self.add(live, self.mul_scalar(m[:, col, None], self.neg(row)))
+                m[piv] = m[prow]
+                live[prow] = row
+                pivots.append(col)
+            leads.append(pivots)
+        return a, leads
 
 
 def field_ops(field: Field) -> VecOps:

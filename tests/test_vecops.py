@@ -124,6 +124,15 @@ def test_inv_is_the_fermat_inverse(pr):
     assert field_ops(f).inv(0) == 0
 
 
+@pytest.mark.parametrize("pr", FIELDS + [(67, 1)] + LOG_BOUNDARY)
+def test_neg_is_the_additive_inverse(pr):
+    # every element (a sample past q = 2^11), against the reference's -a
+    f = field_construct(*pr)
+    q = f.order
+    a = range(q) if q <= 1 << 11 else random.Random(7).sample(range(q), 300)
+    assert field_ops(f).neg(np.array(a)).tolist() == [ref.neg(f, x) for x in a]
+
+
 def test_field_ops_follows_the_field_object():
     # the kernels live on the Field object: a new canonical field gets new
     # kernels, and asking again returns the same ones
