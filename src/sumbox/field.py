@@ -90,8 +90,15 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     return _poly_trim(a)
 
 
+def _not_divisible_by_x(p: int, d: int) -> Iterable[tuple[int, ...]]:
+    """The monic polynomials of degree d >= 1 over F_p with a nonzero constant
+    term, in lex order of (c_0, ..., c_{d-1}), c_0 most significant."""
+    return (low + (1,) for low in product(range(1, p), *[range(p)] * (d - 1)))
+
+
 def _is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(m)/2."""
+    """Trial division by all monic polynomials of degree <= deg(m)/2; those
+    divisible by x are left out, as they divide m only if x does."""
     deg = len(m) - 1
     if deg < 1 or m[-1] != 1:
         return False
@@ -99,16 +106,15 @@ def _is_irreducible(m: Sequence[int], p: int) -> bool:
         return True
     if m[0] == 0:  # divisible by x
         return False
-    return all(_poly_mod(m, low + (1,), p)
-               for d in range(1, deg // 2 + 1) for low in product(range(p), repeat=d))
+    return all(_poly_mod(m, h, p) for d in range(1, deg // 2 + 1) for h in _not_divisible_by_x(p, d))
 
 
 def _lex_smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest (low-to-high coeffs) monic irreducible of degree r."""
     if r == 1:
         return (0, 1)  # x
-    # product() lists (c_0, ..., c_{r-1}) in lex order, c_0 most significant
-    return next(low + (1,) for low in product(range(p), repeat=r) if _is_irreducible(low + (1,), p))
+    # a polynomial with c_0 = 0 is divisible by x, so the search starts at c_0 = 1
+    return next(m for m in _not_divisible_by_x(p, r) if _is_irreducible(m, p))
 
 
 class Field:
@@ -137,7 +143,7 @@ class Field:
 
     # -- identity / comparison ------------------------------------------------
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Field)
             and self.p == other.p
             and self.r == other.r
@@ -183,7 +189,8 @@ class Field:
             out.append(a)
         return out
 
-    # -- table bootstrap: products and powers without tables --------------------
+    # -- reference arithmetic: products and powers by polynomial multiplication --
+    # No src code calls these; the tests check the vecops tables against them.
     def _mul_direct(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a * b) % self.p
@@ -191,7 +198,7 @@ class Field:
         return self.element(_poly_mod(prod, self.modulus, self.p))
 
     def pow(self, a: int, e: int) -> int:
-        """a^e, e >= 0, by squaring; it uses no tables, so building them can call it."""
+        """a^e, e >= 0, by squaring on `_mul_direct`; it shares nothing with the tables."""
         self.check(a)
         if e < 0:
             raise FieldError(f"negative exponent {e}")

@@ -7,18 +7,18 @@ product per stack entry, in one call; a plain matrix product is a stack of one.
 `VecOps.rref`, the one Gaussian elimination, reduces a stack of matrices, one
 member after another.
 Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
-is one lookup exp[log a + log b] in the zero-padded tables of `_tables`, and
-addition is XOR in characteristic 2 and digit-wise otherwise; a prime field
-multiplies and adds mod p.  Subtraction adds the negative: a - b is
-add(a, neg(b)).  A negative and an inverse are lookups in tables of q
-entries.
+is one lookup exp[log a + log b] in the zero-padded tables of `_tables`,
+built from multiplication by x alone (`Field._mul_direct` and `Field.pow`
+are the tests' reference and have no caller here), and addition is XOR in
+characteristic 2 and digit-wise otherwise; a prime field multiplies and adds
+mod p.  Subtraction adds the negative: a - b is add(a, neg(b)).  A negative
+and an inverse are lookups in tables of q entries.
 The log table is uint16 when the largest log sum 4(q-1) is below 2^16, that
 is for q <= 2^14, and intp above; exp is uint16 for q <= 2^16, uint32 above.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import isqrt
 
 import numpy as np
@@ -31,30 +31,74 @@ CHUNK_ELEMS = 1 << 16
 
 
 def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """numpy (exp, log, digits) tables of field.
+    """numpy (exp, log, digits) tables of field, r > 1.
 
     log[a] is the discrete log of a != 0 to the smallest primitive element
     and log[0] = 2(q-1); exp holds two periods of the powers and zeros up
     to index 4(q-1), so exp[log a + log b] = a*b for every a and b, 0
     included.  log is uint16 when that largest sum 4(q-1) fits in 16 bits
     (q <= 2^14), so a product adds 2-byte logs; intp above that.  digits[a]
-    lists a's base-p digits (odd p only)."""
+    lists a's base-p digits (odd p only).
+
+    Every product here is built from multiplication by x, a digit shift
+    minus the top digit times the modulus: a*b = sum_i b_i (x^i a)."""
     p, r, q = field.p, field.r, field.order
     n = q - 1
-    a = np.arange(q, dtype=np.int64)
-    digits = None if p == 2 else (a[:, None] // p ** np.arange(r) % p).astype(
+    digits = None if p == 2 else (np.arange(q)[:, None] // p ** np.arange(r) % p).astype(
         np.min_scalar_type(p - 1))
-    # the smallest g of order n; a -> g*a is F_p-linear, so its map over
-    # all of F_q takes r numpy steps (the image of digit i is g * x^i)
+    if p == 2:  # an element is its int: its digits are bits, x*u is a shift
+        modulus = sum(c << i for i, c in enumerate(field.modulus))
+        one, candidates = 1, range(2, q)
+
+        def times_x(u):
+            u <<= 1
+            return u ^ modulus if u & q else u
+
+        def mul(u, v):
+            out = 0
+            while v:
+                if v & 1:
+                    out ^= u
+                u, v = times_x(u), v >> 1
+            return out
+    else:  # an element is its tuple of r digits, low to high
+        low = field.modulus[:r]
+        one, candidates = field.coeffs(1), map(field.coeffs, range(p, q))
+
+        def times_x(u):
+            top, u = u[-1], (0,) + u[:-1]
+            return tuple((c - top * m) % p for c, m in zip(u, low)) if top else u
+
+        def mul(u, v):
+            out = (0,) * r
+            for d in v:
+                if d:
+                    out = tuple((o + d * c) % p for o, c in zip(out, u))
+                u = times_x(u)
+            return out
+
+    def power(u, e):
+        out = one
+        while e:
+            if e & 1:
+                out = mul(out, u)
+            u, e = mul(u, u), e >> 1
+        return out
+
+    # the smallest g of order n, from g = p on: an element of F_p has order
+    # dividing p - 1 < n.  a -> g*a is F_p-linear: its image of digit i is g*x^i
     divisors = [d for f in range(1, isqrt(n) + 1) if n % f == 0 for d in (f, n // f)]
-    g = next(g for g in range(1 if n == 1 else 2, q)
-             if all(field.pow(g, n // f) != 1 for f in divisors if is_prime(f)))
-    gx = [field._mul_direct(g, p ** i) for i in range(r)]
-    if p == 2:
-        step = reduce(np.bitwise_xor, (((a >> i) & 1) * v for i, v in enumerate(gx)))
+    tests = [n // f for f in divisors if is_prime(f)]
+    g = next(g for g in candidates if all(power(g, e) != one for e in tests))
+    gx = [g]
+    while len(gx) < r:
+        gx.append(times_x(gx[-1]))
+    if p == 2:  # the map on [0, 2^(i+1)) is the map on [0, 2^i), XOR g*x^i
+        step = np.zeros(q, dtype=np.int64)
+        for i, v in enumerate(gx):
+            step[1 << i:2 << i] = step[:1 << i] ^ v
     else:
-        gx = np.array([field.coeffs(v) for v in gx], dtype=np.int32)
-        step = ((digits @ gx) % p) @ (p ** np.arange(r, dtype=np.int64))
+        step = ((digits @ np.array(gx, dtype=np.int32)) % p) @ (p ** np.arange(r, dtype=np.int64))
     # the powers of g, doubling: with step = the map a -> g^k a, the next
     # k powers are step[powers of the first k], and step squares to g^2k
     powers = np.ones(1, dtype=np.int64)

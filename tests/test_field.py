@@ -1,9 +1,12 @@
+from itertools import product
+
 import mat_reference as ref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumbox.field import FieldError, field_construct, is_prime, parse_decimal
+from sumbox.field import (FieldError, _is_irreducible, _lex_smallest_irreducible, _poly_mod,
+                          field_construct, is_prime, parse_decimal)
 from sumbox.vecops import field_ops
 
 
@@ -57,6 +60,36 @@ def test_canonical_modulus_f8():
     # low-to-high coefficient order
     f = field_construct(2, 3)
     assert f.modulus == (1, 0, 1, 1)
+
+
+def _monic(p, d):
+    return (low + (1,) for low in product(range(p), repeat=d))
+
+
+def _irreducible_by_full_trial_division(m, p):
+    return len(m) == 2 or all(_poly_mod(m, h, p)
+                              for d in range(1, (len(m) - 1) // 2 + 1) for h in _monic(p, d))
+
+
+def _small_orders(bound):
+    return [(p, r) for p in filter(is_prime, range(2, bound + 1))
+            for r in range(1, bound.bit_length()) if p ** r <= bound]
+
+
+def test_modulus_search_skips_only_multiples_of_x():
+    # the search starts at c_0 = 1, as a zero constant term means a factor x;
+    # it finds the modulus of the full lex-order enumeration for every p^r <= 2^12
+    for p, r in _small_orders(1 << 12):
+        full = next(m for m in _monic(p, r) if _irreducible_by_full_trial_division(m, p))
+        assert _lex_smallest_irreducible(p, r) == full, (p, r)
+
+
+def test_irreducibility_skips_only_divisors_divisible_by_x():
+    # trial division leaves out divisors with a zero constant term; every
+    # monic polynomial of order p^r <= 2^8 is classified as by all divisors
+    for p, r in _small_orders(1 << 8):
+        for m in _monic(p, r):
+            assert _is_irreducible(m, p) == _irreducible_by_full_trial_division(m, p), (p, m)
 
 
 def test_element_coeffs_roundtrip():

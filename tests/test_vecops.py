@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 from unittest import mock
 
 import mat_reference as ref
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumbox import vecops
-from sumbox.field import FieldError, field_construct
+from sumbox.field import Field, FieldError, field_construct, is_prime
 from sumbox.vecops import VecOps, field_ops
 
 # F_2, F_3, F_4, F_9, F_2^11 and F_2^17 (past the old 2^16 table bound)
@@ -16,6 +17,11 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 11), (2, 17)]
 # F_2^14 is the largest order whose log sums, up to 4(q-1) = 65532, fit in
 # uint16; F_2^15 keeps intp logs; F_3^8 has uint16 logs in odd characteristic
 LOG_BOUNDARY = [(2, 14), (2, 15), (3, 8)]
+
+# every extension field of order up to 2^12, the log-table boundaries and two
+# fields past 2^16
+EXTENSIONS = sorted({(p, r) for p in filter(is_prime, range(2, 65)) for r in range(2, 13)
+                     if p ** r <= 1 << 12} | set(LOG_BOUNDARY) | {(2, 17), (2, 20)})
 
 # matmul's block size, shrunk so that batches on both sides of a chunk
 # boundary stay small enough for the per-element reference
@@ -112,6 +118,25 @@ def test_tables_cover_every_order(pr):
     X = [[rng.randrange(q) for _ in range(4)] for _ in range(2)] + [[0, n, n, 1]]
     got = ops.matmul(np.array(A, dtype=np.int64), np.array(X, dtype=np.int64))
     assert got.tolist() == ref.mul(f, A, X, 4)
+
+
+@pytest.mark.parametrize("pr", EXTENSIONS)
+def test_tables_share_nothing_with_the_reference(pr):
+    # the tables build with the reference product and power refused, and
+    # their generator is the least element of order q - 1 under that reference
+    def refused(*args):
+        raise AssertionError("the tables called the reference arithmetic")
+
+    f = field_construct(*pr)
+    with mock.patch.object(Field, "_mul_direct", refused), mock.patch.object(Field, "pow", refused):
+        exp = VecOps(f)._exp
+    n = f.order - 1
+    divisors = {d for j in range(1, isqrt(n) + 1) if n % j == 0 for d in (j, n // j)}
+    tests = [n // d for d in divisors if is_prime(d)]
+    g = next(g for g in range(2, f.order) if all(f.pow(g, e) != 1 for e in tests))
+    assert exp[1] == g
+    ks = [0, 1, n - 1] + random.Random(11).sample(range(n), min(n, 20))
+    assert [int(exp[k]) for k in ks] == [f.pow(g, k) for k in ks]
 
 
 @pytest.mark.parametrize("pr", FIELDS + [(67, 1)] + LOG_BOUNDARY)
