@@ -4,6 +4,8 @@ The one F_q arithmetic: `Mat` multiplies, eliminates and serialises on these
 kernels, boxes are built on them, and simulation runs its batches on them.
 `VecOps.matmul` multiplies a stack of matrices by a stack of batches, one
 product per stack entry, in one call; a plain matrix product is a stack of one.
+A product that fits `CHUNK_ELEMS` elements is one expression; a larger one
+goes in blocks of at most that size.
 `VecOps.rref`, the one Gaussian elimination, reduces a stack of matrices, one
 member after another.
 Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
@@ -25,8 +27,9 @@ import numpy as np
 
 from .field import Field, FieldError, is_prime
 
-# Most elements in one block of products (matrix columns x rows x batch columns)
-# that matmul forms at a time; a larger batch is taken in slices of the batch axis.
+# Most elements in one block of products (matrix columns x stacked matrices x
+# rows x batch columns) that matmul forms at a time: a product that fits is one
+# expression, a larger one is taken in blocks of this size.
 CHUNK_ELEMS = 1 << 16
 
 
@@ -44,8 +47,9 @@ def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     minus the top digit times the modulus: a*b = sum_i b_i (x^i a)."""
     p, r, q = field.p, field.r, field.order
     n = q - 1
-    digits = None if p == 2 else (np.arange(q)[:, None] // p ** np.arange(r) % p).astype(
-        np.min_scalar_type(p - 1))
+    # the index grid of (p,) * r in C order counts in base p, highest digit first
+    digits = None if p == 2 else np.ascontiguousarray(
+        np.indices((p,) * r, dtype=np.min_scalar_type(p - 1)).reshape(r, q)[::-1].T)
     if p == 2:  # an element is its int: its digits are bits, x*u is a shift
         modulus = sum(c << i for i, c in enumerate(field.modulus))
         one, candidates = 1, range(2, q)
@@ -176,10 +180,11 @@ class VecOps:
         written to `out` if given, else to a new array of dtype.  A 2-D
         product, A (rows, cols) times X (cols, B) -> (rows, B), is the case G = 1.
 
-        Products come in blocks of at most CHUNK_ELEMS (matrix columns, stacked
-        matrices, rows, batch columns), summed over matrix columns: one block
-        for a small batch, one per matrix column, stacked matrix and batch
-        slice for a large one."""
+        A product of at most CHUNK_ELEMS elements (matrix columns x stacked
+        matrices x rows x batch columns) is one expression, summed over
+        matrix columns.  A larger one goes in blocks of at most CHUNK_ELEMS,
+        each a run of matrix columns, a group of stacked matrices and a slice
+        of the batch."""
         shapes, flat = (A.shape, X.shape), A.ndim == 2
         if flat:
             A, X = A[None], X[None]
@@ -189,11 +194,15 @@ class VecOps:
         B = X.shape[2]
         At = A.transpose(2, 0, 1)[..., None]  # (cols, G, rows, 1)
         Xt = X.transpose(1, 0, 2)[:, :, None]  # (cols, G, 1, B)
-        width = max(1, min(B, CHUNK_ELEMS // max(1, rows)))
-        stack = max(1, min(G, CHUNK_ELEMS // (max(1, rows) * width)))
-        depth = max(1, CHUNK_ELEMS // (max(1, stack * rows) * width))
         if out is None:
             out = np.empty((rows, B) if flat else (G, rows, B), dtype=self.dtype)
+        if cols * G * rows * B <= CHUNK_ELEMS:
+            out[...] = self.sum(self.mul_scalar(At, Xt))
+            return out
+        # past one block no axis is empty
+        width = max(1, min(B, CHUNK_ELEMS // rows))
+        stack = max(1, min(G, CHUNK_ELEMS // (rows * width)))
+        depth = max(1, CHUNK_ELEMS // (stack * rows * width))
         dest = out[None] if flat else out
         for g in range(0, G, stack):
             Ag, Xg = At[:, g:g + stack], Xt[:, g:g + stack]

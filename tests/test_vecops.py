@@ -79,6 +79,43 @@ def test_matmul_refuses_mismatched_shapes():
             ops.matmul(A.astype(np.int64), X.astype(np.int64))
 
 
+@pytest.mark.parametrize("pr", FIELDS)
+@pytest.mark.parametrize("G, flat", [(1, True), (1, False), (3, False)])
+@pytest.mark.parametrize("rows, cols, B", [(3, 4, 5), (1, 1, 1), (0, 4, 5), (3, 0, 5), (3, 4, 0)])
+def test_one_block_product_matches_blocked_product(pr, G, flat, rows, cols, B):
+    # the same product with every block one element (CHUNK_ELEMS = 1) and as
+    # one expression (CHUNK_ELEMS = 2^30), over FIELDS (F_9 among them), 2-D
+    # and stacked, with empty row, column and batch axes; out= is returned
+    # itself, as simulate_batch's 2-D decoder product relies on
+    f = field_construct(*pr)
+    rng = np.random.default_rng(rows * 100 + cols * 10 + B)
+    A = rng.integers(0, f.order, size=(G, rows, cols))
+    X = rng.integers(0, f.order, size=(G, cols, B))
+    if flat:
+        A, X = A[0], X[0]
+    ops = VecOps(f)
+    want = [ref.mul(f, a.tolist(), x.tolist(), B) for a, x in zip(A.reshape(G, rows, cols),
+                                                                  X.reshape(G, cols, B))]
+    shape = (rows, B) if flat else (G, rows, B)
+    for chunk in (1, 1 << 30):
+        with mock.patch.object(vecops, "CHUNK_ELEMS", chunk):
+            got = ops.matmul(A, X)
+            out = np.full(shape, 1, dtype=ops.dtype)
+            assert ops.matmul(A, X, out=out) is out
+        assert got.shape == shape and got.dtype == ops.dtype
+        assert got.reshape(G, rows, B).tolist() == out.reshape(G, rows, B).tolist() == want
+
+
+@pytest.mark.parametrize("pr", [(p, r) for p, r in EXTENSIONS if p > 2])
+def test_digits_are_the_base_p_coefficients(pr):
+    # digits[a] lists a's coefficients low to high, in the narrowest dtype
+    # that holds p - 1, one C-contiguous row per element
+    f = field_construct(*pr)
+    digits = VecOps(f)._digits
+    assert digits.dtype == np.min_scalar_type(f.p - 1) and digits.flags.c_contiguous
+    assert list(map(tuple, digits.tolist())) == [f.coeffs(a) for a in range(f.order)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 2**32))
 def test_sum_and_add_match_field(pr, n, seed):
