@@ -98,7 +98,7 @@ class Mat:
 
     # -- elimination ------------------------------------------------------------
     def rank(self) -> int:
-        return len(field_ops(self.field).rref(self.array[None])[1][0])
+        return len(field_ops(self.field).rref(self.array)[1])
 
     def right_inverse(self) -> "Mat":
         """V with self * V = I_rows; requires full row rank.
@@ -107,7 +107,7 @@ class Mat:
         """
         m = self.rows
         aug = np.hstack([self.array.T, np.eye(self.cols, dtype=np.int64)])
-        (a,), (pivots,) = field_ops(self.field).rref(aug[None])
+        a, pivots = field_ops(self.field).rref(aug)
         if sum(p < m for p in pivots) < m:
             raise MatrixError("rank deficient: no right inverse")
         return Mat._of(self.field, a[:m, m:].T)

@@ -6,17 +6,19 @@ kernels, boxes are built on them, and simulation runs its batches on them.
 product per stack entry, in one call; a plain matrix product is a stack of one.
 A product that fits `CHUNK_ELEMS` elements is one expression; a larger one
 goes in blocks of at most that size.
-`VecOps.rref`, the one Gaussian elimination, reduces a stack of matrices, one
-member after another.
-Elements keep the int encoding of `field`.  Over F_{p^r}, r > 1, a product
-is one lookup exp[log a + log b] in the zero-padded tables of `_tables`,
-built from multiplication by x alone (`Field._mul_direct` and `Field.pow`
-are the tests' reference and have no caller here), and addition is XOR in
-characteristic 2 and digit-wise otherwise; a prime field multiplies and adds
-mod p.  Subtraction adds the negative: a - b is add(a, neg(b)).  A negative
-and an inverse are lookups in tables of q entries.
+`VecOps.rref`, the one Gaussian elimination, reduces one matrix.
+Elements keep the int encoding of `field`.  Over every field a product is
+one lookup exp[log a + log b] in the zero-padded tables of `_tables`, built
+from multiplication by x alone (`Field._mul_direct` and `Field.pow` are the
+tests' reference and have no caller here); only F_2 multiplies by AND on
+bytes instead.  Addition is XOR in characteristic 2, mod p in a prime field
+and digit-wise otherwise.  Subtraction adds the negative: a - b is
+add(a, neg(b)).  A negative and an inverse are lookups in tables of q
+entries, the inverse of a being exp[q - 1 - log a].
 The log table is uint16 when the largest log sum 4(q-1) is below 2^16, that
-is for q <= 2^14, and intp above; exp is uint16 for q <= 2^16, uint32 above.
+is for q <= 2^14, and intp above; exp, and with it the kernel dtype, is
+uint16 for q <= 2^16 and uint32 above, except that F_2 computes in uint8.
+A prime field's sums accumulate in int64, as two uint16 elements may wrap.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ CHUNK_ELEMS = 1 << 16
 
 
 def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """numpy (exp, log, digits) tables of field, r > 1.
+    """numpy (exp, log, digits) tables of field, of any order.
 
     log[a] is the discrete log of a != 0 to the smallest primitive element
     and log[0] = 2(q-1); exp holds two periods of the powers and zeros up
@@ -44,15 +46,19 @@ def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     lists a's base-p digits (odd p only).
 
     Every product here is built from multiplication by x, a digit shift
-    minus the top digit times the modulus: a*b = sum_i b_i (x^i a)."""
+    minus the top digit times the modulus: a*b = sum_i b_i (x^i a).  A
+    prime field is the case r = 1, where a*b = b_0 a."""
     p, r, q = field.p, field.r, field.order
     n = q - 1
+    # the smallest g of order n; past F_p the search starts at g = p, as an
+    # element of F_p has order dividing p - 1 < n
+    start = p if r > 1 else 1
     # the index grid of (p,) * r in C order counts in base p, highest digit first
     digits = None if p == 2 else np.ascontiguousarray(
         np.indices((p,) * r, dtype=np.min_scalar_type(p - 1)).reshape(r, q)[::-1].T)
     if p == 2:  # an element is its int: its digits are bits, x*u is a shift
         modulus = sum(c << i for i, c in enumerate(field.modulus))
-        one, candidates = 1, range(2, q)
+        one, candidates = 1, range(start, q)
 
         def times_x(u):
             u <<= 1
@@ -67,7 +73,7 @@ def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             return out
     else:  # an element is its tuple of r digits, low to high
         low = field.modulus[:r]
-        one, candidates = field.coeffs(1), map(field.coeffs, range(p, q))
+        one, candidates = field.coeffs(1), map(field.coeffs, range(start, q))
 
         def times_x(u):
             top, u = u[-1], (0,) + u[:-1]
@@ -89,8 +95,7 @@ def _tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             u, e = mul(u, u), e >> 1
         return out
 
-    # the smallest g of order n, from g = p on: an element of F_p has order
-    # dividing p - 1 < n.  a -> g*a is F_p-linear: its image of digit i is g*x^i
+    # a -> g*a is F_p-linear: its image of digit i is g*x^i
     divisors = [d for f in range(1, isqrt(n) + 1) if n % f == 0 for d in (f, n // f)]
     tests = [n // f for f in divisors if is_prime(f)]
     g = next(g for g in candidates if all(power(g, e) != one for e in tests))
@@ -122,24 +127,13 @@ class VecOps:
         self.field = field
         self.p = field.p
         self.r = field.r
-        if self.r > 1:
-            self._exp, self._log, self._digits = _tables(field)
-            self._powers = self.p ** np.arange(self.r, dtype=np.int64)
-            self.dtype = self._exp.dtype  # of what matmul returns
-            n = field.order - 1
-            self._inv = np.zeros_like(self._exp, shape=field.order)
-            self._inv[1:] = self._exp[n - self._log[1:]]  # g^(n - log a) = 1/a, n - log a >= 1
-        else:
-            # a product of two elements fits
-            self.dtype = np.dtype(np.uint8) if self.p == 2 else np.dtype(np.int64)
-            # a^(p-2) = 1/a, by squaring over all of F_p at once
-            base, e = np.arange(self.p, dtype=np.int64), self.p - 2
-            self._inv = np.ones(self.p, dtype=np.int64)
-            while e:
-                if e & 1:
-                    self._inv = self._inv * base % self.p
-                base, e = base * base % self.p, e >> 1
-            self._inv[0] = 0
+        self._exp, self._log, self._digits = _tables(field)
+        self._powers = self.p ** np.arange(self.r, dtype=np.int64)
+        # of what matmul returns: F_2 multiplies by AND on bytes
+        self.dtype = np.dtype(np.uint8) if field.order == 2 else self._exp.dtype
+        n = field.order - 1
+        self._inv = np.zeros_like(self._exp, shape=field.order)
+        self._inv[1:] = self._exp[n - self._log[1:]]  # g^(n - log a) = 1/a, n - log a >= 1
         # -a = (p - 1) a, as -1 = p - 1 in F_p
         self._neg = None if self.p == 2 else self.mul_scalar(self.p - 1, np.arange(field.order))
 
@@ -155,7 +149,7 @@ class VecOps:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.r == 1:
-            return (a + b) % self.p
+            return np.add(a, b, dtype=np.int64) % self.p
         return (np.add(self._digits[a], self._digits[b], dtype=np.int64) % self.p) @ self._powers
 
     def sum(self, a: np.ndarray) -> np.ndarray:
@@ -165,15 +159,14 @@ class VecOps:
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=0)
         if self.r == 1:
-            return a.sum(axis=0) % self.p
+            return a.sum(axis=0, dtype=np.int64) % self.p
         return (self._digits[a].sum(axis=0, dtype=np.int64) % self.p) @ self._powers
 
     def mul_scalar(self, c, a: np.ndarray) -> np.ndarray:
         """Elementwise product; `c` is an element or an array broadcasting against `a`."""
-        if self.r > 1:
-            return self._exp.take(self._log.take(c) + self._log.take(a))
-        c, a = np.asarray(c, self.dtype), np.asarray(a, self.dtype)
-        return c & a if self.p == 2 else (c * a) % self.p
+        if self.field.order == 2:
+            return np.asarray(c, np.uint8) & np.asarray(a, np.uint8)
+        return self._exp.take(self._log.take(c) + self._log.take(a))
 
     def matmul(self, A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A stack of G products: A (G, rows, cols) times X (G, cols, B) -> (G, rows, B),
@@ -214,37 +207,34 @@ class VecOps:
                 dest[g:g + stack, :, lo:lo + width] = acc
         return out
 
-    def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-        """Reduced row echelon forms of a stack a (G, rows, cols) of matrices, in
-        dtype, and each member's pivot columns, whose count is its rank.
+    def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The reduced row echelon form of a matrix a (rows, cols), in dtype, and
+        its pivot columns, whose count is its rank.
 
-        Each member pivots on the first nonzero entry at or below its next
-        pivot row, columns left to right; the form itself is unique.  A pivot
-        row is zero left of its pivot column, so only the columns from there on
-        are updated."""
-        a = np.array(a, dtype=self.dtype)
-        rows, cols = a.shape[1:]
-        leads = []
-        for m in a:
-            pivots = []
-            for col in range(cols):
-                prow = len(pivots)
-                if prow == rows:
-                    break
-                below = m[prow:, col].nonzero()[0]
-                if not below.size:
-                    continue
-                piv = prow + int(below[0])
-                live = m[:, col:]
-                row = self.mul_scalar(self.inv(m[piv, col]), live[piv])
-                # clear the column in every row, the pivot row too, then put the
-                # scaled pivot row at prow and the old row prow (zero there) at piv
-                live[...] = self.add(live, self.mul_scalar(m[:, col, None], self.neg(row)))
-                m[piv] = m[prow]
-                live[prow] = row
-                pivots.append(col)
-            leads.append(pivots)
-        return a, leads
+        It pivots on the first nonzero entry at or below the next pivot row,
+        columns left to right; the form itself is unique.  A pivot row is zero
+        left of its pivot column, so only the columns from there on are
+        updated."""
+        m = np.array(a, dtype=self.dtype)
+        rows, cols = m.shape
+        pivots = []
+        for col in range(cols):
+            prow = len(pivots)
+            if prow == rows:
+                break
+            below = m[prow:, col].nonzero()[0]
+            if not below.size:
+                continue
+            piv = prow + int(below[0])
+            live = m[:, col:]
+            row = self.mul_scalar(self.inv(m[piv, col]), live[piv])
+            # clear the column in every row, the pivot row too, then put the
+            # scaled pivot row at prow and the old row prow (zero there) at piv
+            live[...] = self.add(live, self.mul_scalar(m[:, col, None], self.neg(row)))
+            m[piv] = m[prow]
+            live[prow] = row
+            pivots.append(col)
+        return m, pivots
 
 
 def field_ops(field: Field) -> VecOps:

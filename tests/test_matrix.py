@@ -168,17 +168,17 @@ def test_core_matches_reference(pr, rows, cols, k, full, seed):
     assert Mat.from_text(text, f) == m
 
 
-# one field per kernel dtype: F_2 (uint8), F_8 and F_256 (uint16), F_2^17
-# (uint32), and F_3 and F_9 (odd characteristic)
-KERNEL_FIELDS = [(2, 1), (2, 3), (2, 8), (2, 17), (3, 1), (3, 2)]
+# one field per kernel dtype: F_2 (uint8), F_3, F_8, F_9, F_256 and F_65521
+# (uint16; two elements of F_65521 sum past 2^16), F_2^17 and F_65537 (uint32)
+KERNEL_FIELDS = [(2, 1), (2, 3), (2, 8), (2, 17), (3, 1), (3, 2), (65521, 1), (65537, 1)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4), st.integers(1, 4),
        st.integers(0, 2**32))
 def test_stacked_elimination_matches_reference(pr, rows, cols, G, seed):
-    """VecOps.rref on a stack of G members, each of full rank or rank
-    deficient at random, zero rows or columns included: each member gets the
+    """VecOps.rref on each of G matrices, each of full rank or rank
+    deficient at random, zero rows or columns included: each gets the
     reference's reduced form and pivots, and its Mat the reference's rank and
     right inverse, or the same MatrixError."""
     f = field_construct(*pr)
@@ -190,9 +190,9 @@ def test_stacked_elimination_matches_reference(pr, rows, cols, G, seed):
         grids.append(ref.mul(f, [[rng.randrange(f.order) for _ in range(inner)] for _ in range(rows)],
                              [[rng.randrange(f.order) for _ in range(cols)] for _ in range(inner)], cols))
     stack = np.array(grids, dtype=np.int64).reshape(G, rows, cols)
-    reduced, leads = ops.rref(stack)
-    assert reduced.dtype == ops.dtype and len(leads) == G
-    for grid, a, pivots, m in zip(grids, reduced, leads, stack):
+    for grid, m in zip(grids, stack):
+        a, pivots = ops.rref(m)
+        assert a.dtype == ops.dtype and a.shape == (rows, cols)
         want, want_pivots, _ = ref.echelon(f, grid, reduced=True)
         assert a.tolist() == want and pivots == want_pivots
         assert Mat(f, m).rank() == len(pivots)

@@ -93,8 +93,8 @@ def test_rank_diagnostic_names_the_first_stream_below_r():
 
 
 def test_successful_encoder_search_computes_no_rank(monkeypatch):
-    # the search eliminates only [(D . Mbar_k)^T | I] stacks, whose width is
-    # R plus their height; the rank diagnostic would eliminate Mbar_k stacks
+    # the search eliminates only [(D . Mbar_k)^T | I] matrices, whose width is
+    # R plus their height; the rank diagnostic would eliminate Mbar_k
     def no_rank(self):
         raise AssertionError("rank() called")
     monkeypatch.setattr(Mat, "rank", no_rank)
@@ -103,7 +103,7 @@ def test_successful_encoder_search_computes_no_rank(monkeypatch):
     monkeypatch.setattr(vecops.VecOps, "rref", lambda self, a: shapes.append(a.shape) or rref(self, a))
     sch = build_scheme(reference_problem())
     assert sch.certificate_ok()
-    assert shapes and all(cols == sch.R + rows for _, rows, cols in shapes)
+    assert shapes and all(cols == sch.R + rows for rows, cols in shapes)
 
 
 def test_uniform_scheme_at_s7_reaches_capacity():

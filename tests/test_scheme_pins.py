@@ -28,6 +28,8 @@ PINS = {
     'example-unent.prob field 2 2': '8bb1d65b40a7c991f32d91afc97c47961eab34cc5f25103dae9b0c8afc1ee65c',
     'example.prob': 'c076c5a8c3dddf11fa94a96dbe8152abe89021551c4c1a987dd2dd6cfd8a8522',
     'example.prob field 2 2': '3753d5c77391f3b38231201b6a68806a6995572ab5effb44c7c293fe6b559017',
+    # z = 1: the scheme codes over the prime field F_101
+    'example.prob field 101 1': 'e6908016d00381f0796ebdb2fbfe82d7e53934422d7c46a8c889f6ff22172ff9',
     'sym-4-2-2.prob': '7914e2db84f2b566ba7437082f01b5b5092e9a33783b5af17de68e8ba8f23782',
     'sym-4-2-2.prob field 2 2': 'ab4ddd26804edf5569e19d6392ba6cd203865ca3f92d0cdfda59e9d31a73cae1',
     'example.prob --alloc 2,2,2,4': '3e322f3c8e6d6b4cac0d3af6b4b5179302a0d01f7e8ceb0861608e31f9f30c3a',

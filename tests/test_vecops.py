@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumbox import vecops
 from sumbox.field import Field, FieldError, field_construct, is_prime
+from sumbox.matrix import Mat, MatrixError
 from sumbox.vecops import VecOps, field_ops
 
 # F_2, F_3, F_4, F_9, F_2^11 and F_2^17 (past the old 2^16 table bound)
@@ -22,6 +23,14 @@ LOG_BOUNDARY = [(2, 14), (2, 15), (3, 8)]
 # fields past 2^16
 EXTENSIONS = sorted({(p, r) for p in filter(is_prime, range(2, 65)) for r in range(2, 13)
                      if p ** r <= 1 << 12} | set(LOG_BOUNDARY) | {(2, 17), (2, 20)})
+
+# prime fields on the tables: F_2 (generator 1), F_67 and the largest prime
+# order up to MAX_ORDER = 2^20
+PRIMES = [(2, 1), (67, 1), (1048573, 1)]
+
+# the largest prime below 2^16, whose uint16 elements sum past 2^16, and the
+# least prime above it, whose kernel dtype is uint32
+WIDE_PRIMES = [(65521, 1), (65537, 1)]
 
 # matmul's block size, shrunk so that batches on both sides of a chunk
 # boundary stay small enough for the per-element reference
@@ -134,11 +143,12 @@ def test_sum_and_add_match_field(pr, n, seed):
                                              for x, y in zip(a[0], a[-1])]
 
 
-@pytest.mark.parametrize("pr", [(2, 20)] + LOG_BOUNDARY)
+@pytest.mark.parametrize("pr", [(2, 20)] + LOG_BOUNDARY + PRIMES)
 def test_tables_cover_every_order(pr):
     # every nonzero element is a power of the generator, the zero-padded
     # tables multiply by 0 without a mask, and the log table is uint16
-    # exactly when the largest log sum 4(q-1) fits in it
+    # exactly when the largest log sum 4(q-1) fits in it; the kernel
+    # product is the table lookup, except F_2's AND
     f = field_construct(*pr)
     ops = VecOps(f)
     exp, log = ops._exp, ops._log
@@ -148,16 +158,17 @@ def test_tables_cover_every_order(pr):
     assert log[0] == 2 * n and not exp[2 * n:].any()
     rng = random.Random(5)
     pairs = ([(rng.randrange(q), rng.randrange(q)) for _ in range(200)]
-             + [(0, 7), (9, 0), (0, 0), (n, 0), (n, n)])
+             + [(0, 7 % q), (9 % q, 0), (0, 0), (n, 0), (n, n)])
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
-    assert ops.mul_scalar(a, b).tolist() == [f._mul_direct(x, y) for x, y in pairs]
+    want = [f._mul_direct(x, y) for x, y in pairs]
+    assert exp[log[a] + log[b]].tolist() == ops.mul_scalar(a, b).tolist() == want
     A = [[rng.randrange(q) for _ in range(3)] for _ in range(3)] + [[0, n, 0]]
     X = [[rng.randrange(q) for _ in range(4)] for _ in range(2)] + [[0, n, n, 1]]
     got = ops.matmul(np.array(A, dtype=np.int64), np.array(X, dtype=np.int64))
     assert got.tolist() == ref.mul(f, A, X, 4)
 
 
-@pytest.mark.parametrize("pr", EXTENSIONS)
+@pytest.mark.parametrize("pr", PRIMES + EXTENSIONS)
 def test_tables_share_nothing_with_the_reference(pr):
     # the tables build with the reference product and power refused, and
     # their generator is the least element of order q - 1 under that reference
@@ -170,10 +181,49 @@ def test_tables_share_nothing_with_the_reference(pr):
     n = f.order - 1
     divisors = {d for j in range(1, isqrt(n) + 1) if n % j == 0 for d in (j, n // j)}
     tests = [n // d for d in divisors if is_prime(d)]
-    g = next(g for g in range(2, f.order) if all(f.pow(g, e) != 1 for e in tests))
+    g = next(g for g in range(1, f.order) if all(f.pow(g, e) != 1 for e in tests))
     assert exp[1] == g
     ks = [0, 1, n - 1] + random.Random(11).sample(range(n), min(n, 20))
     assert [int(exp[k]) for k in ks] == [f.pow(g, k) for k in ks]
+
+
+@pytest.mark.parametrize("pr", WIDE_PRIMES)
+def test_wide_prime_fields_match_the_reference_at_the_top(pr):
+    # add, sum, matmul (one expression and blocked), rref and right_inverse on
+    # the largest elements, p - 1 and p - 2, with 0 and 1 among them: every
+    # sum is formed past the kernel dtype and reduced mod p
+    f = field_construct(*pr)
+    p, ops = f.p, field_ops(f)
+    assert ops.dtype == (np.uint16 if p < 1 << 16 else np.uint32)
+    top = np.array([p - 1, p - 2, 1, 0], dtype=ops.dtype)
+    a, b = np.repeat(top, 4), np.tile(top, 4)
+    assert ops.add(a, b).tolist() == [ref.add(f, int(x), int(y)) for x, y in zip(a, b)]
+    column = np.array([p - 1] * 7 + [p - 2, 1, 0], dtype=ops.dtype)
+    acc = 0
+    for x in column.tolist():
+        acc = ref.add(f, acc, x)
+    assert ops.sum(column[:, None]).tolist() == [acc]
+    rng = np.random.default_rng(p)
+    A = rng.choice(top, size=(2, 5, 6))
+    X = rng.choice(top, size=(2, 6, 3))
+    for chunk in (1, 1 << 30):
+        with mock.patch.object(vecops, "CHUNK_ELEMS", chunk):
+            got = ops.matmul(A, X)
+        assert got.dtype == ops.dtype
+        assert got.tolist() == [ref.mul(f, a.tolist(), x.tolist(), 3) for a, x in zip(A, X)]
+    for grid in ([[p - 1, p - 1, 1], [p - 2, p - 1, 0]], [[p - 1, 1], [1, p - 1]],
+                 A[0].tolist(), A[1].T.tolist()):
+        m = Mat(f, grid)
+        reduced, pivots = ops.rref(m.array)
+        want, want_pivots, _ = ref.echelon(f, grid, reduced=True)
+        assert reduced.tolist() == want and pivots == want_pivots
+        try:
+            want = ref.right_inverse(f, grid, m.cols)
+        except MatrixError:
+            with pytest.raises(MatrixError):
+                m.right_inverse()
+        else:
+            assert m.right_inverse().data == want
 
 
 @pytest.mark.parametrize("pr", FIELDS + [(67, 1)] + LOG_BOUNDARY)
