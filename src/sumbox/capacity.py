@@ -44,10 +44,9 @@ class CapacityResult:
 def stream_values(P: Problem, D) -> list:
     """sum_t min(total_t, 2 * sum_{s in E(t) ^ W(k)} D_{t,s}) for each stream k,
     from a cost tuple D in cost_index() order."""
-    cliques = P.split(D)
-    totals = [sum(c.values()) for c in cliques]
-    return [sum(min(total, 2 * sum(c[s] for s in c.keys() & w))
-                for c, total in zip(cliques, totals)) for w in P.W]
+    cliques = [(c, sum(c.values())) for c in P.split(D)]
+    return [sum([min(total, 2 * sum(map(c.__getitem__, c.keys() & w))) for c, total in cliques])
+            for w in P.W]
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -116,14 +115,17 @@ def capacity_lp(P: Problem) -> CapacityResult:
     cost_pos = {ts: j for j, ts in enumerate(P.cost_index())}
 
     # rows: m <= sum over E(t) and m <= 2 * sum over E(t) ^ W(k) for each
-    # pair i (rows 2i, 2i+1), then sum_t m_{t,k} >= 1 for each stream k
-    A = np.zeros((2 * len(pairs) + P.K, nvars), dtype=np.int64)
+    # pair i (rows 2i, 2i+1), then sum_t m_{t,k} >= 1 for each stream k;
+    # the nonzero entries are listed (row, column, value) and written at once
+    ri, ci, vi = [], [], []
     for i, (t, k) in enumerate(pairs):
-        e, w = P.E[t], P.W[k]
-        A[2 * i : 2 * i + 2, gamma + i] = 1
-        A[2 * i, [cost_pos[(t, s)] for s in e]] = -1
-        A[2 * i + 1, [cost_pos[(t, s)] for s in e & w]] = -2
-        A[2 * len(pairs) + k, gamma + i] = -1
+        e, w, m = P.E[t], P.W[k], gamma + i
+        both = e & w
+        ri += [2 * i] * len(e) + [2 * i + 1] * len(both) + [2 * i, 2 * i + 1, 2 * len(pairs) + k]
+        ci += [cost_pos[(t, s)] for s in e] + [cost_pos[(t, s)] for s in both] + [m, m, m]
+        vi += [-1] * len(e) + [-2] * len(both) + [1, 1, -1]
+    A = np.zeros((2 * len(pairs) + P.K, nvars), dtype=np.int64)
+    A[ri, ci] = vi
     b = [0] * (2 * len(pairs)) + [-1] * P.K
     c = [1] * gamma + [0] * len(pairs)
 

@@ -20,12 +20,16 @@ denominators cancel in the entering choice (one objective row) and in the
 ratio test (rhs_i / T[i,s] lies in one row), so the pivot sequence is the
 one a full tableau with a common denominator would take.
 
-Entries are kept small lazily: when an entry of the rows a pivot just
-updated passes _GCD_THRESHOLD, each of those rows is divided by the gcd of
-its entries and its denominator.  An int64 tableau keeps its entries at most
-_INT64_SAFE in magnitude, so a pivot's products cannot overflow; when an
-updated row still passes that bound after its gcd division, the tableau is
-promoted to an exact big-integer (object dtype) array and the run goes on.
+A pivot gathers the rows it updates into a scratch block, reads their
+multipliers T[i,s] from that block's column s before scaling it, and forms
+T[r,s]*T[i] - T[i,s]*T[r] in place; one pass over the absolute values of
+the result bounds its entries.  Entries are kept small lazily: when an
+entry of the rows a pivot just updated passes _GCD_THRESHOLD, each of those
+rows is divided by the gcd of its entries and its denominator.  An int64
+tableau keeps its entries at most _INT64_SAFE in magnitude, so a pivot's
+products cannot overflow; when an updated row still passes that bound after
+its gcd division, the tableau is promoted to an exact big-integer (object
+dtype) array and the run goes on.
 
 Input contract: c, A and b hold integers only: Python or numpy ints, in
 lists or integer numpy arrays, with big ints in object arrays; A has shape
@@ -127,12 +131,15 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
     # phase-1 objective: sum of artificials, reduced against the artificial basis
     T[m + 1] = -T[art_rows].sum(axis=0)
     T[:, den_col] = 1
-    if T.dtype == np.int64 and max(T.max(), -T.min()) > _INT64_SAFE:
+    # only the phase-1 row, a sum of rows, can pass the bound: every other
+    # entry is an input's or +-1
+    if T.dtype == np.int64 and np.abs(T[m + 1]).max() > _INT64_SAFE:
         T = T.astype(object)
-    var = np.concatenate([np.arange(n), n + art_rows])  # the variable in each slot
-    basis = n + np.arange(m)  # the basic variable of each row
-    basis[art_rows] = np.arange(n + m, nvar)
-    basis = basis.tolist()
+    var = np.arange(slots)  # the variable in each slot
+    var[n:] = n + art_rows
+    basis = list(range(n, n + m))  # the basic variable of each row
+    for j, i in enumerate(art_rows.tolist(), n + m):
+        basis[i] = j
 
     # Pivot scratch of T's shape, reused by every pivot: blocks allocated per
     # pivot map fresh pages whenever one outgrows the last (100k page faults
@@ -157,15 +164,15 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
         T[r, s] = 0         # so that row r is not among the rows updated
         nz = T[:, s].nonzero()[0]
         sub, prod = work[0][:len(nz)], work[1][:len(nz)]
-        np.take(T, nz, axis=0, out=sub, mode="clip")
+        T.take(nz, 0, out=sub, mode="clip")
+        np.multiply(sub[:, s, None], row, out=prod)  # T[i,s] read before sub is scaled
         sub *= piv
-        np.multiply(T[nz, s][:, None], row, out=prod)
         sub -= prod
-        top = max(sub.max(initial=0), -sub.min(initial=0))
+        top = np.abs(sub, out=prod).max(initial=0)
         if top > _GCD_THRESHOLD:
             sub //= np.gcd.reduce(sub, axis=1)[:, None]
             if top > _INT64_SAFE:
-                top = max(sub.max(), -sub.min())
+                top = np.abs(sub, out=prod).max()
         if top > _INT64_SAFE and T.dtype == np.int64:
             T = T.astype(object)
             work = [np.empty_like(T), np.empty_like(T)]
@@ -184,7 +191,8 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
         s = int(key.argmin())
         return s if row[s] < 0 else None
 
-    def choose_leaving(s: int) -> int | None:
+    def choose_leaving(s: int) -> tuple[int | None, int | None]:
+        """The leaving row and its ratio's numerator rhs_r, (None, None) if none."""
         col = T[:m, s]
         cand = (col > 0).nonzero()[0].tolist()
         col = col.tolist()
@@ -197,7 +205,7 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
                 r_num * bd == bn * a and basis[i] < basis[best_i]
             ):
                 best_i, bn, bd = i, r_num, a
-        return best_i
+        return best_i, bn
 
     def objective(obj_row: int) -> Fraction:
         return Fraction(-int(T[obj_row, rhs_col]), int(T[obj_row, den_col]))
@@ -218,10 +226,10 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
             s = choose_entering(obj_row)
             if s is None:
                 return
-            r = choose_leaving(s)
+            r, rhs_r = choose_leaving(s)
             if r is None:
                 raise LpUnbounded("LP is unbounded")
-            if T[r, rhs_col] == 0:
+            if rhs_r == 0:
                 degen_run += 1
                 if degen_run > _DEGENERATE_RUN and not bland:
                     bland = True
@@ -253,11 +261,13 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
 
     rhs = T[:m, rhs_col].tolist()
     dens = T[:m, den_col].tolist()
-    x = [Fraction(0)] * n
+    zero = Fraction(0)
+    x = [zero] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(rhs[i], dens[i])
     reduced = np.zeros(nvar, dtype=T.dtype)  # basic variables' reduced costs are 0
     reduced[var] = T[m, :slots]
-    y = [Fraction(-v, int(T[m, den_col])) for v in reduced[n:n + m].tolist()]
+    d_m = int(T[m, den_col])
+    y = [Fraction(-v, d_m) if v else zero for v in reduced[n:n + m].tolist()]
     return objective(m), x, y

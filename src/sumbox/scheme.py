@@ -379,7 +379,7 @@ def _data_block(sch: CodingScheme, data) -> np.ndarray:
     """A list or tuple of K R x 1 columns over F_q as a (K, R, 1) int array."""
     f, K, R = sch.ext.big, sch.problem.K, sch.R
     if (isinstance(data, (list, tuple)) and len(data) == K
-            and all(c.field == f and c.array.shape == (R, 1) for c in data)):
+            and all(isinstance(c, Mat) and c.field == f and c.array.shape == (R, 1) for c in data)):
         return np.array([c.array for c in data])
     raise SchemeError(f"data must be {K} columns {R} x 1 over {f.name}")
 

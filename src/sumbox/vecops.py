@@ -18,7 +18,8 @@ entries, the inverse of a being exp[q - 1 - log a].
 The log table is uint16 when the largest log sum 4(q-1) is below 2^16, that
 is for q <= 2^14, and intp above; exp, and with it the kernel dtype, is
 uint16 for q <= 2^16 and uint32 above, except that F_2 computes in uint8.
-A prime field's sums accumulate in int64, as two uint16 elements may wrap.
+A prime field adds two elements in uint32 and sums over an axis in int64,
+as two uint16 elements may wrap and that axis may be long.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ class VecOps:
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        if self.r == 1:
-            return np.add(a, b, dtype=np.int64) % self.p
+        if self.r == 1:  # exact in uint32: each term, an int64 sum too, is below p <= 2^20
+            return np.add(a, b, dtype=np.uint32, casting="unsafe") % self.p
         return (np.add(self._digits[a], self._digits[b], dtype=np.int64) % self.p) @ self._powers
 
     def sum(self, a: np.ndarray) -> np.ndarray:

@@ -197,6 +197,15 @@ def recorded_lps(run) -> list:
     return lps
 
 
+# (alpha, beta) of the 27 S = 6 cells of the bench capacity ladder, which
+# leaves out the nine slowest: the cells where a pivot updates up to about
+# 100 rows and the gcd division of the updated rows runs ((6,2,2): 97 rows a
+# pivot, a division on 50 of 217 pivots)
+S6_LADDER = ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1), (2, 2), (2, 5),
+             (2, 6), (3, 1), (3, 6), (4, 1), (4, 5), (4, 6), (5, 1), (5, 2), (5, 3),
+             (5, 4), (5, 5), (5, 6), (6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (6, 6))
+
+
 def per_server_lps():
     rng = random.Random(0)
     for _ in range(100):
@@ -209,8 +218,9 @@ def per_server_lps():
     lambda: [capacity_lp(P) for _, P, _ in table1_problems()],
     lambda: [capacity_lp(symmetric_problem(S, a, b))
              for S in range(1, 6) for a in range(1, S + 1) for b in range(1, S + 1)],
+    lambda: [capacity_lp(symmetric_problem(6, a, b)) for a, b in S6_LADDER],
     per_server_lps,
-], ids=["table1", "symmetric-s5", "per-server"])
+], ids=["table1", "symmetric-s5", "symmetric-s6-ladder", "per-server"])
 def test_condensed_tableau_takes_the_full_tableau_path(run):
     # the same pivots give the same vertex: value, x and y are identical
     lps = recorded_lps(run)

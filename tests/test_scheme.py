@@ -363,7 +363,9 @@ def test_simulate_rejects_bad_shapes():
                   [Mat(field_construct(3), [[1], [0], [1], [1]])] + good[1:],
                   Mat(f, np.zeros((sch.R, sch.problem.K + 1), dtype=np.int64)),
                   # the same columns as one R x K matrix: simulate takes columns only
-                  Mat(f, [[c.data[i][0] for c in good] for i in range(sch.R)]))
+                  Mat(f, [[c.data[i][0] for c in good] for i in range(sch.R)]),
+                  # K columns that are not Mats
+                  [[1]] * sch.problem.K, [None] * sch.problem.K)
     for bad in bad_inputs:
         for fn in (simulate, true_sum):
             with pytest.raises(SchemeError):

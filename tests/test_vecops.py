@@ -28,9 +28,10 @@ EXTENSIONS = sorted({(p, r) for p in filter(is_prime, range(2, 65)) for r in ran
 # order up to MAX_ORDER = 2^20
 PRIMES = [(2, 1), (67, 1), (1048573, 1)]
 
-# the largest prime below 2^16, whose uint16 elements sum past 2^16, and the
-# least prime above it, whose kernel dtype is uint32
-WIDE_PRIMES = [(65521, 1), (65537, 1)]
+# the largest prime below 2^16, whose uint16 elements sum past 2^16, the
+# least prime above it, whose kernel dtype is uint32, and the largest prime
+# order up to MAX_ORDER = 2^20, whose sums of two elements stay in uint32
+WIDE_PRIMES = [(65521, 1), (65537, 1), (1048573, 1)]
 
 # matmul's block size, shrunk so that batches on both sides of a chunk
 # boundary stay small enough for the per-element reference
