@@ -147,11 +147,14 @@ def _incidence(P: Problem) -> np.ndarray:
 
 
 def _per_server_result(P: Problem, E, A: np.ndarray) -> CapacityResult:
-    """Solve min sum_s D_s s.t. A D <= -1 (S per-server variables); lift to E's layout."""
+    """Solve min sum_s D_s s.t. A D <= -1 (S per-server variables); lift to E's layout.
+
+    E is the full clique or the singletons: either lists servers 1..S in
+    order, so the lifted witness is the per-server one as it stands."""
     c, b = [1] * P.S, [-1] * len(A)
     value, x, y = lp.solve_min(c, A, b)
     lifted = Problem(P.S, P.W, E, P.stream_names, P.base_field)
-    return _certified(lifted, c, A, b, value, tuple(x[s - 1] for t, s in lifted.cost_index()), y)
+    return _certified(lifted, c, A, b, value, tuple(x), y)
 
 
 def capacity_fullent(P: Problem) -> CapacityResult:

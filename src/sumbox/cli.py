@@ -93,27 +93,26 @@ def _detect_symmetric(P: Problem) -> tuple[int, int, int]:
 def cmd_capacity(args) -> int:
     P = parse_problem(_read(args.file))
     records = args.format == "records"
-    if args.closed_form == "fullent":
-        res = capacity_fullent(P)
-        _emit(records, f"{args.file} fullent", res.capacity)
-    elif args.closed_form == "unent":
-        res = capacity_unent(P)
-        _emit(records, f"{args.file} unent", res.capacity)
-    elif args.closed_form == "symmetric":
+    # every result is computed before the first line prints, so a refusal
+    # (say, the LP that --dsc needs) leaves stdout empty
+    if args.closed_form == "symmetric":
         S, alpha, beta = _detect_symmetric(P)
-        val = capacity_symmetric(S, alpha, beta)
-        _emit(records, f"{args.file} symmetric S={S} alpha={alpha} beta={beta}", val)
-        res = None  # a closed form has no cost or witness to print
+        name, res = f"symmetric S={S} alpha={alpha} beta={beta}", None
+        value = capacity_symmetric(S, alpha, beta)  # no cost or witness to print
     else:
-        res = capacity_lp(P)
-        _emit(records, f"{args.file} capacity", res.capacity)
+        solve = {"fullent": capacity_fullent, "unent": capacity_unent, None: capacity_lp}
+        name, res = args.closed_form or "capacity", solve[args.closed_form](P)
+        value = res.capacity
+    if args.dsc:  # the gain of P's entanglement over the unentangled baseline
+        lp_res = res if args.closed_form is None else capacity_lp(P)
+        gain = lp_res.capacity / capacity_unent(P).capacity
+    _emit(records, f"{args.file} {name}", value)
     if res is not None and not records:
         print(f"optimal cost: {res.optimal_cost}")
         witness = " ".join(str(v) for v in res.witness)
         print(f"witness: {witness}")
-    if args.dsc:  # the gain of P's entanglement over the unentangled baseline
-        lp_res = res if args.closed_form is None else capacity_lp(P)
-        _emit(records, f"{args.file} dsc-gain", lp_res.capacity / capacity_unent(P).capacity)
+    if args.dsc:
+        _emit(records, f"{args.file} dsc-gain", gain)
     return EXIT_OK
 
 

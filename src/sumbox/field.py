@@ -65,17 +65,6 @@ def _poly_trim(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     """Remainder of a modulo the monic polynomial m, over F_p."""
     a = list(a)
@@ -171,12 +160,6 @@ class Field:
         self.check(a)
         return tuple(a // self.p ** i % self.p for i in range(self.r))
 
-    def element(self, coeffs: Iterable[int]) -> int:
-        cs = list(coeffs)
-        if len(cs) > self.r:
-            raise FieldError(f"too many coefficients for {self.name}")
-        return sum(int(c) % self.p * self.p ** i for i, c in enumerate(cs))
-
     def elements_lex(self, n: int) -> list[int]:
         """The first n elements ordered by coefficient tuple, lexicographically
         low-to-high: the i-th is i with its r base-p digits reversed."""
@@ -187,28 +170,6 @@ class Field:
                 i, d = divmod(i, self.p)
                 a = a * self.p + d
             out.append(a)
-        return out
-
-    # -- reference arithmetic: products and powers by polynomial multiplication --
-    # No src code calls these; the tests check the vecops tables against them.
-    def _mul_direct(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.element(_poly_mod(prod, self.modulus, self.p))
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e, e >= 0, by squaring on `_mul_direct`; it shares nothing with the tables."""
-        self.check(a)
-        if e < 0:
-            raise FieldError(f"negative exponent {e}")
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._mul_direct(out, base)
-            base = self._mul_direct(base, base)
-            e >>= 1
         return out
 
 

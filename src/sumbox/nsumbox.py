@@ -17,8 +17,6 @@ from .field import Field, parse_decimal
 from .matrix import Mat, block_diag
 from .vecops import field_ops
 
-HALF_MDS_EXHAUSTIVE_MAX = 12
-
 
 class BoxError(ValueError):
     pass
@@ -86,27 +84,6 @@ def is_valid_box(M: Mat) -> bool:
     N = M.rows
     L, R = Mat._of(M.field, M.array[:, :N]), Mat._of(M.field, M.array[:, N:])
     return M.rank() == N and L * R.transpose() == R * L.transpose()
-
-
-def is_half_mds(M: Mat) -> tuple[bool, tuple[int, ...] | None]:
-    """Check every paired-column subset spans min(2n, N) dimensions.
-
-    Exhaustive over all 2^N - 1 subsets; boxes with N above
-    HALF_MDS_EXHAUSTIVE_MAX are refused.  Returns (ok, witness): witness is
-    the first failing subset (1-based row indices) in colexicographic order,
-    or None.
-    """
-    if M.cols != 2 * M.rows:
-        raise BoxError(f"expected N x 2N matrix, got {M.rows} x {M.cols}")
-    N = M.rows
-    if N > HALF_MDS_EXHAUSTIVE_MAX:
-        raise BoxError(f"N = {N} exceeds the exhaustive bound {HALF_MDS_EXHAUSTIVE_MAX}")
-    for mask in range(1, 1 << N):  # ascending bitmask = colex subset order
-        idx = [i for i in range(N) if mask >> i & 1]
-        pairs = Mat._of(M.field, M.array[:, idx + [N + i for i in idx]])
-        if pairs.rank() != min(2 * len(idx), N):
-            return False, tuple(i + 1 for i in idx)
-    return True, None
 
 
 def build_half_mds_box(N: int, field: Field) -> Mat:

@@ -9,10 +9,10 @@ goes in blocks of at most that size.
 `VecOps.rref`, the one Gaussian elimination, reduces one matrix.
 Elements keep the int encoding of `field`.  Over every field a product is
 one lookup exp[log a + log b] in the zero-padded tables of `_tables`, built
-from multiplication by x alone (`Field._mul_direct` and `Field.pow` are the
-tests' reference and have no caller here); only F_2 multiplies by AND on
-bytes instead.  Addition is XOR in characteristic 2, mod p in a prime field
-and digit-wise otherwise.  Subtraction adds the negative: a - b is
+from multiplication by x alone; `Field` has no arithmetic of its own, and
+the tests' polynomial-product reference lives in tests/mat_reference.py.
+Only F_2 multiplies by AND on bytes instead.  Addition is XOR in
+characteristic 2, mod p in a prime field and digit-wise otherwise.  Subtraction adds the negative: a - b is
 add(a, neg(b)).  A negative and an inverse are lookups in tables of q
 entries, the inverse of a being exp[q - 1 - log a].
 The log table is uint16 when the largest log sum 4(q-1) is below 2^16, that

@@ -1,22 +1,66 @@
-"""Per-element reference for sumbox.matrix, used by the tests only.
+"""Per-element reference for sumbox.field's arithmetic and sumbox.matrix,
+used by the tests only.
 
 A matrix here is a list of rows of ints.  Sums go digit-wise through
-`Field.coeffs` and `Field.element`, products through the polynomial multiply
-`Field._mul_direct` and inverses through `Field.pow`, so nothing shares the
-log/exp tables or the numpy kernels under test.  The elimination is the one
-`Mat` had before it moved onto arrays: pivot on the first nonzero entry
-top-down, columns left to right.
+`Field.coeffs` and `element`, products through the polynomial multiply
+`mul_direct` and inverses through `power`, so nothing shares the log/exp
+tables or the numpy kernels under test.  The elimination is the one `Mat`
+had before it moved onto arrays: pivot on the first nonzero entry top-down,
+columns left to right.
 """
 
+from sumbox.field import FieldError, _poly_mod, _poly_trim
 from sumbox.matrix import MatrixError
 
 
+def _poly_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_trim(out)
+
+
+def element(f, coeffs):
+    """The element of f with coefficient vector coeffs, low-to-high."""
+    cs = list(coeffs)
+    if len(cs) > f.r:
+        raise FieldError(f"too many coefficients for {f.name}")
+    return sum(int(c) % f.p * f.p ** i for i, c in enumerate(cs))
+
+
+def mul_direct(f, a, b):
+    """a * b by polynomial multiplication modulo f's modulus."""
+    if f.r == 1:
+        return (a * b) % f.p
+    prod = _poly_mul(f.coeffs(a), f.coeffs(b), f.p)
+    return element(f, _poly_mod(prod, f.modulus, f.p))
+
+
+def power(f, a, e):
+    """a^e, e >= 0, by squaring on `mul_direct`; it shares nothing with the tables."""
+    f.check(a)
+    if e < 0:
+        raise FieldError(f"negative exponent {e}")
+    out = 1
+    base = a
+    while e:
+        if e & 1:
+            out = mul_direct(f, out, base)
+        base = mul_direct(f, base, base)
+        e >>= 1
+    return out
+
+
 def add(f, a, b):
-    return f.element(x + y for x, y in zip(f.coeffs(a), f.coeffs(b)))
+    return element(f, (x + y for x, y in zip(f.coeffs(a), f.coeffs(b))))
 
 
 def neg(f, a):
-    return f.element(-c for c in f.coeffs(a))
+    return element(f, (-c for c in f.coeffs(a)))
 
 
 def sub(f, a, b):
@@ -25,7 +69,7 @@ def sub(f, a, b):
 
 def inv(f, a):
     """1/a for a != 0: a^(q-2)."""
-    return f.pow(a, f.order - 2)
+    return power(f, a, f.order - 2)
 
 
 def mul(f, a, b, cols):
@@ -36,7 +80,7 @@ def mul(f, a, b, cols):
         for j in range(cols):
             acc = 0
             for x, brow in zip(row, b):
-                acc = add(f, acc, f._mul_direct(x, brow[j]))
+                acc = add(f, acc, mul_direct(f, x, brow[j]))
             out[-1].append(acc)
     return out
 
@@ -58,13 +102,13 @@ def echelon(f, grid, reduced=False):
             a[prow], a[piv] = a[piv], a[prow]
             det = neg(f, det)
         pv = a[prow][col]
-        det = f._mul_direct(det, pv)
+        det = mul_direct(f, det, pv)
         pinv = inv(f, pv)
-        a[prow] = [f._mul_direct(pinv, v) for v in a[prow]]
+        a[prow] = [mul_direct(f, pinv, v) for v in a[prow]]
         for i in range(m) if reduced else range(prow + 1, m):
             if i != prow and a[i][col]:
                 c = a[i][col]
-                a[i] = [sub(f, vi, f._mul_direct(c, vp)) for vi, vp in zip(a[i], a[prow])]
+                a[i] = [sub(f, vi, mul_direct(f, c, vp)) for vi, vp in zip(a[i], a[prow])]
         pivots.append(col)
         prow += 1
         if prow == m:

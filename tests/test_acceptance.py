@@ -11,13 +11,14 @@ from fractions import Fraction
 import mat_reference as ref
 import numpy as np
 import pytest
+from box_reference import is_half_mds
 
 from sumbox.capacity import (beta_star, capacity_lp, capacity_symmetric,
                              _sym_forms)
 from sumbox.field import field_construct
 from sumbox.matrix import Mat
 from sumbox.model import symmetric_problem
-from sumbox.nsumbox import build_half_mds_box, is_half_mds, is_valid_box
+from sumbox.nsumbox import build_half_mds_box, is_valid_box
 from sumbox.oracle import (DECODE_GUARD, check_identities, check_lp_oracle,
                            exhaustive_decode_check)
 from sumbox.scheme import (build_scheme, worked_reference_scheme,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sumbox import (build_scheme, capacity, lp, model, oracle, parse_problem, render_scheme,
-                    scheme)
+                    scheme, tables)
 from sumbox.cli import main
 from sumbox.field import field_construct
 from sumbox.nsumbox import box_to_text, build_half_mds_box
@@ -97,6 +97,19 @@ def test_capacity_closed_form_symmetric_refuses_a_huge_instance_at_once(tmp_path
     assert f"{sets} do not cover all" in err
 
 
+@pytest.mark.parametrize("form", ["text", "records"])
+@pytest.mark.parametrize("closed_form", ["fullent", "unent"])
+def test_capacity_dsc_refusal_prints_nothing(tmp_path, capsys, closed_form, form):
+    # the closed form has a value, but the LP that --dsc needs refuses a
+    # stream on no clique; nothing is printed before that refusal
+    path = tmp_path / "uncovered.prob"
+    path.write_text("servers 3\nstream a: 1\nstream b: 3\nclique: 1 2\n")
+    code, out, err = run(capsys, "capacity", str(path), "--closed-form", closed_form, "--dsc",
+                         "--format", form)
+    assert (code, out) == (2, "")
+    assert err == "error: stream b is not covered by any clique; capacity is zero\n"
+
+
 def test_capacity_missing_file(capsys):
     code, _, err = run(capsys, "capacity", prob("missing.prob"))
     assert code == 2
@@ -113,6 +126,23 @@ def test_tables_ok(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0
     assert "table1" in out and "table2" in out
+
+
+def test_tables_lp_check_cross_checks_every_symmetric_cell(capsys, monkeypatch):
+    code, out, err = run(capsys, "tables", "--lp-check-max-s", "5")
+    assert (code, err) == (0, "")
+    assert sum(" LP cross-check " in line for line in out.splitlines()) == 55  # S <= 5: 1+4+...+25
+    # an LP capacity that differs from the closed form in one cell fails the command
+    real, cell = tables.capacity_lp, model.symmetric_problem(4, 2, 2)
+
+    def wrong_in_one_cell(P):
+        res = real(P)
+        return dataclasses.replace(res, capacity=res.capacity + 1) if P == cell else res
+
+    monkeypatch.setattr(tables, "capacity_lp", wrong_in_one_cell)
+    code, _, err = run(capsys, "tables", "--lp-check-max-s", "5")
+    assert code == 1
+    assert err == "MISMATCH LP cross-check C_2^(2) S=4: computed 11/6, golden 5/6\n"
 
 
 def test_byte_identical_reruns(capsys):

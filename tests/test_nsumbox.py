@@ -4,12 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from box_reference import is_half_mds
 
 from sumbox.field import field_construct
 from sumbox.matrix import Mat
 from sumbox.nsumbox import (BoxError, box_from_text, box_to_text,
                             build_half_mds_box, grs_dual_multipliers, grs_matrix,
-                            is_half_mds, is_valid_box)
+                            is_valid_box)
 from sumbox.vecops import field_ops
 
 F2 = field_construct(2)

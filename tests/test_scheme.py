@@ -7,13 +7,14 @@ from unittest import mock
 import mat_reference as ref
 import numpy as np
 import pytest
+from box_reference import is_half_mds
 
 from sumbox import vecops
 from sumbox.capacity import capacity_lp, capacity_symmetric
 from sumbox.field import field_construct
 from sumbox.matrix import Mat, MatrixError
 from sumbox.model import Problem, full_clique, parse_problem, symmetric_problem
-from sumbox.nsumbox import is_half_mds, is_valid_box
+from sumbox.nsumbox import is_valid_box
 from sumbox.scheme import (Allocation, RetriesExhausted, SchemeError,
                            allocation_from_lp, assemble_channel, build_scheme,
                            find_encoders, worked_reference_scheme, parse_scheme,
