@@ -9,9 +9,8 @@ from .model import (Problem, ProblemError, beta_cliques, concat_problems,
                     full_clique, merged_map, parse_problem, render_problem,
                     singleton_cliques, symmetric_problem, triangle_substitute)
 from .nsumbox import BoxError, build_half_mds_box, is_valid_box
-from .scheme import (Allocation, CodingScheme, SchemeError,
-                     allocation_from_lp, build_scheme, worked_reference_scheme,
-                     parse_scheme, reference_problem, render_scheme, simulate,
-                     simulate_batch, true_sum)
+from .scheme import (Allocation, CodingScheme, SchemeError, build_scheme,
+                     worked_reference_scheme, parse_scheme, reference_problem,
+                     render_scheme, simulate, simulate_batch, true_sum)
 
 __version__ = "0.1.0"

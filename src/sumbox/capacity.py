@@ -36,9 +36,12 @@ from .model import (MAX_LP_VARS, LpSizeError, Problem, ProblemError, full_clique
 @dataclass(frozen=True)
 class CapacityResult:
     optimal_cost: Fraction
-    capacity: Fraction
     witness: tuple[Fraction, ...]            # download costs, (t, ascending s) order
     dual: tuple[Fraction, ...]               # optimal dual point, one entry per LP row
+
+    @property
+    def capacity(self) -> Fraction:
+        return 1 / self.optimal_cost
 
 
 def stream_values(P: Problem, D) -> list:
@@ -92,7 +95,7 @@ def _certified(P: Problem, c, A: np.ndarray, b, value: Fraction, witness: tuple,
         raise AssertionError("dual certificate violates A^T y <= c")
     if sum(bi * v for bi, v in zip(b, y)) != value * L:
         raise AssertionError("dual certificate does not attain the optimal value")
-    return CapacityResult(value, 1 / value, witness, tuple(dual))
+    return CapacityResult(value, witness, tuple(dual))
 
 
 def _active_pairs(P: Problem) -> list[tuple[int, int]]:

@@ -105,7 +105,8 @@ def cmd_capacity(args) -> int:
         value = res.capacity
     if args.dsc:  # the gain of P's entanglement over the unentangled baseline
         lp_res = res if args.closed_form is None else capacity_lp(P)
-        gain = lp_res.capacity / capacity_unent(P).capacity
+        unent = res if args.closed_form == "unent" else capacity_unent(P)
+        gain = lp_res.capacity / unent.capacity
     _emit(records, f"{args.file} {name}", value)
     if res is not None and not records:
         print(f"optimal cost: {res.optimal_cost}")

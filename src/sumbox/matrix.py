@@ -135,8 +135,8 @@ class Mat:
             raise MatrixError(f"bad matrix header {lines[0]!r}") from None
         if field.name != name:
             raise MatrixError(f"field mismatch: header {name}, expected {field.name}")
-        body = lines[1:1 + rows] if cols else []
-        if len(body) != rows and cols:
+        body = lines[1:]  # a 0-column matrix writes no row lines
+        if len(body) != (rows if cols else 0):
             raise MatrixError("row count mismatch")
         if any(ln.count("[") != cols for ln in body):
             raise MatrixError("row width mismatch")

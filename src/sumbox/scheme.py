@@ -36,7 +36,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .capacity import capacity_lp, common_denominator, in_region, stream_values
+from .capacity import capacity_lp, common_denominator, stream_values
 from .field import Extension, Field, extend_field, field_construct, parse_decimal
 from .matrix import Mat, MatrixError, block_diag, check_mul
 from .model import Problem, full_clique, parse_problem, render_problem
@@ -74,27 +74,6 @@ def rate_numerator(P: Problem, a: Allocation) -> int:
         raise SchemeError(f"allocation has {len(a.counts)} counts, the instance "
                           f"has gamma = {P.gamma} (t, s) pairs")
     return min(stream_values(P, a.counts))
-
-
-def rate_of_allocation(P: Problem, a: Allocation) -> Fraction:
-    """Guaranteed dits-per-qudit rate of an integer allocation (no matrices built)."""
-    return Fraction(rate_numerator(P, a), a.total)
-
-
-def allocation_from_lp(P: Problem, witness) -> Allocation:
-    """Scale the rational LP witness by its least common denominator.
-
-    The result is an integer allocation whose rate equals the LP capacity
-    exactly (asserted).
-    """
-    w = [Fraction(v) for v in witness]
-    counts, L = common_denominator(w)
-    if not in_region(P, counts, L):
-        raise SchemeError("witness is not in the feasible region")
-    a = Allocation(tuple(counts))
-    if rate_of_allocation(P, a) != 1 / sum(w):
-        raise AssertionError("scaled witness does not achieve capacity")
-    return a
 
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: `rows` holds numpy arrays
@@ -284,6 +263,11 @@ def build_scheme(
 ) -> CodingScheme:
     """A certified scheme over P's data field; allocation defaults to the LP witness.
 
+    The default allocation is the certified witness w scaled by its least
+    common denominator L.  Its rate R / (L * sum(w)) is the capacity
+    1 / sum(w) just when its rate numerator R equals L, which implies the
+    region check R >= L; any other R raises AssertionError, also under -O.
+
     z defaults to the smallest value with q = d^z above both the largest box
     size N_t and 4*K*R.  Each decoder draw then fails for some stream with
     probability at most K*R/q < 1/4 (Schwartz-Zippel: an R x R minor of
@@ -296,9 +280,13 @@ def build_scheme(
     if seed < 0:
         raise SchemeError(f"seed must be non-negative, got {seed}")
     d_field = P.data_field()
+    L = None
     if allocation is None:
-        allocation = allocation_from_lp(P, capacity_lp(P).witness)
+        counts, L = common_denominator(capacity_lp(P).witness)
+        allocation = Allocation(tuple(counts))
     R = rate_numerator(P, allocation)
+    if L is not None and R != L:
+        raise AssertionError("scaled witness does not achieve capacity")
     if z is None:
         bound = max(*(sum(c.values()) for c in P.split(allocation.counts)), 4 * P.K * R)
         z = 1

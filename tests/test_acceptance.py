@@ -78,7 +78,7 @@ def test_reference_scheme_exhaustive_and_determinants():
     # which over F_3 reads (1, 2, 1, 2)
     f3 = field_construct(3)
     sch3 = worked_reference_scheme(f3)
-    dets = [ref.det(f3, m.data) for m in sch3.channel.through(sch3.decoder)]
+    dets = [ref.det(f3, m.array.tolist()) for m in sch3.channel.through(sch3.decoder)]
     assert dets == [1, 2, 1, 2]
     assert time.monotonic() - start < 10
 
@@ -183,13 +183,13 @@ def test_oracle_mutation_sensitivity():
     for trial in range(10):
         kind = trial % 2
         if kind == 0:
-            rows = [list(r) for r in sch.decoder.data]
+            rows = [list(r) for r in sch.decoder.array.tolist()]
             i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
             rows[i][j] = ref.add(f, rows[i][j], 1)
             bad = dataclasses.replace(sch, decoder=Mat(f, rows))
         else:
             k = rng.randrange(len(sch.precoders))
-            rows = [list(r) for r in sch.precoders[k].data]
+            rows = [list(r) for r in sch.precoders[k].array.tolist()]
             i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
             rows[i][j] = ref.add(f, rows[i][j], 1)
             pre = list(sch.precoders)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from sumbox import (build_scheme, capacity, lp, model, oracle, parse_problem, render_scheme,
-                    scheme, tables)
+from sumbox import (build_scheme, capacity, cli, lp, model, oracle, parse_problem,
+                    render_scheme, scheme, tables)
 from sumbox.cli import main
 from sumbox.field import field_construct
 from sumbox.nsumbox import box_to_text, build_half_mds_box
@@ -75,6 +75,26 @@ def test_capacity_closed_form_symmetric_dsc(capsys):
                                 f"{prob('sym-4-2-2.prob')} dsc-gain: 5/3"]
 
 
+@pytest.mark.parametrize("form, want", [
+    ("text", ["{p} unent: 2/5", "optimal cost: 5/2", "witness: 1/2 1/2 1/2 1", "{p} dsc-gain: 15/8"]),
+    ("records", ['{{"instance": "{p} unent", "value-num": 2, "value-den": 5}}',
+                 '{{"instance": "{p} dsc-gain", "value-num": 15, "value-den": 8}}']),
+])
+def test_capacity_unent_dsc_solves_the_unentangled_lp_once(capsys, monkeypatch, form, want):
+    # the unentangled capacity that --closed-form unent prints is the gain's denominator
+    calls = []
+
+    def counted(P, solve=cli.capacity_unent):
+        calls.append(P)
+        return solve(P)
+
+    monkeypatch.setattr(cli, "capacity_unent", counted)
+    p = prob("example-beta3.prob")
+    code, out, err = run(capsys, "capacity", p, "--closed-form", "unent", "--dsc", "--format", form)
+    assert (code, err, len(calls)) == (0, "", 1)
+    assert out.splitlines() == [line.format(p=p) for line in want]
+
+
 def test_capacity_closed_form_symmetric_rejects_asymmetric(capsys):
     code, _, err = run(capsys, "capacity", prob("example.prob"),
                        "--closed-form", "symmetric")
@@ -137,7 +157,7 @@ def test_tables_lp_check_cross_checks_every_symmetric_cell(capsys, monkeypatch):
 
     def wrong_in_one_cell(P):
         res = real(P)
-        return dataclasses.replace(res, capacity=res.capacity + 1) if P == cell else res
+        return dataclasses.replace(res, optimal_cost=1 / (res.capacity + 1)) if P == cell else res
 
     monkeypatch.setattr(tables, "capacity_lp", wrong_in_one_cell)
     code, _, err = run(capsys, "tables", "--lp-check-max-s", "5")
@@ -242,7 +262,7 @@ def test_verify_identities_reports_a_gain_mismatch(capsys, monkeypatch):
     # suite reports the failing cases and exits 1 rather than raising
     def scaled(P, solve=capacity.capacity_fullent):
         res = solve(P)
-        return dataclasses.replace(res, capacity=res.capacity * Fraction(9, 10))
+        return dataclasses.replace(res, optimal_cost=res.optimal_cost * Fraction(10, 9))
     for module in (capacity, oracle):
         monkeypatch.setattr(module, "capacity_fullent", scaled)
     code, out, err = run(capsys, "verify", "identities", "--cases", "5")
@@ -391,6 +411,21 @@ def test_scheme_check_refuses_a_repeated_section(tmp_path, capsys, example_schem
     bad.write_text(example_scheme + "".join(lines[start:end]))  # the section once more
     code, out, err = run(capsys, "scheme", "check", str(bad))
     assert (code, out, err) == (2, "", f"error: repeated section {section}\n")
+
+
+@pytest.mark.parametrize("label, where, skip", [("DECODER", "DECODER", 2),
+                                               ("stream a", "ENCODERS stream a", 2),
+                                               ("clique 1", "BOXES clique 1", 3)])
+def test_scheme_check_refuses_an_extra_matrix_row(tmp_path, capsys, example_scheme,
+                                                  label, where, skip):
+    # the first row of the matrix under `label` (past its header lines) written twice:
+    # one row more than its header counts
+    lines = example_scheme.splitlines(keepends=True)
+    first = lines.index(label + "\n") + skip
+    bad = tmp_path / "bad.scheme"
+    bad.write_text("".join(lines[:first + 1] + lines[first:]))
+    code, out, err = run(capsys, "scheme", "check", str(bad))
+    assert (code, out, err) == (2, "", f"error: {where}: row count mismatch\n")
 
 
 @pytest.mark.parametrize("line, why", [("foo bar", "unknown"), ("z 8", "repeated"),

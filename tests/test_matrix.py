@@ -31,7 +31,7 @@ def test_identity_and_zeros():
 def test_mul_known_values():
     a = Mat(F2, [[1, 0], [1, 1]])
     b = Mat(F2, [[1, 1], [0, 1]])
-    assert (a * b).data == [[1, 1], [1, 0]]
+    assert (a * b).array.tolist() == [[1, 1], [1, 0]]
 
 
 def test_square_right_inverse_is_two_sided():
@@ -60,7 +60,7 @@ def test_right_inverse():
 def test_random_draws_row_major():
     rng, again = random.Random(9), random.Random(9)
     m = Mat.random(F9, 3, 4, rng)
-    assert m.data == [[again.randrange(9) for _ in range(4)] for _ in range(3)]
+    assert m.array.tolist() == [[again.randrange(9) for _ in range(4)] for _ in range(3)]
     assert Mat.random(F9, 0, 4, rng).array.shape == (0, 4)
     assert Mat.random(F9, 3, 0, rng).array.shape == (3, 0)
 
@@ -74,7 +74,7 @@ def test_stacking():
     a = Mat(F2, [[1, 0]])
     b = Mat(F2, [[0, 1]])
     d = block_diag(F2, [a, b])
-    assert d.data == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert d.array.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
 
 
 def test_zero_dimension_product():
@@ -126,6 +126,16 @@ def test_from_text_names_the_bad_entry(body, where):
         Mat.from_text(f"2 2 F4\n[0,0] [1,1]\n{body}", field_construct(2, 2))
 
 
+@pytest.mark.parametrize("text", [
+    "1 2 F4\n[0,0] [1,1]\n[1,0] [0,1]",  # a row past the header's count
+    "2 2 F4\n[0,0] [1,1]",               # a row short of it
+    "2 0 F4\n[1,0]",                     # any row of a 0-column matrix
+])
+def test_from_text_refuses_a_row_count_other_than_the_header(text):
+    with pytest.raises(MatrixError, match="^row count mismatch$"):
+        Mat.from_text(text, field_construct(2, 2))
+
+
 # F_2, F_3, F_4, F_9, F_2^11 and F_2^17
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 11), (2, 17)]
 
@@ -138,7 +148,7 @@ def same_or_both_raise(got, want, shape):
             got()
         return
     g = got()
-    assert (g.rows, g.cols) == shape and g.data == w
+    assert (g.rows, g.cols) == shape and g.array.tolist() == w
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,14 +165,14 @@ def test_core_matches_reference(pr, rows, cols, k, full, seed):
     m = Mat(f, np.array(a, dtype=np.int64).reshape(rows, cols))
     mb = Mat(f, np.array(b, dtype=np.int64).reshape(cols, k))
     prod = m * mb
-    assert (prod.rows, prod.cols) == (rows, k) and prod.data == ref.mul(f, a, b, k)
+    assert (prod.rows, prod.cols) == (rows, k) and prod.array.tolist() == ref.mul(f, a, b, k)
     assert m.rank() == ref.rank(f, a)
     same_or_both_raise(m.right_inverse, lambda: ref.right_inverse(f, a, cols), (cols, rows))
     t = m.transpose()
-    assert (t.rows, t.cols) == (cols, rows) and t.data == ref.transpose(a, cols)
+    assert (t.rows, t.cols) == (cols, rows) and t.array.tolist() == ref.transpose(a, cols)
     diag = block_diag(f, [m, mb])
     assert (diag.rows, diag.cols) == (rows + cols, cols + k)
-    assert diag.data == ref.block_diag([(a, cols), (b, k)])
+    assert diag.array.tolist() == ref.block_diag([(a, cols), (b, k)])
     text = m.to_text()
     assert text == ref.to_text(f, a, cols)
     assert Mat.from_text(text, f) == m

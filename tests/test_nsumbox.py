@@ -28,11 +28,11 @@ def columns(m, idx):
 
 
 def test_grs_row_of_multipliers():
-    assert grs_matrix(F3, (0, 1, 2), (1, 1, 1), 1).data == [[1, 1, 1]]
+    assert grs_matrix(F3, (0, 1, 2), (1, 1, 1), 1).array.tolist() == [[1, 1, 1]]
 
 
 def test_grs_known_matrix():
-    assert grs_matrix(F3, (0, 1, 2), (1, 1, 1), 2).data == [[1, 1, 1], [0, 1, 2]]
+    assert grs_matrix(F3, (0, 1, 2), (1, 1, 1), 2).array.tolist() == [[1, 1, 1], [0, 1, 2]]
 
 
 def test_grs_is_mds():

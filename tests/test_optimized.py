@@ -70,6 +70,30 @@ def test_scheme_certificate_check_survives_optimize():
     assert "certificate failed" in proc.stdout
 
 
+def test_scaled_witness_check_survives_optimize():
+    # a doubled witness scales to the counts of the optimal one with half its
+    # L, so the rate numerator R = 4 differs from L = 2
+    proc = run_optimized("""
+        from dataclasses import replace
+        import sumbox.scheme as scheme
+        real = scheme.capacity_lp
+
+        def doubled(P):
+            res = real(P)
+            return replace(res, witness=tuple(2 * v for v in res.witness))
+
+        scheme.capacity_lp = doubled
+        try:
+            scheme.build_scheme(scheme.reference_problem())
+        except AssertionError as exc:
+            print(exc)
+        else:
+            sys.exit("build_scheme returned a scheme below capacity")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert "scaled witness does not achieve capacity" in proc.stdout
+
+
 def test_stacked_certificate_check_survives_optimize():
     # sym-4-2-2's six 12 x 10 precoders are checked by one stacked product;
     # a changed entry in any one of them fails the certificate

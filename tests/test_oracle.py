@@ -228,7 +228,7 @@ def test_exhaustive_decode_enumerates_in_digit_order(monkeypatch):
     # stream b's last datum (digit 3) goes through a corrupted precoder column:
     # the counterexample is the first failing realization, inside a later batch
     f = sch.ext.big
-    rows = [list(r) for r in sch.precoders[1].data]
+    rows = [list(r) for r in sch.precoders[1].array.tolist()]
     rows[0][1] = ref.add(f, rows[0][1], 1)
     bad = dataclasses.replace(sch, precoders=(sch.precoders[0], Mat(f, rows)))
 
@@ -240,13 +240,13 @@ def test_exhaustive_decode_enumerates_in_digit_order(monkeypatch):
     rep = exhaustive_decode_check(bad)
     assert not rep.agree
     assert rep.counterexample == want[:, :, first].tolist()
-    assert rep.main_value == [row[0] for row in simulate(bad, cols(first)).data]
+    assert rep.main_value == [row[0] for row in simulate(bad, cols(first)).array.tolist()]
 
 
 def test_exhaustive_decode_detects_corrupted_decoder():
     sch = worked_reference_scheme()
     f = sch.ext.big
-    rows = [list(r) for r in sch.decoder.data]
+    rows = [list(r) for r in sch.decoder.array.tolist()]
     rows[0][0] = ref.add(f, rows[0][0], 1)  # flip one decoder entry
     bad = dataclasses.replace(sch, decoder=Mat(f, rows))
     rep = exhaustive_decode_check(bad)
@@ -257,7 +257,7 @@ def test_exhaustive_decode_detects_corrupted_decoder():
 def test_exhaustive_decode_detects_corrupted_precoder():
     sch = worked_reference_scheme()
     f = sch.ext.big
-    rows = [list(r) for r in sch.precoders[1].data]
+    rows = [list(r) for r in sch.precoders[1].array.tolist()]
     rows[0][0] = ref.add(f, rows[0][0], 1)
     bad = dataclasses.replace(
         sch, precoders=(sch.precoders[0], Mat(f, rows)) + sch.precoders[2:])

@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 from box_reference import is_half_mds
 
-from sumbox import vecops
-from sumbox.capacity import capacity_lp, capacity_symmetric
+from sumbox import scheme, vecops
+from sumbox.capacity import capacity_lp, capacity_symmetric, common_denominator
 from sumbox.field import field_construct
 from sumbox.matrix import Mat, MatrixError
 from sumbox.model import Problem, full_clique, parse_problem, symmetric_problem
 from sumbox.nsumbox import is_valid_box
-from sumbox.scheme import (Allocation, RetriesExhausted, SchemeError,
-                           allocation_from_lp, assemble_channel, build_scheme,
-                           find_encoders, worked_reference_scheme, parse_scheme,
-                           rate_numerator, rate_of_allocation, reference_problem,
+from sumbox.scheme import (Allocation, RetriesExhausted, SchemeError, assemble_channel,
+                           build_scheme, find_encoders, worked_reference_scheme,
+                           parse_scheme, rate_numerator, reference_problem,
                            render_scheme, simulate, simulate_batch, true_sum)
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -37,14 +36,15 @@ def mat_simulate(sch, cols):
     ch = sch.channel
     x = [0] * (2 * ch.n)  # the box inputs, stacked clique after clique
     for k, c in enumerate(cols):
-        v = ref.mul(f, sch.precoders[k].data, c.data, 1)
+        v = ref.mul(f, sch.precoders[k].array.tolist(), c.array.tolist(), 1)
         for i, row in enumerate(ch.rows[k].tolist()):
             x[row] = ref.add(f, x[row], v[i][0])
     ys, start = [], 0
     for _, M in ch.boxes:
-        ys.extend(ref.mul(f, M.data, [[v] for v in x[start:start + M.cols]], 1))
+        ys.extend(ref.mul(f, M.array.tolist(), [[v] for v in x[start:start + M.cols]], 1))
         start += M.cols
-    return Mat(f, np.array(ref.mul(f, sch.decoder.data, ys, 1), dtype=np.int64).reshape(-1, 1))
+    decoded = ref.mul(f, sch.decoder.array.tolist(), ys, 1)
+    return Mat(f, np.array(decoded, dtype=np.int64).reshape(-1, 1))
 
 
 @pytest.mark.parametrize("source", sorted(f for f in os.listdir(PROBLEMS) if f.endswith(".prob"))
@@ -60,13 +60,13 @@ def test_through_is_the_product_with_the_stack_at_rows(source):
             P = parse_problem(fh.read())
     sch = build_scheme(P)
     ch, f = sch.channel, sch.ext.big
-    stack = ref.block_diag([(M.data, M.cols) for _, M in ch.boxes])
+    stack = ref.block_diag([(M.array.tolist(), M.cols) for _, M in ch.boxes])
     D = Mat.random(f, 3, ch.n, random.Random(11))
     for m, rows in zip(ch.through(D), ch.rows):
         rows = rows.tolist()
         assert len(set(rows)) == len(rows) and all(0 <= r < 2 * ch.n for r in rows)
         mbar = ref.select_columns(stack, [r + 1 for r in rows])
-        assert m.data == ref.mul(f, D.data, mbar, len(rows))
+        assert m.array.tolist() == ref.mul(f, D.array.tolist(), mbar, len(rows))
     assert sch.certificate_ok()
 
 
@@ -123,20 +123,35 @@ def test_uniform_scheme_at_s7_reaches_capacity():
     assert simulate_batch(sch, data).tolist() == want
 
 
-def test_allocation_from_lp_reference():
+def test_default_allocation_is_the_scaled_witness():
     P = reference_problem()
     res = capacity_lp(P)
-    a = allocation_from_lp(P, res.witness)
+    a = build_scheme(P).allocation
     # witness (1/4, 1/4, 1/4, 1/2) scaled by lcm 4 -> (1, 1, 1, 2)
+    assert common_denominator(res.witness) == ([1, 1, 1, 2], 4)
     assert a.counts == (1, 1, 1, 2)
-    assert rate_of_allocation(P, a) == res.capacity
+    assert Fraction(rate_numerator(P, a), a.total) == res.capacity
+
+
+def test_a_witness_off_capacity_fails_the_build(monkeypatch):
+    # the witness doubled is in the region at twice the optimal cost: it scales
+    # to the same counts (1, 1, 1, 2), with L = 2 against R = 4
+    real = scheme.capacity_lp
+
+    def doubled(P):
+        res = real(P)
+        return replace(res, witness=tuple(2 * v for v in res.witness))
+
+    monkeypatch.setattr(scheme, "capacity_lp", doubled)
+    with pytest.raises(AssertionError, match="scaled witness does not achieve capacity"):
+        build_scheme(reference_problem())
 
 
 def test_allocation_validation():
     P = reference_problem()
     bad = Allocation((1,))  # wrong arity for this problem
     with pytest.raises(SchemeError):
-        rate_of_allocation(P, bad)
+        rate_numerator(P, bad)
 
 
 def test_worked_reference_scheme_properties():
@@ -160,7 +175,7 @@ def test_reference_determinants_over_f3():
     # alternating +1/-1 in stream order (1, 2, 1, 2 over F_3)
     f3 = field_construct(3)
     sch = worked_reference_scheme(f3)
-    dets = [ref.det(f3, m.data) for m in sch.channel.through(sch.decoder)]
+    dets = [ref.det(f3, m.array.tolist()) for m in sch.channel.through(sch.decoder)]
     assert dets == [1, 2, 1, 2]
 
 
@@ -239,7 +254,7 @@ def test_simulate_batch_matches_simulate():
             cols = [Mat(f, [[int(data[k, i, b])] for i in range(sch.R)])
                     for k in range(sch.problem.K)]
             want = mat_simulate(sch, cols)
-            assert [row[0] for row in want.data] == out[:, b].tolist()
+            assert [row[0] for row in want.array.tolist()] == out[:, b].tolist()
             assert simulate(sch, cols) == want
 
 
@@ -276,7 +291,7 @@ def test_simulate_batch_matches_mat_simulate(make, sizes, blocks):
         assert out.shape == (R, B)
         for b in range(B):
             cols = [Mat(f, data[k, :, b:b + 1]) for k in range(K)]
-            assert out[:, b].tolist() == [row[0] for row in mat_simulate(sch, cols).data]
+            assert out[:, b].tolist() == [row[0] for row in mat_simulate(sch, cols).array.tolist()]
 
 
 @pytest.mark.parametrize("half", ["top right", "bottom left"])
@@ -298,7 +313,7 @@ def test_simulate_batch_keeps_a_box_whole_when_its_off_diagonal_is_nonzero(half)
     with mock.patch.object(vecops, "CHUNK_ELEMS", 12):
         got = simulate_batch(bad, data)
     cols = [[Mat(f, data[k, :, b:b + 1]) for k in range(K)] for b in range(13)]
-    assert got.T.tolist() == [[row[0] for row in mat_simulate(bad, c).data] for c in cols]
+    assert got.T.tolist() == [[row[0] for row in mat_simulate(bad, c).array.tolist()] for c in cols]
     assert not np.array_equal(got, simulate_batch(sch, data))
 
 
@@ -320,18 +335,18 @@ def test_simulate_batch_skips_zero_precoder_rows(P, z):
     data = np.random.default_rng(23).integers(0, f.order, size=(K, R, B), dtype=np.int64)
     cols = [[Mat(f, data[k, :, b:b + 1]) for k in range(K)] for b in range(B)]
     out = simulate_batch(sch, data)
-    assert out.T.tolist() == [[row[0] for row in mat_simulate(sch, c).data] for c in cols]
+    assert out.T.tolist() == [[row[0] for row in mat_simulate(sch, c).array.tolist()] for c in cols]
     # a zero row made nonzero in a copy of the scheme reaches that copy's
     # output: the copy derives its own plan, with R + 1 rows for stream 0
     # and a zero row padding every other stream
-    rows = [list(r) for r in sch.precoders[0].data]
+    rows = [list(r) for r in sch.precoders[0].array.tolist()]
     rows[zero[0][0]][0] = ref.add(f, rows[zero[0][0]][0], 1)
     bad = replace(sch, precoders=(Mat(f, rows),) + sch.precoders[1:])
     assert bad.plan is not sch.plan and bad.plan.precoders.shape == (K, R + 1, R)
     want = np.hstack([true_sum(bad, c).array for c in cols])
     assert np.array_equal(out, want)
     got = simulate_batch(bad, data)
-    assert got.T.tolist() == [[row[0] for row in mat_simulate(bad, c).data] for c in cols]
+    assert got.T.tolist() == [[row[0] for row in mat_simulate(bad, c).array.tolist()] for c in cols]
     assert not np.array_equal(got, want)
 
 
@@ -364,7 +379,7 @@ def test_simulate_rejects_bad_shapes():
                   [Mat(field_construct(3), [[1], [0], [1], [1]])] + good[1:],
                   Mat(f, np.zeros((sch.R, sch.problem.K + 1), dtype=np.int64)),
                   # the same columns as one R x K matrix: simulate takes columns only
-                  Mat(f, [[c.data[i][0] for c in good] for i in range(sch.R)]),
+                  Mat(f, [[c.array.tolist()[i][0] for c in good] for i in range(sch.R)]),
                   # K columns that are not Mats
                   [[1]] * sch.problem.K, [None] * sch.problem.K)
     for bad in bad_inputs:
@@ -413,11 +428,9 @@ def test_two_sum_reduction_fixture():
     # 6 decoded sums per 8 downloaded qudits, rate 3/4
     P = reference_problem().with_cliques(
         (frozenset({1, 2}), frozenset({1, 4}), frozenset({2, 4}), frozenset({3, 4})))
-    res = capacity_lp(P)
-    assert res.capacity == Fraction(3, 4)
-    a = allocation_from_lp(P, res.witness)
-    assert a.total == 8
-    sch = build_scheme(P, allocation=a)
+    assert capacity_lp(P).capacity == Fraction(3, 4)
+    sch = build_scheme(P)
+    assert sch.allocation.total == 8
     assert sch.R == 6
     assert all(M.rows == 2 for _, M in sch.channel.boxes)
     assert sch.rate == Fraction(3, 4)

@@ -3,8 +3,10 @@ defined there is referenced from src itself.
 
 A definition counts as referenced when its name appears, as a name or an
 attribute, in src outside its own body and outside every definition that is
-itself unreferenced; the live set is grown from module level to a fixpoint,
-so code reached only from dead code is dead too.  Code the tests need as a
+itself unreferenced; a method or property counts only through an attribute
+(`x.name`), since a bare name of the same spelling is some other binding.
+The live set is grown from module level to a fixpoint, so code reached only
+from dead code is dead too.  Code the tests need as a
 reference lives under tests/ (mat_reference, box_reference, lp_reference).
 """
 
@@ -13,21 +15,23 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sumbox"
 
-# bench/ imports or traces these; they leave src together with bench's use
-# of them (ROADMAP item 5)
-BENCH_PINNED = {"feasible", "maximal_dsc_gain", "simulate", "true_sum", "worked_reference_scheme"}
+# bench/ imports, traces or reads these (bench's single-shot simulate check
+# reads Mat.data); they leave src together with bench's use of them (ROADMAP
+# item 5)
+BENCH_PINNED = {"data", "feasible", "maximal_dsc_gain", "simulate", "true_sum",
+                "worked_reference_scheme"}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _scan(node, chain, where, defs, refs):
-    """Collect (definition, enclosing chain, location) and name -> [chain]
-    for every reference; decorators, defaults and bases belong to the
-    enclosing chain, the body to the definition's own."""
+    """Collect (definition, enclosing chain, location) and (name, is
+    attribute) -> [chain] for every reference; decorators, defaults and bases
+    belong to the enclosing chain, the body to the definition's own."""
     if isinstance(node, ast.Name):
-        refs.setdefault(node.id, []).append(chain)
+        refs.setdefault((node.id, False), []).append(chain)
     elif isinstance(node, ast.Attribute):
-        refs.setdefault(node.attr, []).append(chain)
+        refs.setdefault((node.attr, True), []).append(chain)
     inner = chain
     if isinstance(node, DEFS):
         defs.append((node, chain, f"{where}:{node.lineno}"))
@@ -54,7 +58,12 @@ def unreferenced(src: Path = SRC, roots=frozenset()) -> dict[str, str]:
         for d, outer, _ in defs:
             if d in live:
                 continue
-            chains = [outer] if _dunder(d.name) or d.name in roots else refs.get(d.name, ())
+            if _dunder(d.name) or d.name in roots:
+                chains = [outer]
+            else:  # a method is reached only as an attribute
+                chains = refs.get((d.name, True), [])
+                if not (outer and isinstance(outer[-1], ast.ClassDef)):
+                    chains = chains + refs.get((d.name, False), [])
             if any(d not in chain and live.issuperset(chain) for chain in chains):
                 live.add(d)
                 grown = True
@@ -84,3 +93,13 @@ def test_code_reached_only_from_dead_code_is_dead(tmp_path):
         "print(used(), C())\n")
     assert unreferenced(tmp_path) == {"dead": "m.py:7", "leaf": "m.py:10", "m": "m.py:17"}
     assert unreferenced(tmp_path, roots={"dead"}) == {"m": "m.py:17"}
+
+
+def test_a_method_is_reached_only_through_an_attribute(tmp_path):
+    # a parameter named like a method does not reach it; x.used() does
+    (tmp_path / "m.py").write_text(
+        "class C:\n    def data(self):\n        return 1\n\n"
+        "    def used(self):\n        return 2\n\n"
+        "def f(data):\n    return data, C().used()\n\n"
+        "print(f(0))\n")
+    assert unreferenced(tmp_path) == {"data": "m.py:2"}
