@@ -16,15 +16,20 @@ against the LP in the test suite.
 Every LP result is certified before it is returned: the witness lies in the
 region and costs the optimal value, and the LP's dual point y proves that no
 point costs less (y <= 0, A^T y <= c and b.y = the optimal value, by weak
-duality).  The checks run in integers, on values scaled to a common
-denominator, and raise AssertionError, so they also run under python -O.
+duality).  solve_min hands both points over as integers over their least
+common denominators, read off its final tableau, and one checker,
+_certified, runs every check on those integers for capacity_lp and both
+per-server LPs: it compares with the optimal value by cross-multiplication
+and builds no Fraction.  Its checks raise AssertionError, so they also run
+under python -O.  CapacityResult keeps the integers; its `witness` gives the
+Fractions the CLI prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -35,13 +40,22 @@ from .model import (MAX_LP_VARS, LpSizeError, Problem, ProblemError, full_clique
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """The certified optimum: its cost, and the witness and the dual point as
+    integers over their least common denominators; `witness` is the
+    witness as Fractions."""
     optimal_cost: Fraction
-    witness: tuple[Fraction, ...]            # download costs, (t, ascending s) order
-    dual: tuple[Fraction, ...]               # optimal dual point, one entry per LP row
+    witness_num: tuple[int, ...]  # download costs * witness_den, (t, ascending s) order
+    witness_den: int
+    dual_num: tuple[int, ...]     # optimal dual point * dual_den, one entry per LP row
+    dual_den: int
 
     @property
     def capacity(self) -> Fraction:
         return 1 / self.optimal_cost
+
+    @property
+    def witness(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.witness_den) for v in self.witness_num)
 
 
 def stream_values(P: Problem, D) -> list:
@@ -78,24 +92,28 @@ def _row_combination(coeffs: list[int], A: np.ndarray) -> list[int]:
     return (np.array(coeffs, dtype=object) @ A.astype(object)).tolist()
 
 
-def _certified(P: Problem, c, A: np.ndarray, b, value: Fraction, witness: tuple,
-               dual) -> CapacityResult:
+def _certified(P: Problem, c, A: np.ndarray, b, value: Fraction, witness, dual) -> CapacityResult:
     """The result of the LP min c.x, A x <= b, x >= 0 of P's region, after an
-    exact check that `witness` (the download-cost part of x) is in the region
-    at cost `value` and that `dual` proves the minimum."""
-    w, L = common_denominator(witness)
+    exact check that witness = (w, L), the download-cost part of x as w / L,
+    is in the region at cost `value` and that dual = (y, d), the dual point
+    y / d, proves the minimum.  Every check runs on the integers, comparing
+    with `value` by cross-multiplication."""
+    (w, L), (y, d) = witness, dual
+    if L < 1:
+        raise AssertionError("LP witness has a nonpositive denominator")
     if not in_region(P, w, L):
         raise AssertionError("LP witness fails region membership")
-    if sum(w) != value * L:
+    if sum(w) * value.denominator != value.numerator * L:
         raise AssertionError("LP witness does not cost the optimal value")
-    y, L = common_denominator(dual)
+    if d < 1:
+        raise AssertionError("dual certificate has a nonpositive denominator")
     if any(v > 0 for v in y):
         raise AssertionError("dual certificate has a positive entry")
-    if any(v > cj * L for v, cj in zip(_row_combination(y, A), c)):
+    if any(v > cj * d for v, cj in zip(_row_combination(y, A), c)):
         raise AssertionError("dual certificate violates A^T y <= c")
-    if sum(bi * v for bi, v in zip(b, y)) != value * L:
+    if sum(bi * v for bi, v in zip(b, y)) * value.denominator != value.numerator * d:
         raise AssertionError("dual certificate does not attain the optimal value")
-    return CapacityResult(value, witness, tuple(dual))
+    return CapacityResult(value, tuple(w), L, tuple(y), d)
 
 
 def _active_pairs(P: Problem) -> list[tuple[int, int]]:
@@ -132,8 +150,9 @@ def capacity_lp(P: Problem) -> CapacityResult:
     b = [0] * (2 * len(pairs)) + [-1] * P.K
     c = [1] * gamma + [0] * len(pairs)
 
-    value, x, y = lp.solve_min(c, A, b)
-    return _certified(P, c, A, b, value, tuple(x[:gamma]), y)
+    value, (x, L), dual = lp.solve_min(c, A, b)
+    g = gcd(L, *x[:gamma])  # L // g is the least denominator of x[:gamma]
+    return _certified(P, c, A, b, value, ([v // g for v in x[:gamma]], L // g), dual)
 
 
 def _check_lp_size(nvars: int):
@@ -141,11 +160,11 @@ def _check_lp_size(nvars: int):
         raise LpSizeError(f"{nvars} LP variables exceed the guard {MAX_LP_VARS}")
 
 
-def _incidence(P: Problem) -> np.ndarray:
-    """K x S 0/1 matrix: entry (k, s-1) is 1 when server s stores stream k."""
-    inc = np.zeros((P.K, P.S), dtype=np.int64)
-    for k, w in enumerate(P.W):
-        inc[k, [s - 1 for s in w]] = 1
+def _incidence(P: Problem, value: int, skip: int = 0) -> np.ndarray:
+    """(skip + K) x S matrix, zero in its first `skip` rows: entry (skip + k,
+    s - 1) is `value` when server s stores stream k.  One scatter."""
+    inc = np.zeros((skip + P.K, P.S), dtype=np.int64)
+    inc[[k for k, w in enumerate(P.W, skip) for _ in w], [s - 1 for w in P.W for s in w]] = value
     return inc
 
 
@@ -155,9 +174,9 @@ def _per_server_result(P: Problem, E, A: np.ndarray) -> CapacityResult:
     E is the full clique or the singletons: either lists servers 1..S in
     order, so the lifted witness is the per-server one as it stands."""
     c, b = [1] * P.S, [-1] * len(A)
-    value, x, y = lp.solve_min(c, A, b)
+    value, witness, dual = lp.solve_min(c, A, b)
     lifted = Problem(P.S, P.W, E, P.stream_names, P.base_field)
-    return _certified(lifted, c, A, b, value, tuple(x), y)
+    return _certified(lifted, c, A, b, value, witness, dual)
 
 
 def capacity_fullent(P: Problem) -> CapacityResult:
@@ -166,7 +185,8 @@ def capacity_fullent(P: Problem) -> CapacityResult:
     Per-server LP: sum_s D_s >= 1 and 2 * sum_{s in W(k)} D_s >= 1 for all k.
     """
     _check_lp_size(P.S)
-    A = np.vstack([np.full((1, P.S), -1), -2 * _incidence(P)])
+    A = _incidence(P, -2, skip=1)
+    A[0] = -1
     return _per_server_result(P, full_clique(P.S), A)
 
 
@@ -176,7 +196,7 @@ def capacity_unent(P: Problem) -> CapacityResult:
     Per-server LP: sum_{s in W(k)} D_s >= 1 for all k.
     """
     _check_lp_size(P.S)
-    return _per_server_result(P, singleton_cliques(P.S), -_incidence(P))
+    return _per_server_result(P, singleton_cliques(P.S), _incidence(P, -1))
 
 
 def maximal_dsc_gain(P: Problem) -> Fraction:

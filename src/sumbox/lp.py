@@ -40,7 +40,11 @@ _INT64_SAFE in magnitude, and as an object (big-int) array otherwise.
 Dual: the objective row m holds the reduced costs c_j - (A^T y)_j, and
 slack n+i has cost 0 and column e_i (a surplus keeps s_i = b_i - A_i x), so
 y_i = -T[m, slot of n+i] / d_m, or 0 when n+i is basic.  At an optimum
-y <= 0, A^T y <= c and b.y is the optimal value, -T[m, rhs] / d_m.
+y <= 0, A^T y <= c and b.y is the optimal value, -T[m, rhs] / d_m.  Both
+points are read off the final tableau as integers over their least common
+denominators, with no Fraction per entry: x_j is rhs_i / d_i on the row
+where j is basic, each ratio reduced and scaled to L, the lcm of the reduced
+d_i; y's numerators -T[m, slot of n+i] and d_m are divided by their gcd.
 
 Pivot rules: Dantzig (most negative reduced cost) by default.  More than
 _DEGENERATE_RUN degenerate pivots in a row switch to Bland's rule until the
@@ -60,6 +64,7 @@ nonbasic, since a basic column is zero off its own row.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -102,38 +107,42 @@ def _integer_array(v, shape) -> np.ndarray:
 
 
 def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequence[int]):
-    """Exact simplex.  Returns (optimal value, x, y) as Fractions: x an optimal
-    point and y the optimal dual point (one entry per row of A, y <= 0,
-    A^T y <= c, b.y = optimal value).
+    """Exact simplex.  Returns (value, (x, L), (y, d)): the optimal value as a
+    Fraction, an optimal point x / L and the optimal dual point y / d (one
+    entry per row of A, y <= 0, A^T y <= c, b.y = value).  x and y are lists
+    of ints over their least common denominators L, d >= 1:
+    gcd(L, *x) == gcd(d, *y) == 1.
 
     Raises LpInfeasible / LpUnbounded accordingly.
     """
     n = len(c)
     m = len(b)
     c_int = _integer_array(c, n).tolist()
-    Ab = np.hstack([_integer_array(A, (m, n)), _integer_array(b, (m, 1))])
-    big = (max(map(abs, c_int), default=0) > _INT64_SAFE
-           or Ab.min(initial=0) < -_INT64_SAFE or Ab.max(initial=0) > _INT64_SAFE)
+    A_int = _integer_array(A, (m, n))
+    b_int = _integer_array(b, m).tolist()
+    # the largest magnitude of an input entry, checked per input
+    top = max(*map(abs, c_int + b_int), -int(A_int.min(initial=0)), int(A_int.max(initial=0)))
+    big = top > _INT64_SAFE
 
     # rows with a negative rhs are negated into >= rows and get artificials
-    art_rows = np.nonzero(Ab[:, n] < 0)[0]
+    art_rows = np.array([i for i, v in enumerate(b_int) if v < 0], dtype=np.intp)
     n_art = len(art_rows)
     nvar = n + m + n_art
     slots = n + n_art
     rhs_col, den_col = slots, slots + 1  # den_col holds the row denominators d_i
     # rows 0..m-1 constraints, row m real objective, row m+1 phase-1 objective
     T = np.zeros((m + 2, slots + 2), dtype=object if big else np.int64)
-    T[:m, :n] = Ab[:, :n]
-    T[:m, rhs_col] = Ab[:, n]
+    T[:m, :n] = A_int
+    T[:m, rhs_col] = b_int
     T[art_rows] = -T[art_rows]
     T[art_rows, np.arange(n, slots)] = -1  # the surplus of each >= row
     T[m, :n] = c_int
     # phase-1 objective: sum of artificials, reduced against the artificial basis
     T[m + 1] = -T[art_rows].sum(axis=0)
     T[:, den_col] = 1
-    # only the phase-1 row, a sum of rows, can pass the bound: every other
-    # entry is an input's or +-1
-    if T.dtype == np.int64 and np.abs(T[m + 1]).max() > _INT64_SAFE:
+    # only the phase-1 row, a sum of n_art rows, can pass the bound: every
+    # other entry is an input's or +-1
+    if not big and n_art * top > _INT64_SAFE and np.abs(T[m + 1]).max() > _INT64_SAFE:
         T = T.astype(object)
     var = np.arange(slots)  # the variable in each slot
     var[n:] = n + art_rows
@@ -207,8 +216,9 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
                 best_i, bn, bd = i, r_num, a
         return best_i, bn
 
-    def objective(obj_row: int) -> Fraction:
-        return Fraction(-int(T[obj_row, rhs_col]), int(T[obj_row, den_col]))
+    def objective(obj_row: int) -> tuple[int, int]:
+        """The row's objective value as (numerator, positive denominator)."""
+        return -int(T[obj_row, rhs_col]), int(T[obj_row, den_col])
 
     def run_phase(obj_row: int):
         # Dantzig by default; a long degenerate run switches to Bland's rule,
@@ -220,9 +230,12 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
         while True:
             if pivots > _MAX_PIVOTS:
                 raise PivotLimitExceeded("pivot limit exceeded")
-            if bland and objective(obj_row) != bland_ref:
-                bland = False
-                degen_run = 0
+            if bland:
+                # off once the objective moved, and at the start of phase 2
+                num, den = objective(obj_row)
+                if bland_ref is None or num * bland_ref[1] != bland_ref[0] * den:
+                    bland = False
+                    degen_run = 0
             s = choose_entering(obj_row)
             if s is None:
                 return
@@ -259,15 +272,23 @@ def solve_min(c: Sequence[int], A: Sequence[Sequence[int]] | np.ndarray, b: Sequ
     T = T[:m + 1]  # the phase-1 objective is not needed any more
     run_phase(m)
 
+    # x_j = rhs_i / d_i on the row where j is basic, each ratio reduced and
+    # scaled to L, the lcm of the reduced denominators
     rhs = T[:m, rhs_col].tolist()
     dens = T[:m, den_col].tolist()
-    zero = Fraction(0)
-    x = [zero] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(rhs[i], dens[i])
+    basic = []
+    for i, j in enumerate(basis):
+        if j < n:
+            g = gcd(rhs[i], dens[i])
+            basic.append((j, rhs[i] // g, dens[i] // g))
+    L = lcm(*(den for _, _, den in basic))
+    x = [0] * n
+    for j, num, den in basic:
+        x[j] = num * (L // den)
     reduced = np.zeros(nvar, dtype=T.dtype)  # basic variables' reduced costs are 0
     reduced[var] = T[m, :slots]
+    y = (-reduced[n:n + m]).tolist()
     d_m = int(T[m, den_col])
-    y = [Fraction(-v, d_m) if v else zero for v in reduced[n:n + m].tolist()]
-    return objective(m), x, y
+    g = gcd(d_m, *y)
+    num, den = objective(m)
+    return Fraction(num, den), (x, L), ([v // g for v in y], d_m // g)

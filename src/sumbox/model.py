@@ -76,7 +76,7 @@ class Problem:
         """Order of download-cost entries: (t, s) by clique then ascending server.
 
         Indices here are 0-based t, 1-based s; Allocation.counts and
-        CapacityResult.witness hold their entries in this order.
+        CapacityResult.witness_num hold their entries in this order.
         """
         return [(t, s) for t, e in enumerate(self.E) for s in sorted(e)]
 

@@ -36,7 +36,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .capacity import capacity_lp, common_denominator, stream_values
+from .capacity import capacity_lp, stream_values
 from .field import Extension, Field, extend_field, field_construct, parse_decimal
 from .matrix import Mat, MatrixError, block_diag, check_mul
 from .model import Problem, full_clique, parse_problem, render_problem
@@ -263,10 +263,11 @@ def build_scheme(
 ) -> CodingScheme:
     """A certified scheme over P's data field; allocation defaults to the LP witness.
 
-    The default allocation is the certified witness w scaled by its least
-    common denominator L.  Its rate R / (L * sum(w)) is the capacity
-    1 / sum(w) just when its rate numerator R equals L, which implies the
-    region check R >= L; any other R raises AssertionError, also under -O.
+    The default allocation is the certified witness w in its integer form:
+    the counts L * w over its least common denominator L.  Its rate
+    R / (L * sum(w)) is the capacity 1 / sum(w) just when its rate
+    numerator R equals L, which implies the region check R >= L; any other R
+    raises AssertionError, also under -O.
 
     z defaults to the smallest value with q = d^z above both the largest box
     size N_t and 4*K*R.  Each decoder draw then fails for some stream with
@@ -282,8 +283,8 @@ def build_scheme(
     d_field = P.data_field()
     L = None
     if allocation is None:
-        counts, L = common_denominator(capacity_lp(P).witness)
-        allocation = Allocation(tuple(counts))
+        res = capacity_lp(P)
+        allocation, L = Allocation(res.witness_num), res.witness_den
     R = rate_numerator(P, allocation)
     if L is not None and R != L:
         raise AssertionError("scaled witness does not achieve capacity")

@@ -57,28 +57,49 @@ def test_feasible_rejects_negative_and_short():
         feasible(P, (F(1),))
 
 
-def _negate(y, b):
+# Each mutation takes the dual point y / d as solve_min returns it, as
+# integers (y, d), and returns the changed pair.
+
+def _negate(dual, b):
+    y, d = dual
     i = next(i for i, v in enumerate(y) if v)
-    return y[:i] + [-y[i]] + y[i + 1:]
+    return y[:i] + [-y[i]] + y[i + 1:], d
 
 
-def _scale_on_zero_rhs(y, b):
+def _scale_on_zero_rhs(dual, b):
     # a pair row: its entry only enters A^T y, on columns with nonpositive A
+    y, d = dual
     i = next(i for i, v in enumerate(y) if v and b[i] == 0)
-    return y[:i] + [1000 * y[i]] + y[i + 1:]
+    return y[:i] + [1000 * y[i]] + y[i + 1:], d
 
 
-def _halve_on_stream_row(y, b):
-    # a stream row: A^T y stays <= c, but b.y moves off the optimum
+def _halve_on_stream_row(dual, b):
+    # a stream row: A^T y stays <= c, but b.y moves off the optimum; the
+    # entry is halved exactly by doubling d and every other numerator
+    y, d = dual
     i = next(i for i, v in enumerate(y) if v and b[i] != 0)
-    return y[:i] + [y[i] / 2] + y[i + 1:]
+    return [v if k == i else 2 * v for k, v in enumerate(y)], 2 * d
+
+
+def _double_denominator(dual, b):
+    # every entry halved: A^T y stays <= c (c >= 0), but b.y halves
+    y, d = dual
+    return y, 2 * d
+
+
+def _negate_denominator(dual, b):
+    # every entry's sign flipped by the denominator alone
+    y, d = dual
+    return y, -d
 
 
 @pytest.mark.parametrize("mutate, error", [
     (_negate, "has a positive entry"),
     (_scale_on_zero_rhs, r"violates A\^T y <= c"),
     (_halve_on_stream_row, "does not attain the optimal value"),
-], ids=["positive", "scaled", "halved"])
+    (_double_denominator, "does not attain the optimal value"),
+    (_negate_denominator, "has a nonpositive denominator"),
+], ids=["positive", "scaled", "halved", "doubled-denominator", "negated-denominator"])
 def test_mutated_dual_is_rejected(monkeypatch, mutate, error):
     solve_min = capacity.lp.solve_min
 
@@ -90,6 +111,54 @@ def test_mutated_dual_is_rejected(monkeypatch, mutate, error):
     monkeypatch.setattr(capacity.lp, "solve_min", mutated)
     with pytest.raises(AssertionError, match="dual certificate " + error):
         capacity_lp(P)
+
+
+def test_lowered_witness_at_a_binding_stream_is_rejected(monkeypatch):
+    # the witness (1, 1, 1, 2) / 4 meets every stream with equality, so one
+    # numerator less leaves a stream short of L
+    solve_min = capacity.lp.solve_min
+
+    def lowered(c, A, b):
+        value, (x, L), y = solve_min(c, A, b)
+        return value, ([x[0] - 1] + x[1:], L), y
+
+    P = reference_problem()
+    assert min(capacity.stream_values(P, [0, 1, 1, 2])) < 4
+    monkeypatch.setattr(capacity.lp, "solve_min", lowered)
+    with pytest.raises(AssertionError, match="LP witness fails region membership"):
+        capacity_lp(P)
+
+
+def test_nonpositive_witness_denominator_is_rejected(monkeypatch):
+    solve_min = capacity.lp.solve_min
+
+    def negated(c, A, b):
+        value, (x, L), y = solve_min(c, A, b)
+        return value, (x, -L), y
+
+    monkeypatch.setattr(capacity.lp, "solve_min", negated)
+    with pytest.raises(AssertionError, match="LP witness has a nonpositive denominator"):
+        capacity_lp(reference_problem())
+
+
+def test_capacity_lp_builds_no_fraction_per_entry(monkeypatch):
+    # the certificate stays in integers from solve_min to the checker: one
+    # capacity_lp builds as few Fractions at (6,2,2) (gamma 30) as at
+    # (4,2,1) (gamma 4)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(capacity, "Fraction", counted)
+    monkeypatch.setattr(capacity.lp, "Fraction", counted)
+    counts = []
+    for cell in ((4, 2, 1), (6, 2, 2)):
+        built.clear()
+        capacity_lp(symmetric_problem(*cell))
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_row_combination_is_exact_past_int64():
@@ -107,9 +176,9 @@ def test_every_result_carries_its_dual():
     for res, rows, b_rows in ((capacity_lp(P), 2 * pairs + P.K, P.K),
                               (capacity_fullent(P), 1 + P.K, 1 + P.K),
                               (capacity_unent(P), P.K, P.K)):
-        assert len(res.dual) == rows
-        assert all(v <= 0 for v in res.dual)
-        assert -sum(res.dual[-b_rows:]) == res.optimal_cost
+        assert len(res.dual_num) == rows
+        assert all(v <= 0 for v in res.dual_num)
+        assert F(-sum(res.dual_num[-b_rows:]), res.dual_den) == res.optimal_cost
 
 
 def test_capacity_single_stream_single_server():

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import lp_reference
@@ -22,23 +23,37 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def as_fractions(result):
+    """solve_min's integer form (value, (x, L), (y, d)) as the (value, x, y) of
+    Fractions that lp_reference returns, once both denominators are checked
+    least: the CLI prints reduced Fractions and the scheme pins use L."""
+    value, (x, L), (y, d) = result
+    assert L >= 1 and gcd(L, *x) == 1, (x, L)
+    assert d >= 1 and gcd(d, *y) == 1, (y, d)
+    return value, [F(v, L) for v in x], [F(v, d) for v in y]
+
+
+def solve(c, A, b):
+    return as_fractions(solve_min(c, A, b))
+
+
 def test_simple_2d():
     # min x + y s.t. -x - y <= -1 (i.e. x + y >= 1)
-    val, x, _ = solve_min([1, 1], [[-1, -1]], [-1])
+    val, x, _ = solve([1, 1], [[-1, -1]], [-1])
     assert val == 1
     assert sum(x) == 1
 
 
 def test_bounded_above():
     # min -x - 2y s.t. x <= 3, y <= 2, x + y <= 4
-    val, x, _ = solve_min([-1, -2], [[1, 0], [0, 1], [1, 1]], [3, 2, 4])
+    val, x, _ = solve([-1, -2], [[1, 0], [0, 1], [1, 1]], [3, 2, 4])
     assert val == -6
     assert x == [F(2), F(2)]
 
 
 def test_fractional_optimum():
     # min x + y s.t. 2x + y >= 1, x + 3y >= 1
-    val, _, _ = solve_min([1, 1], [[-2, -1], [-1, -3]], [-1, -1])
+    val, _, _ = solve([1, 1], [[-2, -1], [-1, -3]], [-1, -1])
     assert val == Fraction(3, 5)
 
 
@@ -71,14 +86,14 @@ def degenerate_instance(n=6):
 
 
 def test_degenerate_does_not_cycle():
-    val, _, _ = solve_min(*degenerate_instance())
+    val, _, _ = solve(*degenerate_instance())
     assert val == -3
 
 
 def test_exactness_with_awkward_rationals():
     # optimum forced to a vertex with large denominators: the rows
     # 7/3 x + 2/5 y >= 1 and 1/9 x + 11/4 y >= 1, each scaled by its lcm
-    val, x, _ = solve_min([1, 1], [[-35, -6], [-4, -99]], [-15, -36])
+    val, x, _ = solve([1, 1], [[-35, -6], [-4, -99]], [-15, -36])
     # verify the returned point exactly satisfies both constraints with equality
     assert F(7, 3) * x[0] + F(2, 5) * x[1] == 1
     assert F(1, 9) * x[0] + F(11, 4) * x[1] == 1
@@ -98,7 +113,7 @@ def test_random_lps_certified():
         if any(all(v == 0 for v in row) for row in A):
             continue  # a zero row with negative rhs is trivially infeasible
         try:
-            val, x, y = solve_min(c, A, b)
+            val, x, y = solve(c, A, b)
         except LpInfeasible:
             continue
         assert all(v >= 0 for v in x)
@@ -116,7 +131,7 @@ def test_random_lps_certified():
     ([[-1]], [-(1 << 70)], F(1 << 70)),     # a right-hand side beyond int64
 ])
 def test_entries_beyond_int64_start_on_big_ints(A, b, value):
-    val, x, _ = solve_min([1], A, b)
+    val, x, _ = solve([1], A, b)
     assert val == value
     assert x == [value]
 
@@ -134,10 +149,9 @@ FORMS_B = [-1, -1, 5, -1]
     lambda A, b: (np.array(A, dtype=object), np.array(b, dtype=object)),  # object ints
 ], ids=["ints", "int64", "object"])
 def test_input_forms_give_identical_results(form):
-    val, x, y = solve_min(FORMS_C, *form(FORMS_A, FORMS_B))
-    assert (val, x, y) == solve_min(FORMS_C, FORMS_A, FORMS_B)
-    assert val == 2
-    assert x == [F(1, 2), F(0), F(1, 2)]
+    result = solve_min(FORMS_C, *form(FORMS_A, FORMS_B))
+    assert result == solve_min(FORMS_C, FORMS_A, FORMS_B)
+    assert result[:2] == (2, ([1, 0, 1], 2))
 
 
 @pytest.mark.parametrize("where", ["c", "A", "b"])
@@ -155,10 +169,10 @@ def test_non_integer_entries_are_refused(where, bad):
 def test_dual_reads_the_same_on_negated_rows():
     # min 2x + 3y s.t. x + y >= 1 (negated, an artificial row), x <= 4: the
     # dual of the >= row is -2, with the sign of a <= row's dual
-    val, x, y = solve_min([2, 3], [[-1, -1], [1, 0]], [-1, 4])
+    val, x, y = solve([2, 3], [[-1, -1], [1, 0]], [-1, 4])
     assert (val, x, y) == (2, [1, 0], [-2, 0])
     # min -x s.t. x <= 3: a <= row with a binding constraint
-    assert solve_min([-1], [[1]], [3]) == (-3, [3], [-1])
+    assert solve_min([-1], [[1]], [3]) == (-3, ([3], 1), ([-1], 1))
 
 
 def dot(u, v):
@@ -173,7 +187,7 @@ DRIVE_OUT = ([0, 2, 1, 1], [[1, 0, 1, -1], [2, 2, 0, -1], [0, 2, 1, -1], [0, 2, 
 
 def test_phase1_drives_a_degenerate_artificial_out_on_a_negated_row():
     c, A, b = DRIVE_OUT
-    val, x, y = solve_min(c, A, b)
+    val, x, y = solve(c, A, b)
     assert (val, x, y) == (1, [0, 0, 0, 1], [0, -1, 0, 0])
     assert all(dot(row, x) <= bi for row, bi in zip(A, b)) and dot(c, x) == val
     assert all(v <= 0 for v in y)
@@ -219,14 +233,16 @@ def per_server_lps():
     lambda: [capacity_lp(symmetric_problem(S, a, b))
              for S in range(1, 6) for a in range(1, S + 1) for b in range(1, S + 1)],
     lambda: [capacity_lp(symmetric_problem(6, a, b)) for a, b in S6_LADDER],
+    lambda: [capacity_lp(parse_problem(p.read_text())) for p in sorted(PROBLEMS.glob("*.prob"))],
     per_server_lps,
-], ids=["table1", "symmetric-s5", "symmetric-s6-ladder", "per-server"])
+], ids=["table1", "symmetric-s5", "symmetric-s6-ladder", "problem-files", "per-server"])
 def test_condensed_tableau_takes_the_full_tableau_path(run):
-    # the same pivots give the same vertex: value, x and y are identical
+    # the same pivots give the same vertex: value, x and y are identical, and
+    # the integer form's denominators are least
     lps = recorded_lps(run)
     assert lps
     for args in lps:
-        assert solve_min(*args) == lp_reference.solve_min(*args)
+        assert solve(*args) == lp_reference.solve_min(*args)
 
 
 def outcome(solve, c, A, b):
@@ -258,7 +274,7 @@ def test_degenerate_lps_take_the_full_tableau_path(case, degenerate_run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_DEGENERATE_RUN", degenerate_run)
         mp.setattr(lp_reference, "_DEGENERATE_RUN", degenerate_run)
-        assert outcome(solve_min, *case) == outcome(lp_reference.solve_min, *case)
+        assert outcome(solve, *case) == outcome(lp_reference.solve_min, *case)
 
 
 @pytest.fixture(scope="module")

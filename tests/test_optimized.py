@@ -40,8 +40,8 @@ def test_capacity_dual_check_survives_optimize():
         solve_min = cap.lp.solve_min
 
         def positive_dual(c, A, b):
-            value, x, y = solve_min(c, A, b)
-            return value, x, [-v for v in y]
+            value, x, (y, d) = solve_min(c, A, b)
+            return value, x, ([-v for v in y], d)
 
         cap.lp.solve_min = positive_dual
         try:
@@ -53,6 +53,52 @@ def test_capacity_dual_check_survives_optimize():
     """)
     assert proc.returncode == 0, proc.stderr
     assert "dual certificate has a positive entry" in proc.stdout
+
+
+def test_lowered_witness_check_survives_optimize():
+    # the reference witness (1, 1, 1, 2) / 4 meets every stream with
+    # equality: one numerator less leaves a stream short
+    proc = run_optimized("""
+        import sumbox.capacity as cap
+        from sumbox.scheme import reference_problem
+        solve_min = cap.lp.solve_min
+
+        def lowered(c, A, b):
+            value, (x, L), y = solve_min(c, A, b)
+            return value, ([x[0] - 1] + x[1:], L), y
+
+        cap.lp.solve_min = lowered
+        try:
+            cap.capacity_lp(reference_problem())
+        except AssertionError as exc:
+            print(exc)
+        else:
+            sys.exit("capacity_lp returned an unchecked witness")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert "LP witness fails region membership" in proc.stdout
+
+
+def test_doubled_dual_denominator_check_survives_optimize():
+    proc = run_optimized("""
+        import sumbox.capacity as cap
+        from sumbox.scheme import reference_problem
+        solve_min = cap.lp.solve_min
+
+        def doubled(c, A, b):
+            value, x, (y, d) = solve_min(c, A, b)
+            return value, x, (y, 2 * d)
+
+        cap.lp.solve_min = doubled
+        try:
+            cap.capacity_lp(reference_problem())
+        except AssertionError as exc:
+            print(exc)
+        else:
+            sys.exit("capacity_lp returned an unchecked dual")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert "dual certificate does not attain the optimal value" in proc.stdout
 
 
 def test_scheme_certificate_check_survives_optimize():
@@ -71,8 +117,8 @@ def test_scheme_certificate_check_survives_optimize():
 
 
 def test_scaled_witness_check_survives_optimize():
-    # a doubled witness scales to the counts of the optimal one with half its
-    # L, so the rate numerator R = 4 differs from L = 2
+    # a doubled witness has the counts of the optimal one over half its L,
+    # so the rate numerator R = 4 differs from L = 2
     proc = run_optimized("""
         from dataclasses import replace
         import sumbox.scheme as scheme
@@ -80,7 +126,7 @@ def test_scaled_witness_check_survives_optimize():
 
         def doubled(P):
             res = real(P)
-            return replace(res, witness=tuple(2 * v for v in res.witness))
+            return replace(res, witness_den=res.witness_den // 2)
 
         scheme.capacity_lp = doubled
         try:

@@ -10,7 +10,7 @@ import pytest
 from box_reference import is_half_mds
 
 from sumbox import scheme, vecops
-from sumbox.capacity import capacity_lp, capacity_symmetric, common_denominator
+from sumbox.capacity import capacity_lp, capacity_symmetric
 from sumbox.field import field_construct
 from sumbox.matrix import Mat, MatrixError
 from sumbox.model import Problem, full_clique, parse_problem, symmetric_problem
@@ -127,20 +127,20 @@ def test_default_allocation_is_the_scaled_witness():
     P = reference_problem()
     res = capacity_lp(P)
     a = build_scheme(P).allocation
-    # witness (1/4, 1/4, 1/4, 1/2) scaled by lcm 4 -> (1, 1, 1, 2)
-    assert common_denominator(res.witness) == ([1, 1, 1, 2], 4)
+    # witness (1/4, 1/4, 1/4, 1/2) over its least denominator 4 -> (1, 1, 1, 2)
+    assert (res.witness_num, res.witness_den) == ((1, 1, 1, 2), 4)
     assert a.counts == (1, 1, 1, 2)
     assert Fraction(rate_numerator(P, a), a.total) == res.capacity
 
 
 def test_a_witness_off_capacity_fails_the_build(monkeypatch):
-    # the witness doubled is in the region at twice the optimal cost: it scales
-    # to the same counts (1, 1, 1, 2), with L = 2 against R = 4
+    # the witness doubled is in the region at twice the optimal cost: it has
+    # the same counts (1, 1, 1, 2) over L = 2, against R = 4
     real = scheme.capacity_lp
 
     def doubled(P):
         res = real(P)
-        return replace(res, witness=tuple(2 * v for v in res.witness))
+        return replace(res, witness_den=res.witness_den // 2)
 
     monkeypatch.setattr(scheme, "capacity_lp", doubled)
     with pytest.raises(AssertionError, match="scaled witness does not achieve capacity"):

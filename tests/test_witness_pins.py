@@ -1,7 +1,7 @@
 """Pinned LP witness vertices.
 
-`build_scheme` reads the download allocation off `capacity_lp(P).witness`, so
-the vertex the simplex stops at is part of every scheme file, not only its
+`build_scheme` reads the download allocation off `capacity_lp(P)`'s witness
+(`witness_num` over `witness_den`), so the vertex the simplex stops at is part of every scheme file, not only its
 optimal value.  These are the witnesses of the 11 table-1 maps, the example
 problem files and every symmetric cell with S <= 5; a change to the LP input
 or pivoting that moves any of them changes scheme files.
