@@ -35,7 +35,7 @@ import numpy as np
 
 from . import lp
 from .model import (MAX_LP_VARS, LpSizeError, Problem, ProblemError, full_clique,
-                    singleton_cliques)
+                    singleton_cliques, split_costs)
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,17 @@ class CapacityResult:
         return tuple(Fraction(v, self.witness_den) for v in self.witness_num)
 
 
-def stream_values(P: Problem, D) -> list:
-    """sum_t min(total_t, 2 * sum_{s in E(t) ^ W(k)} D_{t,s}) for each stream k,
-    from a cost tuple D in cost_index() order."""
-    cliques = [(c, sum(c.values())) for c in P.split(D)]
+def region_values(W, E, D) -> list:
+    """sum_t min(total_t, 2 * sum_{s in E(t) ^ W(k)} D_{t,s}) for each stream
+    W(k), from a cost tuple D listing each clique of E by ascending server."""
+    cliques = [(c, sum(c.values())) for c in split_costs(E, D)]
     return [sum([min(total, 2 * sum(map(c.__getitem__, c.keys() & w))) for c, total in cliques])
-            for w in P.W]
+            for w in W]
+
+
+def stream_values(P: Problem, D) -> list:
+    """region_values of P's streams and cliques, D in cost_index() order."""
+    return region_values(P.W, P.E, D)
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -72,16 +77,16 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (L // v.denominator) for v in values], L
 
 
-def in_region(P: Problem, N: list[int], L: int) -> bool:
-    """Region membership of the download-cost tuple N / L, given as integers
-    N (length gamma, (t,s) order) and L >= 1."""
-    values = stream_values(P, N)  # a length other than gamma raises ProblemError
+def in_region(W, E, N: list[int], L: int) -> bool:
+    """Region membership, for streams W and cliques E, of the download-cost
+    tuple N / L, given as integers N (length gamma, (t,s) order) and L >= 1."""
+    values = region_values(W, E, N)  # a length other than gamma raises ProblemError
     return all(v >= 0 for v in N) and min(values) >= L
 
 
 def feasible(P: Problem, D) -> bool:
     """Region membership of a download-cost tuple (length gamma, (t,s) order)."""
-    return in_region(P, *common_denominator([Fraction(v) for v in D]))
+    return in_region(P.W, P.E, *common_denominator([Fraction(v) for v in D]))
 
 
 def _row_combination(coeffs: list[int], A: np.ndarray) -> list[int]:
@@ -92,16 +97,16 @@ def _row_combination(coeffs: list[int], A: np.ndarray) -> list[int]:
     return (np.array(coeffs, dtype=object) @ A.astype(object)).tolist()
 
 
-def _certified(P: Problem, c, A: np.ndarray, b, value: Fraction, witness, dual) -> CapacityResult:
-    """The result of the LP min c.x, A x <= b, x >= 0 of P's region, after an
-    exact check that witness = (w, L), the download-cost part of x as w / L,
+def _certified(W, E, c, A: np.ndarray, b, value: Fraction, witness, dual) -> CapacityResult:
+    """The result of the LP min c.x, A x <= b, x >= 0 of the region of
+    streams W and cliques E, after an exact check that witness = (w, L), the download-cost part of x as w / L,
     is in the region at cost `value` and that dual = (y, d), the dual point
     y / d, proves the minimum.  Every check runs on the integers, comparing
     with `value` by cross-multiplication."""
     (w, L), (y, d) = witness, dual
     if L < 1:
         raise AssertionError("LP witness has a nonpositive denominator")
-    if not in_region(P, w, L):
+    if not in_region(W, E, w, L):
         raise AssertionError("LP witness fails region membership")
     if sum(w) * value.denominator != value.numerator * L:
         raise AssertionError("LP witness does not cost the optimal value")
@@ -152,7 +157,7 @@ def capacity_lp(P: Problem) -> CapacityResult:
 
     value, (x, L), dual = lp.solve_min(c, A, b)
     g = gcd(L, *x[:gamma])  # L // g is the least denominator of x[:gamma]
-    return _certified(P, c, A, b, value, ([v // g for v in x[:gamma]], L // g), dual)
+    return _certified(P.W, P.E, c, A, b, value, ([v // g for v in x[:gamma]], L // g), dual)
 
 
 def _check_lp_size(nvars: int):
@@ -169,14 +174,14 @@ def _incidence(P: Problem, value: int, skip: int = 0) -> np.ndarray:
 
 
 def _per_server_result(P: Problem, E, A: np.ndarray) -> CapacityResult:
-    """Solve min sum_s D_s s.t. A D <= -1 (S per-server variables); lift to E's layout.
+    """Solve min sum_s D_s s.t. A D <= -1 (S per-server variables), certified
+    in the region of P's streams with cliques E.
 
     E is the full clique or the singletons: either lists servers 1..S in
-    order, so the lifted witness is the per-server one as it stands."""
+    order, so the per-server witness is E's cost tuple as it stands."""
     c, b = [1] * P.S, [-1] * len(A)
     value, witness, dual = lp.solve_min(c, A, b)
-    lifted = Problem(P.S, P.W, E, P.stream_names, P.base_field)
-    return _certified(lifted, c, A, b, value, witness, dual)
+    return _certified(P.W, E, c, A, b, value, witness, dual)
 
 
 def capacity_fullent(P: Problem) -> CapacityResult:

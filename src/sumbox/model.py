@@ -83,10 +83,17 @@ class Problem:
     def split(self, D) -> list[dict]:
         """A tuple in cost_index() order as one {server: value} dict per clique,
         servers ascending."""
-        if len(D) != self.gamma:
-            raise ProblemError(f"cost tuple length {len(D)} != gamma {self.gamma}")
-        it = iter(D)
-        return [dict(zip(sorted(e), it)) for e in self.E]
+        return split_costs(self.E, D)
+
+
+def split_costs(E, D) -> list[dict]:
+    """A cost tuple listing each clique of E by ascending server as one
+    {server: value} dict per clique."""
+    gamma = sum(map(len, E))
+    if len(D) != gamma:
+        raise ProblemError(f"cost tuple length {len(D)} != gamma {gamma}")
+    it = iter(D)
+    return [dict(zip(sorted(e), it)) for e in E]
 
 
 def check_server_count(S: int):

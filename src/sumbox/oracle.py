@@ -8,7 +8,8 @@
   overflow, Python big ints otherwise, and Fractions only for the candidate
   optima, so the result is exact.
 * exhaustive_decode_check replays a coding scheme against every possible
-  data realization.
+  data realization, in index order, reading each batch's digits off a
+  tiled grid of the low digits.
 * check_identities runs the capacity identity families on seeded random
   instances plus the named worked instances.
 * check_beta_star and check_lp_oracle compare beta* and the LP against a
@@ -202,22 +203,45 @@ def lp_vertex_enum(P: Problem) -> Fraction:
 
 
 def exhaustive_decode_check(sch: CodingScheme) -> OracleReport:
-    """Replay the scheme on every data realization; report the first mismatch."""
+    """Replay the scheme on every data realization; report the first mismatch.
+
+    Realization idx has data[k, i] = base-q digit k*R + i of idx.  They run
+    in index order, in batches [lo, lo + DECODE_BATCH), each one
+    simulate_batch call compared with the field sum of its data.  A batch
+    is filled without dividing every index: with q^a the largest power of q
+    that is at most DECODE_BATCH (a run), the a low digits are a window,
+    starting at lo mod q^a, of the grid of all q^a low-digit tuples tiled
+    once per check, and each higher digit is a digit of the run index,
+    repeated over its run.  For q > DECODE_BATCH, a = 0 and a run is one
+    realization.
+    """
     q = sch.ext.big.order
     K, R = sch.problem.K, sch.R
-    total = q ** (K * R)
+    n = K * R
+    total = q ** n
     if total > DECODE_GUARD:
         raise GuardExceeded(f"q^(K*R) = {total} exceeds guard {DECODE_GUARD}")
     ops = field_ops(sch.ext.big)
     name = f"exhaustive decode ({total} realizations, q={q}, K={K}, R={R})"
+    a = 0
+    while a < n and q ** (a + 1) <= DECODE_BATCH:
+        a += 1
+    run = q ** a
+    # row j is digit j (np.indices varies its last axis fastest), tiled
+    # to cover any window of a batch that starts inside the first run
+    low = np.indices((q,) * a, dtype=np.int64)[::-1].reshape(a, run)
+    low = np.tile(low, -(-(run - 1 + min(DECODE_BATCH, total)) // run))
     for lo in range(0, total, DECODE_BATCH):
         hi = min(lo + DECODE_BATCH, total)
-        # realization idx has data[k, i] = base-q digit k*R + i of idx,
-        # peeled off lowest first by one scalar divmod per digit
-        idx = np.arange(lo, hi, dtype=np.int64)
-        data = np.empty((K * R, hi - lo), dtype=np.int64)
-        for j in range(K * R):
-            idx, data[j] = np.divmod(idx, q)
+        data = np.empty((n, hi - lo), dtype=np.int64)
+        data[:a] = low[:, lo % run:lo % run + hi - lo]
+        # the high digits of each run this batch meets, one divmod per digit
+        runs = np.arange(lo // run, (hi - 1) // run + 1, dtype=np.int64)
+        lengths = np.minimum(runs * run + run, hi) - np.maximum(runs * run, lo)
+        high = np.empty((n - a, len(runs)), dtype=np.int64)
+        for j in range(n - a):
+            runs, high[j] = np.divmod(runs, q)
+        data[a:] = np.repeat(high, lengths, axis=1)
         data = data.reshape(K, R, hi - lo)
         got = simulate_batch(sch, data)
         want = ops.sum(data)

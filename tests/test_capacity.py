@@ -8,7 +8,7 @@ from sumbox.capacity import (beta_star, capacity_fullent, capacity_lp,
                              capacity_symmetric, capacity_unent, feasible,
                              maximal_dsc_gain)
 from sumbox.model import (Problem, ProblemError, beta_cliques, full_clique,
-                          symmetric_problem)
+                          singleton_cliques, symmetric_problem)
 from sumbox.scheme import reference_problem
 
 
@@ -127,6 +127,40 @@ def test_lowered_witness_at_a_binding_stream_is_rejected(monkeypatch):
     monkeypatch.setattr(capacity.lp, "solve_min", lowered)
     with pytest.raises(AssertionError, match="LP witness fails region membership"):
         capacity_lp(P)
+
+
+@pytest.mark.parametrize("solve", [capacity_unent, capacity_fullent],
+                         ids=["unent", "fullent"])
+def test_per_server_witness_out_of_region_is_rejected(monkeypatch, solve):
+    # an optimal witness w / L meets some stream with equality (a point with
+    # every stream above L would cost less scaled down), so w / 2L leaves it
+    # at L / 2L: outside the region
+    P = reference_problem()
+    res = solve(P)
+    E = full_clique(P.S) if solve is capacity_fullent else singleton_cliques(P.S)
+    assert min(capacity.region_values(P.W, E, res.witness_num)) == res.witness_den
+    solve_min = capacity.lp.solve_min
+
+    def halved(c, A, b):
+        value, (x, L), y = solve_min(c, A, b)
+        return value, (x, 2 * L), y
+
+    monkeypatch.setattr(capacity.lp, "solve_min", halved)
+    with pytest.raises(AssertionError, match="LP witness fails region membership"):
+        solve(P)
+
+
+def test_per_server_lps_build_no_second_problem(monkeypatch):
+    # the per-server certificate checks against P's streams and the clique
+    # tuple; it constructs (and re-validates) no lifted Problem
+    P = reference_problem()
+
+    def refused(self):
+        raise AssertionError("a Problem was constructed")
+
+    monkeypatch.setattr(Problem, "__post_init__", refused)
+    assert capacity_unent(P).capacity == F(2, 5)
+    assert capacity_fullent(P).capacity == F(4, 5)
 
 
 def test_nonpositive_witness_denominator_is_rejected(monkeypatch):

@@ -205,42 +205,97 @@ def test_exhaustive_decode_guard():
         exhaustive_decode_check(sch)
 
 
-def test_exhaustive_decode_enumerates_in_digit_order(monkeypatch):
-    # batches of 7 cross the base-q digit boundaries and leave a partial last
-    # batch (256 = 36 * 7 + 4); realization idx has data[k, i] = digit k*R + i
-    P = Problem(2, (frozenset({1}), frozenset({2})), full_clique(2), ("a", "b"))
-    sch = build_scheme(P, z=2)
-    q, K, R = sch.ext.big.order, P.K, sch.R
-    assert (q, K * R) == (4, 4)
+def _recorded_batches(monkeypatch, batch):
+    """The data of every simulate_batch call the oracle makes, at DECODE_BATCH = batch."""
     seen, run = [], oracle.simulate_batch
 
     def record(s, data):
         seen.append(data.copy())
         return run(s, data)
 
-    monkeypatch.setattr(oracle, "DECODE_BATCH", 7)
+    monkeypatch.setattr(oracle, "DECODE_BATCH", batch)
     monkeypatch.setattr(oracle, "simulate_batch", record)
-    assert exhaustive_decode_check(sch).agree
-    assert [d.shape[2] for d in seen] == [7] * 36 + [4]
+    return seen
+
+
+def _digit_order(q, K, R):
+    """Every realization in index order, by dividing each index: idx has
+    data[k, i] = base-q digit k*R + i of idx."""
     idx = np.arange(q ** (K * R))
-    want = (idx // q ** np.arange(K * R)[:, None] % q).reshape(K, R, -1)
-    assert np.array_equal(np.concatenate(seen, axis=2), want)
-    # stream b's last datum (digit 3) goes through a corrupted precoder column:
-    # the counterexample is the first failing realization, inside a later batch
+    return (idx // q ** np.arange(K * R)[:, None] % q).reshape(K, R, -1)
+
+
+def _corrupted_last_datum(sch):
+    """The scheme with stream b's last datum (digit K*R - 1) through a
+    corrupted precoder column."""
     f = sch.ext.big
     rows = [list(r) for r in sch.precoders[1].array.tolist()]
-    rows[0][1] = ref.add(f, rows[0][1], 1)
-    bad = dataclasses.replace(sch, precoders=(sch.precoders[0], Mat(f, rows)))
+    rows[0][-1] = ref.add(f, rows[0][-1], 1)
+    return dataclasses.replace(sch, precoders=(sch.precoders[0], Mat(f, rows)))
+
+
+def _first_failure(bad, want):
+    f, K = bad.ext.big, bad.problem.K
 
     def cols(i):
         return [Mat(f, want[k, :, i:i + 1]) for k in range(K)]
 
-    first = next(i for i in range(len(idx)) if simulate(bad, cols(i)) != true_sum(bad, cols(i)))
+    first = next(i for i in range(want.shape[2])
+                 if simulate(bad, cols(i)) != true_sum(bad, cols(i)))
+    return first, [row[0] for row in simulate(bad, cols(first)).array.tolist()]
+
+
+@pytest.mark.parametrize("batch, sizes", [
+    (3, [3] * 85 + [1]),      # q = 4 exceeds the batch: runs of one realization
+    (7, [7] * 36 + [4]),      # runs of 4 straddle batches
+    (16, [16] * 16),          # the batch is exactly q^2
+    (256, [256]),             # one batch holds every realization
+], ids=["3", "7", "16", "256"])
+def test_exhaustive_decode_enumerates_in_digit_order(monkeypatch, batch, sizes):
+    # batches cross the base-q digit boundaries and may leave a partial last
+    # batch (256 = 36 * 7 + 4); realization idx has data[k, i] = digit k*R + i
+    P = Problem(2, (frozenset({1}), frozenset({2})), full_clique(2), ("a", "b"))
+    sch = build_scheme(P, z=2)
+    q, K, R = sch.ext.big.order, P.K, sch.R
+    assert (q, K * R) == (4, 4)
+    seen = _recorded_batches(monkeypatch, batch)
+    assert exhaustive_decode_check(sch).agree
+    assert [d.shape[2] for d in seen] == sizes
+    want = _digit_order(q, K, R)
+    assert np.array_equal(np.concatenate(seen, axis=2), want)
+    # stream b's last datum (digit 3) goes through a corrupted precoder column:
+    # the counterexample is the first failing realization, inside a later
+    # batch unless one batch holds them all
+    bad = _corrupted_last_datum(sch)
+    first, decoded = _first_failure(bad, want)
     assert first == q ** 3  # 64 = 9 * 7 + 1
     rep = exhaustive_decode_check(bad)
     assert not rep.agree
     assert rep.counterexample == want[:, :, first].tolist()
-    assert rep.main_value == [row[0] for row in simulate(bad, cols(first)).array.tolist()]
+    assert rep.main_value == decoded
+
+
+def test_exhaustive_decode_enumerates_odd_characteristic(monkeypatch):
+    # over F_9 (a field 3 file at z = 2) runs of 81 realizations
+    # (9^2 <= 100 < 9^3) straddle batches of 100: 6561 = 65 * 100 + 61
+    P = Problem(2, (frozenset({1}), frozenset({2})), full_clique(2), ("a", "b"), (3, 1))
+    sch = build_scheme(P, z=2)
+    q, K, R = sch.ext.big.order, P.K, sch.R
+    assert (q, K * R) == (9, 4)
+    seen = _recorded_batches(monkeypatch, 100)
+    assert exhaustive_decode_check(sch).agree
+    assert [d.shape[2] for d in seen] == [100] * 65 + [61]
+    want = _digit_order(q, K, R)
+    assert np.array_equal(np.concatenate(seen, axis=2), want)
+    bad = _corrupted_last_datum(sch)
+    first, decoded = _first_failure(bad, want)
+    assert first == q ** 3  # 729 = 7 * 100 + 29: the eighth batch
+    seen.clear()
+    rep = exhaustive_decode_check(bad)
+    assert not rep.agree
+    assert len(seen) == 8
+    assert rep.counterexample == want[:, :, first].tolist()
+    assert rep.main_value == decoded
 
 
 def test_exhaustive_decode_detects_corrupted_decoder():
