@@ -99,10 +99,11 @@ def _row_combination(coeffs: list[int], A: np.ndarray) -> list[int]:
 
 def _certified(W, E, c, A: np.ndarray, b, value: Fraction, witness, dual) -> CapacityResult:
     """The result of the LP min c.x, A x <= b, x >= 0 of the region of
-    streams W and cliques E, after an exact check that witness = (w, L), the download-cost part of x as w / L,
-    is in the region at cost `value` and that dual = (y, d), the dual point
-    y / d, proves the minimum.  Every check runs on the integers, comparing
-    with `value` by cross-multiplication."""
+    streams W and cliques E, after an exact check that witness = (w, L), the
+    download-cost part of x as w / L, is in the region at cost `value` and
+    that dual = (y, d), the dual point y / d, proves the minimum.  Every
+    check runs on the integers, comparing with `value` by
+    cross-multiplication."""
     (w, L), (y, d) = witness, dual
     if L < 1:
         raise AssertionError("LP witness has a nonpositive denominator")

@@ -80,15 +80,10 @@ class Problem:
         """
         return [(t, s) for t, e in enumerate(self.E) for s in sorted(e)]
 
-    def split(self, D) -> list[dict]:
-        """A tuple in cost_index() order as one {server: value} dict per clique,
-        servers ascending."""
-        return split_costs(self.E, D)
-
 
 def split_costs(E, D) -> list[dict]:
-    """A cost tuple listing each clique of E by ascending server as one
-    {server: value} dict per clique."""
+    """A cost tuple listing each clique of E by ascending server (a
+    Problem's cost_index() order) as one {server: value} dict per clique."""
     gamma = sum(map(len, E))
     if len(D) != gamma:
         raise ProblemError(f"cost tuple length {len(D)} != gamma {gamma}")

@@ -39,7 +39,7 @@ import numpy as np
 from .capacity import capacity_lp, stream_values
 from .field import Extension, Field, extend_field, field_construct, parse_decimal
 from .matrix import Mat, MatrixError, block_diag, check_mul
-from .model import Problem, full_clique, parse_problem, render_problem
+from .model import Problem, full_clique, parse_problem, render_problem, split_costs
 from .nsumbox import box_from_text, box_to_text, build_half_mds_box, is_valid_box
 from .vecops import field_ops
 
@@ -96,7 +96,7 @@ class BigChannel:
 def build_big_channel(P: Problem, a: Allocation, field: Field) -> BigChannel:
     """One half-MDS box over field per clique, wired into the per-stream channel.
     A box depends only on its size and field, so cliques of one size share it."""
-    sizes = [sum(c.values()) for c in P.split(a.counts)]  # N_t per clique
+    sizes = [sum(c.values()) for c in split_costs(P.E, a.counts)]  # N_t per clique
     if field.order < max(sizes):
         raise SchemeError(f"coding field order {field.order} < largest box size {max(sizes)}")
     made = {n: build_half_mds_box(n, field) for n in set(sizes) if n > 0}
@@ -108,7 +108,7 @@ def assemble_channel(P: Problem, a: Allocation,
                      boxes: tuple[tuple[int, Mat], ...]) -> BigChannel:
     """Wire given per-clique boxes, all over one field, into the per-stream block
     channel: Mbar_k is the columns rows[k] of the block-diagonal stack of the boxes."""
-    cliques = P.split(a.counts)
+    cliques = split_costs(P.E, a.counts)
     expect = [(t, sum(c.values())) for t, c in enumerate(cliques) if any(c.values())]
     if [(t, M.rows) for t, M in boxes] != expect:
         raise SchemeError("boxes do not match the allocation's clique sizes")
@@ -289,7 +289,7 @@ def build_scheme(
     if L is not None and R != L:
         raise AssertionError("scaled witness does not achieve capacity")
     if z is None:
-        bound = max(*(sum(c.values()) for c in P.split(allocation.counts)), 4 * P.K * R)
+        bound = max(*(sum(c.values()) for c in split_costs(P.E, allocation.counts)), 4 * P.K * R)
         z = 1
         while d_field.order ** z <= bound:
             z += 1
