@@ -13,16 +13,18 @@ Everything is exact rational arithmetic; closed forms for the fully
 entangled, unentangled and symmetric families are provided and cross-checked
 against the LP in the test suite.
 
-Every LP result is certified before it is returned: the witness lies in the
-region and costs the optimal value, and the LP's dual point y proves that no
-point costs less (y <= 0, A^T y <= c and b.y = the optimal value, by weak
-duality).  solve_min hands both points over as integers over their least
-common denominators, read off its final tableau, and one checker,
-_certified, runs every check on those integers for capacity_lp and both
-per-server LPs: it compares with the optimal value by cross-multiplication
-and builds no Fraction.  Its checks raise AssertionError, so they also run
-under python -O.  CapacityResult keeps the integers; its `witness` gives the
-Fractions the CLI prints.
+Every LP is a list of its nonzeros, and one function, _solve, solves it
+with lp.solve_min and certifies the result before it is returned: the
+witness lies in the region and costs the optimal value, and the LP's dual
+point y proves that no point costs less (y <= 0, A^T y <= c and b.y = the
+optimal value, by weak duality).  solve_min hands both points over as
+integers over their least common denominators, read off its final tableau,
+and the checker, _certified, runs every check on those integers for
+capacity_lp and both per-server LPs: it sums A^T y over the nonzeros in
+Python ints, never reads a dense A, compares with the optimal value by
+cross-multiplication and builds no Fraction.  Its checks raise
+AssertionError, so they also run under python -O.  CapacityResult keeps the
+integers; its `witness` gives the Fractions the CLI prints.
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ def region_values(W, E, D) -> list:
             for w in W]
 
 
-def stream_values(P: Problem, D) -> list:
-    """region_values of P's streams and cliques, D in cost_index() order."""
-    return region_values(P.W, P.E, D)
-
-
 def common_denominator(values) -> tuple[list[int], int]:
     """Integers n_i and the least L >= 1 with values[i] == n_i / L (Fractions or ints)."""
     L = lcm(*(v.denominator for v in values))
@@ -89,21 +86,14 @@ def feasible(P: Problem, D) -> bool:
     return in_region(P.W, P.E, *common_denominator([Fraction(v) for v in D]))
 
 
-def _row_combination(coeffs: list[int], A: np.ndarray) -> list[int]:
-    """sum_i coeffs[i] * A[i] exactly: in int64 when no sum can overflow it."""
-    bound = max(map(abs, coeffs), default=0) * int(np.abs(A).sum(axis=0).max(initial=0))
-    if bound < 1 << 63:
-        return (np.array(coeffs, dtype=np.int64) @ A).tolist()
-    return (np.array(coeffs, dtype=object) @ A.astype(object)).tolist()
-
-
-def _certified(W, E, c, A: np.ndarray, b, value: Fraction, witness, dual) -> CapacityResult:
+def _certified(W, E, c, rows, b, value: Fraction, witness, dual) -> CapacityResult:
     """The result of the LP min c.x, A x <= b, x >= 0 of the region of
-    streams W and cliques E, after an exact check that witness = (w, L), the
-    download-cost part of x as w / L, is in the region at cost `value` and
-    that dual = (y, d), the dual point y / d, proves the minimum.  Every
-    check runs on the integers, comparing with `value` by
-    cross-multiplication."""
+    streams W and cliques E, A given by its nonzeros rows = (i, j, a_ij),
+    after an exact check that witness = (w, L), the download-cost part of x
+    as w / L, is in the region at cost `value` and that dual = (y, d), the
+    dual point y / d, proves the minimum.  Every check runs on the integers:
+    A^T y is summed over the nonzeros in Python ints, and `value` is compared
+    by cross-multiplication."""
     (w, L), (y, d) = witness, dual
     if L < 1:
         raise AssertionError("LP witness has a nonpositive denominator")
@@ -115,11 +105,29 @@ def _certified(W, E, c, A: np.ndarray, b, value: Fraction, witness, dual) -> Cap
         raise AssertionError("dual certificate has a nonpositive denominator")
     if any(v > 0 for v in y):
         raise AssertionError("dual certificate has a positive entry")
-    if any(v > cj * d for v, cj in zip(_row_combination(y, A), c)):
+    if len(y) != len(b):
+        raise AssertionError("dual certificate does not have one entry per LP row")
+    aty = [0] * len(c)
+    for i, j, a in zip(*rows):
+        aty[j] += a * y[i]
+    if any(v > cj * d for v, cj in zip(aty, c)):
         raise AssertionError("dual certificate violates A^T y <= c")
     if sum(bi * v for bi, v in zip(b, y)) * value.denominator != value.numerator * d:
         raise AssertionError("dual certificate does not attain the optimal value")
     return CapacityResult(value, tuple(w), L, tuple(y), d)
+
+
+def _solve(W, E, c, rows, b) -> CapacityResult:
+    """Solve min c.x, A x <= b, x >= 0, A given by its nonzeros rows = (i, j,
+    a_ij) (no (i, j) twice, no a_ij == 0), and certify it in the region of
+    streams W and cliques E.  The first gamma variables are E's cost tuple
+    (t, ascending s); the witness is them over their least denominator."""
+    A = np.zeros((len(b), len(c)), dtype=np.int64)
+    A[rows[0], rows[1]] = rows[2]
+    value, (x, L), dual = lp.solve_min(c, A, b)
+    gamma = sum(map(len, E))
+    g = gcd(L, *x[:gamma])  # L // g is the least denominator of x[:gamma]
+    return _certified(W, E, c, rows, b, value, ([v // g for v in x[:gamma]], L // g), dual)
 
 
 def _active_pairs(P: Problem) -> list[tuple[int, int]]:
@@ -143,7 +151,7 @@ def capacity_lp(P: Problem) -> CapacityResult:
 
     # rows: m <= sum over E(t) and m <= 2 * sum over E(t) ^ W(k) for each
     # pair i (rows 2i, 2i+1), then sum_t m_{t,k} >= 1 for each stream k;
-    # the nonzero entries are listed (row, column, value) and written at once
+    # the nonzero entries are listed (row, column, value)
     ri, ci, vi = [], [], []
     for i, (t, k) in enumerate(pairs):
         e, w, m = P.E[t], P.W[k], gamma + i
@@ -151,14 +159,8 @@ def capacity_lp(P: Problem) -> CapacityResult:
         ri += [2 * i] * len(e) + [2 * i + 1] * len(both) + [2 * i, 2 * i + 1, 2 * len(pairs) + k]
         ci += [cost_pos[(t, s)] for s in e] + [cost_pos[(t, s)] for s in both] + [m, m, m]
         vi += [-1] * len(e) + [-2] * len(both) + [1, 1, -1]
-    A = np.zeros((2 * len(pairs) + P.K, nvars), dtype=np.int64)
-    A[ri, ci] = vi
     b = [0] * (2 * len(pairs)) + [-1] * P.K
-    c = [1] * gamma + [0] * len(pairs)
-
-    value, (x, L), dual = lp.solve_min(c, A, b)
-    g = gcd(L, *x[:gamma])  # L // g is the least denominator of x[:gamma]
-    return _certified(P.W, P.E, c, A, b, value, ([v // g for v in x[:gamma]], L // g), dual)
+    return _solve(P.W, P.E, [1] * gamma + [0] * len(pairs), (ri, ci, vi), b)
 
 
 def _check_lp_size(nvars: int):
@@ -166,43 +168,29 @@ def _check_lp_size(nvars: int):
         raise LpSizeError(f"{nvars} LP variables exceed the guard {MAX_LP_VARS}")
 
 
-def _incidence(P: Problem, value: int, skip: int = 0) -> np.ndarray:
-    """(skip + K) x S matrix, zero in its first `skip` rows: entry (skip + k,
-    s - 1) is `value` when server s stores stream k.  One scatter."""
-    inc = np.zeros((skip + P.K, P.S), dtype=np.int64)
-    inc[[k for k, w in enumerate(P.W, skip) for _ in w], [s - 1 for w in P.W for s in w]] = value
-    return inc
-
-
-def _per_server_result(P: Problem, E, A: np.ndarray) -> CapacityResult:
-    """Solve min sum_s D_s s.t. A D <= -1 (S per-server variables), certified
-    in the region of P's streams with cliques E.
-
-    E is the full clique or the singletons: either lists servers 1..S in
-    order, so the per-server witness is E's cost tuple as it stands."""
-    c, b = [1] * P.S, [-1] * len(A)
-    value, witness, dual = lp.solve_min(c, A, b)
-    return _certified(P.W, E, c, A, b, value, witness, dual)
-
-
 def capacity_fullent(P: Problem) -> CapacityResult:
     """Capacity when all S servers share one entangled system (only W is used).
 
     Per-server LP: sum_s D_s >= 1 and 2 * sum_{s in W(k)} D_s >= 1 for all k.
+    Variable s - 1 is D_s, so the variables are the full clique's cost tuple.
     """
     _check_lp_size(P.S)
-    A = _incidence(P, -2, skip=1)
-    A[0] = -1
-    return _per_server_result(P, full_clique(P.S), A)
+    rows = ([0] * P.S + [k for k, w in enumerate(P.W, 1) for _ in w],
+            [*range(P.S)] + [s - 1 for w in P.W for s in w],
+            [-1] * P.S + [-2] * sum(map(len, P.W)))
+    return _solve(P.W, full_clique(P.S), [1] * P.S, rows, [-1] * (1 + P.K))
 
 
 def capacity_unent(P: Problem) -> CapacityResult:
     """Capacity with no entanglement (all singleton cliques; only W is used).
 
     Per-server LP: sum_{s in W(k)} D_s >= 1 for all k.
+    Variable s - 1 is D_s, so the variables are the singletons' cost tuple.
     """
     _check_lp_size(P.S)
-    return _per_server_result(P, singleton_cliques(P.S), _incidence(P, -1))
+    rows = ([k for k, w in enumerate(P.W) for _ in w], [s - 1 for w in P.W for s in w],
+            [-1] * sum(map(len, P.W)))
+    return _solve(P.W, singleton_cliques(P.S), [1] * P.S, rows, [-1] * P.K)
 
 
 def maximal_dsc_gain(P: Problem) -> Fraction:

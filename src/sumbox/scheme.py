@@ -36,7 +36,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .capacity import capacity_lp, stream_values
+from .capacity import capacity_lp, region_values
 from .field import Extension, Field, extend_field, field_construct, parse_decimal
 from .matrix import Mat, MatrixError, block_diag, check_mul
 from .model import Problem, full_clique, parse_problem, render_problem, split_costs
@@ -73,7 +73,7 @@ def rate_numerator(P: Problem, a: Allocation) -> int:
     if len(a.counts) != P.gamma:
         raise SchemeError(f"allocation has {len(a.counts)} counts, the instance "
                           f"has gamma = {P.gamma} (t, s) pairs")
-    return min(stream_values(P, a.counts))
+    return min(region_values(P.W, P.E, a.counts))
 
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: `rows` holds numpy arrays

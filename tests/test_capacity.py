@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sumbox import capacity
 from sumbox.capacity import (beta_star, capacity_fullent, capacity_lp,
                              capacity_symmetric, capacity_unent, feasible,
                              maximal_dsc_gain)
-from sumbox.model import (Problem, ProblemError, beta_cliques, full_clique,
+from sumbox.model import (Problem, ProblemError, beta_cliques, full_clique, parse_problem,
                           singleton_cliques, symmetric_problem)
+from sumbox.oracle import random_replication
 from sumbox.scheme import reference_problem
+from sumbox.tables import table1_problems
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def F(a, b=1):
@@ -66,10 +71,13 @@ def _negate(dual, b):
     return y[:i] + [-y[i]] + y[i + 1:], d
 
 
-def _scale_on_zero_rhs(dual, b):
-    # a pair row: its entry only enters A^T y, on columns with nonpositive A
+def _scale(dual, b):
+    # a pair row where the LP has one: its entry only enters A^T y, on
+    # columns with nonpositive A; every per-server row has b_i = -1 and
+    # A <= 0, so there any nonzero entry does
     y, d = dual
-    i = next(i for i, v in enumerate(y) if v and b[i] == 0)
+    nonzero = [i for i, v in enumerate(y) if v]
+    i = next((i for i in nonzero if b[i] == 0), nonzero[0])
     return y[:i] + [1000 * y[i]] + y[i + 1:], d
 
 
@@ -93,14 +101,30 @@ def _negate_denominator(dual, b):
     return y, -d
 
 
+def _extra_entry(dual, b):
+    # an entry for a row the LP does not have
+    y, d = dual
+    return y + [-1], d
+
+
+def _dropped_entry(dual, b):
+    y, d = dual
+    return y[:-1], d
+
+
+@pytest.mark.parametrize("solve", [capacity_lp, capacity_unent, capacity_fullent],
+                         ids=["lp", "unent", "fullent"])
 @pytest.mark.parametrize("mutate, error", [
     (_negate, "has a positive entry"),
-    (_scale_on_zero_rhs, r"violates A\^T y <= c"),
+    (_scale, r"violates A\^T y <= c"),
     (_halve_on_stream_row, "does not attain the optimal value"),
     (_double_denominator, "does not attain the optimal value"),
     (_negate_denominator, "has a nonpositive denominator"),
-], ids=["positive", "scaled", "halved", "doubled-denominator", "negated-denominator"])
-def test_mutated_dual_is_rejected(monkeypatch, mutate, error):
+    (_extra_entry, "does not have one entry per LP row"),
+    (_dropped_entry, "does not have one entry per LP row"),
+], ids=["positive", "scaled", "halved", "doubled-denominator", "negated-denominator",
+        "extra-entry", "dropped-entry"])
+def test_mutated_dual_is_rejected(monkeypatch, mutate, error, solve):
     solve_min = capacity.lp.solve_min
 
     def mutated(c, A, b):
@@ -110,7 +134,7 @@ def test_mutated_dual_is_rejected(monkeypatch, mutate, error):
     P = reference_problem()
     monkeypatch.setattr(capacity.lp, "solve_min", mutated)
     with pytest.raises(AssertionError, match="dual certificate " + error):
-        capacity_lp(P)
+        solve(P)
 
 
 def test_lowered_witness_at_a_binding_stream_is_rejected(monkeypatch):
@@ -123,7 +147,7 @@ def test_lowered_witness_at_a_binding_stream_is_rejected(monkeypatch):
         return value, ([x[0] - 1] + x[1:], L), y
 
     P = reference_problem()
-    assert min(capacity.stream_values(P, [0, 1, 1, 2])) < 4
+    assert min(capacity.region_values(P.W, P.E, [0, 1, 1, 2])) < 4
     monkeypatch.setattr(capacity.lp, "solve_min", lowered)
     with pytest.raises(AssertionError, match="LP witness fails region membership"):
         capacity_lp(P)
@@ -195,11 +219,67 @@ def test_capacity_lp_builds_no_fraction_per_entry(monkeypatch):
     assert counts[0] == counts[1] <= 2
 
 
-def test_row_combination_is_exact_past_int64():
-    A = np.array([[1, -2], [1, 0]])
-    assert capacity._row_combination([3, -4], A) == [-1, -6]
-    big = 1 << 62
-    assert capacity._row_combination([big, big], A) == [2 * big, -2 * big]
+def test_dual_check_is_exact_past_int64(monkeypatch):
+    # the optimal dual y / d scaled to (2^62 y) / (2^62 d) is the same point,
+    # and A^T y, on entries past 2^62, must come out exact: one numerator
+    # moved one unit on a column where A^T y = c pushes that column past c
+    P = reference_problem()
+    res = capacity_lp(P)
+    scale = 1 << 62
+    solve_min = capacity.lp.solve_min
+
+    def scaled(move):
+        def solve(c, A, b):
+            value, x, (y, d) = solve_min(c, A, b)
+            y = [scale * v for v in y]
+            if move:
+                aty = [sum(int(A[i, j]) * v for i, v in enumerate(y)) for j in range(len(c))]
+                j = next(j for j, v in enumerate(aty) if v == c[j] * d * scale)
+                i = next(i for i in range(len(b)) if A[i, j] < 0)
+                y[i] -= 1
+            return value, x, (y, scale * d)
+        return solve
+
+    monkeypatch.setattr(capacity.lp, "solve_min", scaled(False))
+    big = capacity_lp(P)
+    assert min(-v for v in big.dual_num if v) >= scale
+    assert big.dual_num == tuple(scale * v for v in res.dual_num)
+    assert big.dual_den == scale * res.dual_den
+    assert big.optimal_cost == res.optimal_cost
+    monkeypatch.setattr(capacity.lp, "solve_min", scaled(True))
+    with pytest.raises(AssertionError, match=r"dual certificate violates A\^T y <= c"):
+        capacity_lp(P)
+
+
+def _random_per_server_lps():
+    rng = random.Random(0)
+    for _ in range(200):
+        S = rng.randint(1, 8)
+        P = Problem(S, random_replication(rng, S, rng.randint(1, 5)), full_clique(S))
+        capacity_unent(P)
+        capacity_fullent(P)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: [capacity_lp(P) for _, P, _ in table1_problems()],
+    lambda: [capacity_lp(parse_problem(p.read_text())) for p in sorted(PROBLEMS.glob("*.prob"))],
+    lambda: [capacity_lp(symmetric_problem(S, a, b))
+             for S in range(1, 7) for a in range(1, S + 1) for b in range(1, S + 1)],
+    _random_per_server_lps,
+], ids=["table1", "problem-files", "symmetric-s6", "per-server"])
+def test_lp_nonzeros_are_distinct_and_nonzero(monkeypatch, run):
+    # the scatter into solve_min's A and the checker's A^T y read the same
+    # matrix only when no (row, column) repeats and no listed value is 0;
+    # _solve is replaced by a recorder, so no LP is solved
+    lps = []
+    monkeypatch.setattr(capacity, "_solve", lambda W, E, c, rows, b: lps.append((rows, b, c)))
+    run()
+    assert lps
+    for (ri, ci, vi), b, c in lps:
+        assert len(ri) == len(ci) == len(vi)
+        assert len(set(zip(ri, ci))) == len(vi)
+        assert 0 not in vi
+        assert all(0 <= i < len(b) for i in ri) and all(0 <= j < len(c) for j in ci)
 
 
 def test_every_result_carries_its_dual():
