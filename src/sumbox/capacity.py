@@ -130,20 +130,15 @@ def _solve(W, E, c, rows, b) -> CapacityResult:
     return _certified(W, E, c, rows, b, value, ([v // g for v in x[:gamma]], L // g), dual)
 
 
-def _active_pairs(P: Problem) -> list[tuple[int, int]]:
-    return [(t, k) for t in range(P.T) for k in range(P.K) if P.E[t] & P.W[k]]
-
-
 def capacity_lp(P: Problem) -> CapacityResult:
     """Exact LP solve of the capacity region; returns the optimum, a witness
     vertex and the dual point that certifies it."""
-    for k, w in enumerate(P.W):
-        if not any(e & w for e in P.E):
-            raise ProblemError(
-                f"stream {P.stream_names[k]} is not covered by any clique; capacity is zero"
-            )
     gamma = P.gamma
-    pairs = _active_pairs(P)
+    pairs = [(t, k) for t in range(P.T) for k in range(P.K) if P.E[t] & P.W[k]]
+    uncovered = set(range(P.K)).difference(k for _, k in pairs)
+    if uncovered:
+        raise ProblemError(f"stream {P.stream_names[min(uncovered)]} is not covered "
+                           "by any clique; capacity is zero")
     nvars = gamma + len(pairs)
     _check_lp_size(nvars)
     # variable layout: gamma download costs then one m per active (t, k) pair

@@ -33,11 +33,14 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
-def _emit(records: bool, instance: str, value: Fraction):
+def _emit(records: bool, instance: str, value, **fields):
+    """One result line: `instance: value`, or a JSON record of the instance,
+    then `fields`, then value-num and value-den when value is a Fraction."""
     if records:
-        print(json.dumps({"instance": instance,
-                          "value-num": value.numerator,
-                          "value-den": value.denominator}))
+        rec = {"instance": instance, **fields}
+        if isinstance(value, Fraction):
+            rec |= {"value-num": value.numerator, "value-den": value.denominator}
+        print(json.dumps(rec))
     else:
         print(f"{instance}: {value}")
 
@@ -157,18 +160,21 @@ def cmd_scheme_build(args) -> int:
 
 
 def cmd_scheme_simulate(args) -> int:
-    trials, seed = _int_option("--trials", args.trials), _int_option("--seed", args.seed)
-    sch = parse_scheme(_read(args.file))
-    q = sch.ext.big.order
     if args.exhaustive:
-        rep = exhaustive_decode_check(sch)
-        total = q ** (sch.problem.K * sch.R)
-        if rep.agree:
-            print(f"{total}/{total} pass")
+        for opt in ("trials", "seed"):
+            if getattr(args, opt) is not None:
+                raise ValueError(f"--{opt} does not apply to scheme simulate --exhaustive")
+        rep = exhaustive_decode_check(parse_scheme(_read(args.file)))
+        if rep.agree:  # both values are the realization count
+            print(f"{rep.main_value}/{rep.oracle_value} pass")
             return EXIT_OK
         print(f"FAIL at realization {rep.counterexample}: "
               f"decoded {rep.main_value}, expected {rep.oracle_value}")
         return EXIT_MISMATCH
+    trials = _int_option("--trials", "1000" if args.trials is None else args.trials)
+    seed = _int_option("--seed", str(DEFAULT_SEED) if args.seed is None else args.seed)
+    sch = parse_scheme(_read(args.file))
+    q = sch.ext.big.order
     rng = random.Random(seed)
     K, R = sch.problem.K, sch.R
     ops = field_ops(sch.ext.big)
@@ -216,12 +222,7 @@ def cmd_verify(args) -> int:
         reports = check_beta_star(max_s or 10)
     if args.format == "records":
         for rep in reports:
-            val = rep.main_value if isinstance(rep.main_value, Fraction) else None
-            rec = {"instance": rep.instance, "ok": rep.agree}
-            if val is not None:
-                rec["value-num"] = val.numerator
-                rec["value-den"] = val.denominator
-            print(json.dumps(rec))
+            _emit(True, rep.instance, rep.main_value, ok=rep.agree)
     else:
         print(f"1..{len(reports)}")
         for line in tap_lines(reports):
@@ -261,9 +262,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_s = ssub.add_parser("simulate", help="run decode trials on a scheme file")
     p_s.add_argument("file")
-    p_s.add_argument("--trials", default="1000")
+    p_s.add_argument("--trials", help="default 1000 (not with --exhaustive)")
     p_s.add_argument("--exhaustive", action="store_true")
-    p_s.add_argument("--seed", default=str(DEFAULT_SEED))
+    p_s.add_argument("--seed", help=f"default {DEFAULT_SEED} (not with --exhaustive)")
     p_s.set_defaults(func=cmd_scheme_simulate)
 
     p_c = ssub.add_parser("check", help="re-validate a scheme file's certificate")

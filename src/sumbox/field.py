@@ -106,44 +106,33 @@ def _lex_smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     return next(m for m in _not_divisible_by_x(p, r) if _is_irreducible(m, p))
 
 
+@dataclass(unsafe_hash=True, slots=True)
 class Field:
     """The finite field F_{p^r} with a fixed canonical modulus polynomial.
 
     Elements are ints in range(order).  The encoding of the polynomial
     sum c_i x^i is the integer sum c_i p^i; in particular 0 and 1 are the
     additive and multiplicative identities and (for r > 1) `p` encodes x.
+    Two fields are equal when p and r are, as those fix the modulus.
     """
 
-    __slots__ = ("p", "r", "order", "modulus", "_ops")
+    p: int
+    r: int = 1
+    order: int = field(init=False, repr=False, compare=False)
+    modulus: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # this field's vecops.VecOps, built on first use
+    _ops: object = field(init=False, default=None, repr=False, compare=False)
 
-    def __init__(self, p: int, r: int = 1):
+    def __post_init__(self):
+        p, r = self.p, self.r
         if r < 1:
             raise FieldError(f"extension degree r = {r} must be >= 1")
         if p > MAX_ORDER or p ** min(r, MAX_ORDER.bit_length()) > MAX_ORDER:  # before is_prime(p)
             raise FieldOrderError(f"field order {p}^{r} exceeds bound {MAX_ORDER}")
         if not is_prime(p):
             raise FieldError(f"p = {p} is not prime")
-        order = p ** r
-        self.p = p
-        self.r = r
-        self.order = order
+        self.order = p ** r
         self.modulus = _lex_smallest_irreducible(p, r)
-        self._ops = None  # this field's vecops.VecOps, built on first use
-
-    # -- identity / comparison ------------------------------------------------
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.r == other.r
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.r, self.modulus))
-
-    def __repr__(self):
-        return f"Field({self.p}, {self.r})"
 
     @property
     def name(self) -> str:

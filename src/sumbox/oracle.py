@@ -269,7 +269,7 @@ def _covered(P: Problem) -> bool:
     return all(any(e & w for e in P.E) for w in P.W)
 
 
-def random_problem_with_triangle(rng: random.Random, max_s: int = 5) -> tuple[Problem, int]:
+def random_problem_with_triangle(rng: random.Random, max_s: int) -> tuple[Problem, int]:
     while True:
         S = rng.randint(3, max_s)
         K = rng.randint(1, 4)
@@ -288,7 +288,7 @@ def random_problem_with_triangle(rng: random.Random, max_s: int = 5) -> tuple[Pr
             return P, tri_at + 1
 
 
-def check_triangle_substitution(seed: int, cases: int = 100, max_s: int = 5):
+def check_triangle_substitution(seed: int, cases: int, max_s: int):
     rng = random.Random(seed)
     reports = []
     for i in range(cases):
@@ -301,7 +301,7 @@ def check_triangle_substitution(seed: int, cases: int = 100, max_s: int = 5):
     return reports
 
 
-def check_bipartite_merge(seed: int, cases: int = 100, max_s: int = 5):
+def check_bipartite_merge(seed: int, cases: int, max_s: int):
     rng = random.Random(seed)
     reports = []
     for i in range(cases):
@@ -330,7 +330,7 @@ def check_disjoint_data():
     return reports
 
 
-def check_dsc_gain(seed: int, cases: int = 200, max_s: int = 5):
+def check_dsc_gain(seed: int, cases: int, max_s: int):
     rng = random.Random(seed)
     reports = []
     for i in range(cases):
@@ -345,7 +345,7 @@ def check_dsc_gain(seed: int, cases: int = 200, max_s: int = 5):
     return reports
 
 
-def check_separability(seed: int, cases: int = 50, max_s: int = 4):
+def check_separability(seed: int, cases: int, max_s: int):
     rng = random.Random(seed)
     reports = []
     for i in range(cases):
@@ -397,7 +397,7 @@ def named_instances() -> list[OracleReport]:
     return reports
 
 
-def check_identities(seed: int = 0, cases: int = 100, max_s: int = 5) -> list[OracleReport]:
+def check_identities(seed: int, cases: int, max_s: int) -> list[OracleReport]:
     reports = []
     reports += check_triangle_substitution(seed, cases, max_s)
     reports += check_bipartite_merge(seed + 1, cases, max_s)
@@ -412,7 +412,7 @@ def check_identities(seed: int = 0, cases: int = 100, max_s: int = 5) -> list[Or
 # agreement suites
 
 
-def check_beta_star(max_s: int = 10) -> list[OracleReport]:
+def check_beta_star(max_s: int) -> list[OracleReport]:
     """beta*(S, alpha) against a scan for the smallest beta whose symmetric
     capacity equals the fully entangled one, for every alpha <= S <= max_s."""
     reports = []
@@ -441,7 +441,7 @@ def random_small_problem(rng: random.Random) -> Problem:
             return P
 
 
-def check_lp_oracle(seed: int = 0, cases: int = 200) -> list[OracleReport]:
+def check_lp_oracle(seed: int, cases: int) -> list[OracleReport]:
     rng = random.Random(seed)
     reports = []
     for i in range(cases):

@@ -238,6 +238,75 @@ def test_scheme_exhaustive_guard(tmp_path, capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("flip, code, want", [
+    (False, 0, "65536/65536 pass\n"),
+    (True, 1, "FAIL at realization "),
+])
+def test_scheme_simulate_exhaustive_prints_the_sweep(tmp_path, capsys, flip, code, want):
+    # the worked reference scheme over all 65536 realizations, as rendered and
+    # with the first DECODER entry flipped from 0 to 1
+    text = render_scheme(scheme.worked_reference_scheme())
+    if flip:
+        head, dec = text.split("DECODER\n")
+        header, first = dec.split("\n", 1)
+        assert first.startswith("[0] ")
+        text = f"{head}DECODER\n{header}\n[1]{first[3:]}"
+    scheme_file = tmp_path / "reference.scheme"
+    scheme_file.write_text(text)
+    got, out, err = run(capsys, "scheme", "simulate", str(scheme_file), "--exhaustive")
+    assert (got, err) == (code, "")
+    assert out.startswith(want) and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("opt", ["--trials", "--seed"])
+def test_scheme_simulate_exhaustive_refuses_trials_and_seed(tmp_path, capsys, example_scheme,
+                                                            opt):
+    scheme_file = tmp_path / "example.scheme"
+    scheme_file.write_text(example_scheme)
+    code, out, err = run(capsys, "scheme", "simulate", str(scheme_file), "--exhaustive", opt, "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {opt} does not apply to scheme simulate --exhaustive\n"
+    # without --exhaustive both apply, and both keep their defaults
+    assert run(capsys, "scheme", "simulate", str(scheme_file), opt, "3")[0] == 0
+    assert run(capsys, "scheme", "simulate", str(scheme_file)) == (
+        0, f"1000/1000 pass (seed {scheme.DEFAULT_SEED})\n", "")
+
+
+def test_capacity_names_the_first_uncovered_stream_in_file_order(tmp_path, capsys):
+    # streams x and v sit on server 3, which no clique meets; x comes first
+    bad = tmp_path / "uncovered.prob"
+    bad.write_text("servers 3\nstream y: 1\nstream x: 3\nstream w: 2\nstream v: 3\n"
+                   "clique: 1 2\n")
+    code, out, err = run(capsys, "capacity", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: stream x is not covered by any clique; capacity is zero\n"
+
+
+@pytest.mark.parametrize("argv, reports", [
+    (["identities", "--cases", "3", "--max-s", "4"], lambda: oracle.check_identities(0, 3, 4)),
+    (["oracle-lp", "--cases", "3"], lambda: oracle.check_lp_oracle(0, 3)),
+    (["beta-star", "--max-s", "4"], lambda: oracle.check_beta_star(4)),
+])
+def test_verify_records_keys(capsys, argv, reports):
+    # one record per report: instance, ok, then value-num and value-den only
+    # where the report's main value is a Fraction
+    code, out, err = run(capsys, "verify", *argv, "--format", "records")
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    want = reports()
+    assert len(records) == len(want)
+    for rec, rep in zip(records, want):
+        value = rep.main_value
+        keys = ["instance", "ok"] + ["value-num", "value-den"] * isinstance(value, Fraction)
+        assert list(rec) == keys
+        assert (rec["instance"], rec["ok"]) == (rep.instance, True)
+        if isinstance(value, Fraction):
+            assert Fraction(rec["value-num"], rec["value-den"]) == value
+    # beta-star's main values are ints; the other two suites have Fraction ones
+    fractions = sum(isinstance(rep.main_value, Fraction) for rep in want)
+    assert (fractions == 0) == (argv[0] == "beta-star")
+
+
 def test_verify_beta_star(capsys):
     code, out, _ = run(capsys, "verify", "beta-star", "--max-s", "6")
     assert code == 0
