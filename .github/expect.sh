@@ -7,6 +7,9 @@
 #       --within, inside S seconds). Its stdout stays in $RUNNER_TEMP/cli.out.
 #   printed LINE
 #       fails the step unless the last expect printed LINE as a whole line.
+#   records
+#       fails the step unless the last expect printed at least one line and
+#       every line is a JSON object whose first key is "instance".
 
 expect() {
   want="$1"
@@ -30,6 +33,25 @@ printed() {
   if ! grep -qx "$1" "$RUNNER_TEMP/cli.out"; then
     cat "$RUNNER_TEMP/cli.out"
     echo "want the line '$1'"
+    exit 1
+  fi
+}
+
+records() {
+  if ! python -c '
+import json, sys
+
+def record(line):
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return False
+    return isinstance(rec, dict) and next(iter(rec), None) == "instance"
+
+lines = sys.stdin.read().splitlines()
+sys.exit(0 if lines and all(map(record, lines)) else 1)' < "$RUNNER_TEMP/cli.out"; then
+    cat "$RUNNER_TEMP/cli.out"
+    echo "want every line a JSON object whose first key is instance"
     exit 1
   fi
 }

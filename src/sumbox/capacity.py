@@ -68,12 +68,6 @@ def region_values(W, E, D) -> list:
             for w in W]
 
 
-def common_denominator(values) -> tuple[list[int], int]:
-    """Integers n_i and the least L >= 1 with values[i] == n_i / L (Fractions or ints)."""
-    L = lcm(*(v.denominator for v in values))
-    return [v.numerator * (L // v.denominator) for v in values], L
-
-
 def in_region(W, E, N: list[int], L: int) -> bool:
     """Region membership, for streams W and cliques E, of the download-cost
     tuple N / L, given as integers N (length gamma, (t,s) order) and L >= 1."""
@@ -83,7 +77,9 @@ def in_region(W, E, N: list[int], L: int) -> bool:
 
 def feasible(P: Problem, D) -> bool:
     """Region membership of a download-cost tuple (length gamma, (t,s) order)."""
-    return in_region(P.W, P.E, *common_denominator([Fraction(v) for v in D]))
+    values = [Fraction(v) for v in D]
+    L = lcm(*(v.denominator for v in values))
+    return in_region(P.W, P.E, [v.numerator * (L // v.denominator) for v in values], L)
 
 
 def _certified(W, E, c, rows, b, value: Fraction, witness, dual) -> CapacityResult:

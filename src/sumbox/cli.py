@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -43,11 +44,6 @@ def _emit(records: bool, instance: str, value, **fields):
         print(json.dumps(rec))
     else:
         print(f"{instance}: {value}")
-
-
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
 
 
 def _int_option(option: str, token: str) -> int:
@@ -94,7 +90,7 @@ def _detect_symmetric(P: Problem) -> tuple[int, int, int]:
 
 
 def cmd_capacity(args) -> int:
-    P = parse_problem(_read(args.file))
+    P = parse_problem(Path(args.file).read_text())
     records = args.format == "records"
     # every result is computed before the first line prints, so a refusal
     # (say, the LP that --dsc needs) leaves stdout empty
@@ -138,7 +134,7 @@ def cmd_tables(args) -> int:
 
 def cmd_scheme_build(args) -> int:
     seed = _int_option("--seed", args.seed)
-    P = parse_problem(_read(args.file))
+    P = parse_problem(Path(args.file).read_text())
     z = None if args.z in (None, "auto") else _int_option("--z", args.z)
     allocation = None
     if args.alloc:
@@ -150,8 +146,7 @@ def cmd_scheme_build(args) -> int:
     sch = build_scheme(P, allocation=allocation, z=z, seed=seed)
     text = render_scheme(sch)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text)
         print(f"wrote scheme: rate {sch.rate}, q = {sch.ext.big.order}, "
               f"R = {sch.R}, total download {sch.allocation.total}")
     else:
@@ -164,7 +159,7 @@ def cmd_scheme_simulate(args) -> int:
         for opt in ("trials", "seed"):
             if getattr(args, opt) is not None:
                 raise ValueError(f"--{opt} does not apply to scheme simulate --exhaustive")
-        rep = exhaustive_decode_check(parse_scheme(_read(args.file)))
+        rep = exhaustive_decode_check(parse_scheme(Path(args.file).read_text()))
         if rep.agree:  # both values are the realization count
             print(f"{rep.main_value}/{rep.oracle_value} pass")
             return EXIT_OK
@@ -173,7 +168,7 @@ def cmd_scheme_simulate(args) -> int:
         return EXIT_MISMATCH
     trials = _int_option("--trials", "1000" if args.trials is None else args.trials)
     seed = _int_option("--seed", str(DEFAULT_SEED) if args.seed is None else args.seed)
-    sch = parse_scheme(_read(args.file))
+    sch = parse_scheme(Path(args.file).read_text())
     q = sch.ext.big.order
     rng = random.Random(seed)
     K, R = sch.problem.K, sch.R
@@ -190,7 +185,7 @@ def cmd_scheme_simulate(args) -> int:
 
 
 def cmd_scheme_check(args) -> int:
-    sch = parse_scheme(_read(args.file))
+    sch = parse_scheme(Path(args.file).read_text())
     ok = sch.certificate_ok()
     rate = sch.rate
     cap = capacity_lp(sch.problem).capacity
@@ -222,7 +217,7 @@ def cmd_verify(args) -> int:
         reports = check_beta_star(max_s or 10)
     if args.format == "records":
         for rep in reports:
-            _emit(True, rep.instance, rep.main_value, ok=rep.agree)
+            _emit(True, rep.instance, rep.main_value, ok=rep.agree, **rep.disagreement())
     else:
         print(f"1..{len(reports)}")
         for line in tap_lines(reports):

@@ -9,7 +9,7 @@ concatenation — live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
@@ -67,10 +67,6 @@ class Problem:
 
     def data_field(self):
         return field_construct(*self.base_field)
-
-    def with_cliques(self, E) -> "Problem":
-        return Problem(self.S, self.W, tuple(frozenset(e) for e in E),
-                       self.stream_names, self.base_field)
 
     def cost_index(self) -> list[tuple[int, int]]:
         """Order of download-cost entries: (t, s) by clique then ascending server.
@@ -174,7 +170,7 @@ def triangle_substitute(P: Problem, t: int) -> Problem:
     s1, s2, s3 = tri
     E2 = tuple(e for i, e in enumerate(P.E) if i != t - 1) + (
         frozenset([s1, s2]), frozenset([s1, s3]), frozenset([s2, s3]))
-    return P.with_cliques(E2)
+    return replace(P, E=E2)
 
 
 def concat_problems(P1: Problem, P2: Problem) -> Problem:

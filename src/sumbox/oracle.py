@@ -21,7 +21,7 @@ Reports render as TAP lines for CI consumption.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import prod
@@ -55,6 +55,16 @@ class OracleReport:
     agree: bool
     counterexample: Any = None
 
+    def disagreement(self) -> dict[str, str]:
+        """main, oracle and (with a counterexample) witness as text, for a
+        report that disagrees; empty for one that agrees."""
+        if self.agree:
+            return {}
+        out = {"main": str(self.main_value), "oracle": str(self.oracle_value)}
+        if self.counterexample is not None:
+            out["witness"] = str(self.counterexample)
+        return out
+
 
 def tap_lines(reports) -> list[str]:
     out = []
@@ -62,10 +72,7 @@ def tap_lines(reports) -> list[str]:
         status = "ok" if rep.agree else "not ok"
         line = f"{status} {i} - {rep.instance}"
         if not rep.agree:
-            line += f" (main={rep.main_value}, oracle={rep.oracle_value}"
-            if rep.counterexample is not None:
-                line += f", witness={rep.counterexample}"
-            line += ")"
+            line += " (" + ", ".join(f"{k}={v}" for k, v in rep.disagreement().items()) + ")"
         out.append(line)
     return out
 
@@ -278,11 +285,8 @@ def random_problem_with_triangle(rng: random.Random, max_s: int) -> tuple[Proble
         cliques = []
         tri_at = rng.randrange(T)
         for t in range(T):
-            if t == tri_at:
-                cliques.append(frozenset(rng.sample(range(1, S + 1), 3)))
-            else:
-                size = rng.randint(1, S)
-                cliques.append(frozenset(rng.sample(range(1, S + 1), size)))
+            size = 3 if t == tri_at else rng.randint(1, S)
+            cliques.append(frozenset(rng.sample(range(1, S + 1), size)))
         P = Problem(S, W, tuple(cliques))
         if _covered(P):
             return P, tri_at + 1
@@ -372,7 +376,7 @@ def named_instances() -> list[OracleReport]:
          frozenset({2, 3, 4}), frozenset({5}))
     P = Problem(5, W, full_clique(5), ("A", "B", "C", "D", "E"))
     c5 = capacity_fullent(P).capacity
-    c4 = capacity_lp(P.with_cliques(beta_cliques(5, 4))).capacity
+    c4 = capacity_lp(replace(P, E=beta_cliques(5, 4))).capacity
     reports.append(OracleReport("5-server full-entanglement capacity = 6/7",
                                 c5, Fraction(6, 7), c5 == Fraction(6, 7)))
     reports.append(OracleReport("5-server 4-party capacity = 5/6",

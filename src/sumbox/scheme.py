@@ -69,10 +69,8 @@ class Allocation:
 
 
 def rate_numerator(P: Problem, a: Allocation) -> int:
-    """min_k sum_t min(N_t, 2 sum_{s in E(t) ^ W(k)} N_ts): sums decodable per use."""
-    if len(a.counts) != P.gamma:
-        raise SchemeError(f"allocation has {len(a.counts)} counts, the instance "
-                          f"has gamma = {P.gamma} (t, s) pairs")
+    """min_k sum_t min(N_t, 2 sum_{s in E(t) ^ W(k)} N_ts): sums decodable per use.
+    Counts of a length other than gamma raise ProblemError."""
     return min(region_values(P.W, P.E, a.counts))
 
 

@@ -9,6 +9,7 @@ embedded values, so the check is self-contained offline.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .capacity import capacity_lp, capacity_symmetric
@@ -61,7 +62,7 @@ TABLE2: tuple[tuple[Fraction, ...], ...] = tuple(
 
 def table1_problems() -> list[tuple[str, Problem, Fraction]]:
     base = reference_problem()
-    return [(_label(cliques), base.with_cliques(cliques), golden)
+    return [(_label(cliques), replace(base, E=cliques), golden)
             for cliques, golden in TABLE1]
 
 

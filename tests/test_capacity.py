@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,14 +39,14 @@ def test_reference_unent():
 
 
 def test_reference_two_cliques():
-    P = reference_problem().with_cliques((frozenset({1, 2}), frozenset({2, 3, 4})))
+    P = replace(reference_problem(), E=(frozenset({1, 2}), frozenset({2, 3, 4})))
     assert capacity_lp(P).capacity == F(2, 3)
 
 
 def test_witness_is_feasible():
     for cliques in (full_clique(4), beta_cliques(4, 2),
                     (frozenset({1}), frozenset({2, 3, 4}))):
-        P = reference_problem().with_cliques(cliques)
+        P = replace(reference_problem(), E=cliques)
         res = capacity_lp(P)
         assert feasible(P, res.witness)
         assert res.capacity * res.optimal_cost == 1

@@ -307,6 +307,45 @@ def test_verify_records_keys(capsys, argv, reports):
     assert (fractions == 0) == (argv[0] == "beta-star")
 
 
+# failing reports of three kinds of main value: a tuple (disjoint data), a
+# string (separability, here with a counterexample) and a Fraction
+FAILING_REPORTS = [
+    oracle.OracleReport("disjoint data S=3: fullent = 2-party = 2/S",
+                        (Fraction(2, 3), Fraction(1, 2)), Fraction(2, 3), False),
+    oracle.OracleReport("separability #1 (S1=2, S2=1)", "additive=True",
+                        "both gains 2: False", False, (1, 2)),
+    oracle.OracleReport("maximal gain #1 (S=2, K=1)", Fraction(9, 5), Fraction(2), False),
+]
+
+
+def test_verify_failing_records_carry_the_tap_values(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_identities", lambda seed, cases, max_s: FAILING_REPORTS)
+    code, out, err = run(capsys, "verify", "identities")
+    assert (code, err) == (1, "")
+    tap = out.splitlines()
+    assert tap == [
+        "1..3",
+        "not ok 1 - disjoint data S=3: fullent = 2-party = 2/S "
+        "(main=(Fraction(2, 3), Fraction(1, 2)), oracle=2/3)",
+        "not ok 2 - separability #1 (S1=2, S2=1) "
+        "(main=additive=True, oracle=both gains 2: False, witness=(1, 2))",
+        "not ok 3 - maximal gain #1 (S=2, K=1) (main=9/5, oracle=2)",
+    ]
+    code, out, err = run(capsys, "verify", "identities", "--format", "records")
+    assert (code, err) == (1, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [list(rec) for rec in records] == [
+        ["instance", "ok", "main", "oracle"],
+        ["instance", "ok", "main", "oracle", "witness"],
+        ["instance", "ok", "main", "oracle", "value-num", "value-den"],
+    ]
+    assert records[2]["value-num"] == 9 and records[2]["value-den"] == 5
+    for line, rec, rep in zip(tap[1:], records, FAILING_REPORTS):
+        assert (rec["instance"], rec["ok"]) == (rep.instance, False)
+        shown = ", ".join(f"{key}={rec[key]}" for key in ("main", "oracle", "witness") if key in rec)
+        assert line.endswith(f" - {rep.instance} ({shown})")
+
+
 def test_verify_beta_star(capsys):
     code, out, _ = run(capsys, "verify", "beta-star", "--max-s", "6")
     assert code == 0
@@ -380,6 +419,13 @@ def test_scheme_build_names_a_non_integer_option(capsys, option, value):
     code, out, err = run(capsys, "scheme", "build", prob("example.prob"), option, value)
     assert (code, out) == (2, "")
     assert err == f"error: {option} expects an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("alloc", ["1,1,1", "1,1,1,1,1"])
+def test_scheme_build_refuses_an_alloc_of_the_wrong_length(capsys, alloc):
+    code, out, err = run(capsys, "scheme", "build", prob("example.prob"), "--alloc", alloc)
+    assert (code, out) == (2, "")
+    assert err == "error: --alloc expects 4 entries (clique-major, server-ascending)\n"
 
 
 def test_scheme_build_has_no_data_field_option(capsys):

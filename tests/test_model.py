@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sumbox.model import (Problem, ProblemError, beta_cliques, colex_subsets,
@@ -140,7 +142,7 @@ def test_symmetric_problem_shape():
 
 
 def test_merged_map():
-    P = example().with_cliques(beta_cliques(4, 2))
+    P = replace(example(), E=beta_cliques(4, 2))
     Q = merged_map(P)
     assert Q.S == len(beta_cliques(4, 2))
     assert all(len(e) == 1 for e in Q.E)
@@ -154,7 +156,7 @@ def test_merged_map():
 
 def test_triangle_substitute():
     P = example()
-    Q = triangle_substitute(P.with_cliques((frozenset({1, 2, 3}), frozenset({4}))), 1)
+    Q = triangle_substitute(replace(P, E=(frozenset({1, 2, 3}), frozenset({4}))), 1)
     assert Q.T == 4  # the 3-clique replaced by its three 2-subsets, {4} kept
     assert frozenset({1, 2}) in Q.E and frozenset({4}) in Q.E
     with pytest.raises(ProblemError):
@@ -185,5 +187,5 @@ def test_invalid_problem_rejected():
 
 
 def test_cost_index_order():
-    P = example().with_cliques((frozenset({2, 3}), frozenset({1})))
+    P = replace(example(), E=(frozenset({2, 3}), frozenset({1})))
     assert P.cost_index() == [(0, 2), (0, 3), (1, 1)]

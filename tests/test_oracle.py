@@ -337,6 +337,42 @@ def test_random_small_problem_within_guard():
         capacity_lp(P)  # coverage holds, LP solvable
 
 
+# (S, W, E, t) of the first 20 draws of random_problem_with_triangle(Random(0), 5),
+# servers sorted: the RNG calls and their order fix every seeded triangle report
+TRIANGLE_DRAWS = [
+    (4, ((3,), (1, 2, 3, 4), (2, 4), (1, 3)), ((1, 3, 4), (1, 3, 4)), 1),
+    (4, ((2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4), (3, 4)), ((1, 2, 3),), 1),
+    (4, ((1, 3), (1, 2), (1, 3, 4)), ((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4)), 1),
+    (3, ((1, 2, 3), (1,), (3,)), ((1, 2, 3), (2,)), 1),
+    (4, ((2,),), ((1, 3, 4), (1,), (1, 2)), 1),
+    (3, ((1,), (1, 2, 3), (1, 2, 3)), ((1, 2, 3), (1, 2, 3), (1,)), 1),
+    (5, ((1, 2, 4), (1, 2, 3, 4, 5), (3, 5)), ((1, 2, 3, 4, 5), (1, 3, 5), (1, 2, 3, 4, 5)), 2),
+    (5, ((1, 3, 4), (1, 2, 3, 4, 5), (5,)), ((2, 4, 5), (1, 2, 3, 4, 5)), 1),
+    (4, ((1,), (1, 3), (2, 3), (1, 2, 3, 4)), ((2,), (1, 2, 4)), 2),
+    (5, ((1, 3, 4, 5), (4,)), ((1, 3, 4, 5), (1, 2, 5)), 2),
+    (3, ((1,), (1, 3), (1,)), ((1, 2, 3), (1, 2, 3), (1, 2, 3)), 2),
+    (3, ((1, 2, 3), (2,), (2, 3), (1, 2, 3)), ((1, 2, 3),), 1),
+    (4, ((1, 3), (1, 2, 3, 4), (3,), (1, 2, 3, 4)), ((2, 3, 4),), 1),
+    (3, ((3,), (1, 2), (1, 2), (3,)), ((1, 2, 3), (1, 2, 3), (1, 3)), 2),
+    (3, ((1, 2, 3),), ((1, 3), (1, 2, 3)), 2),
+    (3, ((1, 2), (3,), (1, 2), (1, 2, 3)), ((1, 2), (1, 2, 3), (2, 3)), 2),
+    (4, ((3, 4),), ((2, 3, 4),), 1),
+    (3, ((1, 2, 3),), ((1, 2, 3),), 1),
+    (4, ((2, 4), (1, 2, 3, 4)), ((3, 4), (2, 3, 4), (1, 3)), 2),
+    (3, ((2, 3), (1, 2)), ((2, 3), (1, 2, 3)), 2),
+]
+
+
+def test_random_problem_with_triangle_draws_are_pinned():
+    rng = random.Random(0)
+    draws = []
+    for _ in TRIANGLE_DRAWS:
+        P, t = oracle.random_problem_with_triangle(rng, 5)
+        draws.append((P.S, tuple(tuple(sorted(w)) for w in P.W),
+                      tuple(tuple(sorted(e)) for e in P.E), t))
+    assert draws == TRIANGLE_DRAWS
+
+
 def test_tap_rendering():
     reports = [OracleReport("first", 1, 1, True),
                OracleReport("second", 2, 3, False, "w")]

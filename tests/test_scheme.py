@@ -13,7 +13,7 @@ from sumbox import scheme, vecops
 from sumbox.capacity import capacity_lp, capacity_symmetric
 from sumbox.field import field_construct
 from sumbox.matrix import Mat, MatrixError
-from sumbox.model import Problem, full_clique, parse_problem, symmetric_problem
+from sumbox.model import Problem, ProblemError, full_clique, parse_problem, symmetric_problem
 from sumbox.nsumbox import is_valid_box
 from sumbox.scheme import (Allocation, RetriesExhausted, SchemeError, assemble_channel,
                            build_scheme, find_encoders, worked_reference_scheme,
@@ -150,7 +150,7 @@ def test_a_witness_off_capacity_fails_the_build(monkeypatch):
 def test_allocation_validation():
     P = reference_problem()
     bad = Allocation((1,))  # wrong arity for this problem
-    with pytest.raises(SchemeError):
+    with pytest.raises(ProblemError, match=r"cost tuple length 1 != gamma 4"):
         rate_numerator(P, bad)
 
 
@@ -426,8 +426,8 @@ def test_base_d_packing_carries_stream_sums(field_line):
 def test_two_sum_reduction_fixture():
     # pairwise entanglement map from the tabled example: four 2-sum boxes,
     # 6 decoded sums per 8 downloaded qudits, rate 3/4
-    P = reference_problem().with_cliques(
-        (frozenset({1, 2}), frozenset({1, 4}), frozenset({2, 4}), frozenset({3, 4})))
+    P = replace(reference_problem(),
+                E=(frozenset({1, 2}), frozenset({1, 4}), frozenset({2, 4}), frozenset({3, 4})))
     assert capacity_lp(P).capacity == Fraction(3, 4)
     sch = build_scheme(P)
     assert sch.allocation.total == 8
